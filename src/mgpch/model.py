@@ -15,12 +15,17 @@ The posterior over each g keeps the conjugate form
     m = Lam (Q - diag(r_c) / 2) 1 + m_tilde 1,
 
 where Q is a diagonal free parameter of the bound.  The expected
-noise precision used everywhere is ``E[exp(-g_n)] = exp(-m_n +
-S_nn / 2)``, the reciprocal of the reported noise variance
-``exp(m_n - S_nn / 2)``; both come from one accessor so every update
-sees the same quantity.  Q itself is moved toward its stationary value
-``q_nc * omega_n * E[exp(-g_n)] / 2`` with a backtracking safeguard
-that only ever accepts free-energy improvements.
+noise precision ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)`` comes from one
+accessor, :func:`expected_noise_precision`, shared by the noise update
+and the cache rebuild after loading, so a loaded model forecasts bit
+for bit like the one in memory.  Q itself is moved toward its
+stationary value ``q_nc * omega_n * E[exp(-g_n)] / 2`` with a
+backtracking safeguard that only ever accepts free-energy improvements.
+Each candidate costs one Cholesky factor La of ``A = I + sqrt(Q) Lam
+sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
+``diag(S) = diag(Lam) - colsum(W o W)`` and, by Woodbury,
+``trace(Lam^-1 S) = N - Q . diag(S)``; ``S = Lam - W'W`` is formed for
+the accepted candidate only.  The mean update uses the same algebra.
 """
 
 import math
@@ -55,6 +60,7 @@ __all__ = [
     "PredictiveMoments",
     "SimulationDraw",
     "expected_noise_variance",
+    "expected_noise_precision",
     "noise_posterior_given_q",
     "latent_function_posterior",
     "update_noise_processes",
@@ -156,7 +162,9 @@ class VariationalState:
     inv_noise: np.ndarray = None  # (C, D, N) expected noise precisions
     g_kl: np.ndarray = None  # (C, D) KL of each q(g) from its prior
     f_kl: np.ndarray = None  # (C, D) KL of each q(f) from its prior
-    noise_chol: object = None  # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q)
+    # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q) kept from the accepted
+    # noise candidate; None until an update or a forecast needs it
+    noise_chol: object = None
 
     @property
     def n_components(self):
@@ -200,6 +208,7 @@ class MgpchModel:
     free_energy_trace: list
     trace_labels: list
     _ctx: object = field(default=None, repr=False, compare=False)
+    _factors: object = field(default=None, repr=False, compare=False)
 
     def predict(self, xstar):
         return predict(self, xstar)
@@ -239,13 +248,17 @@ class SimulationDraw:
 def expected_noise_variance(m, S):
     """Expected noise variance ``exp(m_n - S_nn / 2)`` per observation.
 
-    The reciprocal equals ``E[exp(-g_n)]`` under ``g ~ N(m, S)``; every
-    update and the free energy divide by this same quantity.
+    The reciprocal of :func:`expected_noise_precision` up to rounding.
     """
     m = np.asarray(m, dtype=float)
     S = np.asarray(S, dtype=float)
     diag = np.diagonal(S, axis1=-2, axis2=-1)
     return np.exp(m - 0.5 * diag)
+
+
+def expected_noise_precision(m, s_diag):
+    """Expected noise precision ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)`` from ``s_diag = diag(S)``."""
+    return np.exp(0.5 * s_diag - m)
 
 
 def noise_posterior_given_q(lam, Q, qz, m_tilde):
@@ -270,22 +283,8 @@ def noise_posterior_given_q(lam, Q, qz, m_tilde):
     -------
     (m, S) : posterior mean vector and covariance matrix.
     """
-    m, S, _ = _noise_posterior(lam, Q, qz, m_tilde)
-    return m, S
-
-
-def _noise_posterior(lam, Q, qz, m_tilde):
-    n = lam.shape[0]
-    if np.any(Q < 0.0):
-        raise InvalidArgumentError("bound parameters Q must be non-negative")
-    root = np.sqrt(Q)
-    A = root[:, None] * lam * root[None, :] + np.eye(n)
-    La = cholesky_factor(A, context="noise bound matrix")
-    T = root[:, None] * lam
-    S = lam - T.T @ cholesky_solve(La, T)
-    S = 0.5 * (S + S.T)
-    m = m_tilde + lam @ (Q - 0.5 * qz)
-    return m, S, La
+    m, s_diag, _, _, W = _noise_candidate(lam, Q, qz, m_tilde)
+    return m, _posterior_cov(lam, W, s_diag)
 
 
 def latent_function_posterior(K, B, y):
@@ -306,22 +305,55 @@ def latent_function_posterior(K, B, y):
     -------
     (mu, Sigma)
     """
-    mu, Sigma, _ = _latent_posterior(K, B, y)
+    mu, Sigma, _, _ = _latent_candidate(K, B, y)
     return mu, Sigma
 
 
-def _latent_posterior(K, B, y):
-    n = K.shape[0]
-    if np.any(B < 0.0):
-        raise InvalidArgumentError("effective precisions must be non-negative")
-    root = np.sqrt(B)
-    A = root[:, None] * K * root[None, :] + np.eye(n)
-    La = cholesky_factor(A, context="mean bound matrix")
-    T = root[:, None] * K
-    Sigma = K - T.T @ cholesky_solve(La, T)
-    Sigma = 0.5 * (Sigma + Sigma.T)
-    mu = Sigma @ (B * y)
-    return mu, Sigma, La
+def _bound_factor(prior, prec, label):
+    """``sqrt(prec)`` and the lower factor of ``A = I + sqrt(P) prior sqrt(P)``."""
+    if np.any(prec < 0.0):
+        raise InvalidArgumentError(f"diagonal precisions of the {label} must be non-negative")
+    root = np.sqrt(prec)
+    A = root[:, None] * prior * root[None, :] + np.eye(prior.shape[0])
+    return root, cholesky_factor(A, context=label)
+
+
+def _diag_precision_posterior(prior, prec, label):
+    """Posterior ``(prior^-1 + diag(prec))^-1`` without forming it.
+
+    Returns the factor La of A; ``W = La^-1 sqrt(P) prior``, so the
+    posterior covariance is ``prior - W'W``; its diagonal ``diag(prior) -
+    colsum(W o W)``; and ``log|A| - prec . diag``, which is
+    ``trace(prior^-1 cov) - N + log|prior| - log|cov|`` by Woodbury, the
+    KL from the prior without its mean term.
+    """
+    root, La = _bound_factor(prior, prec, label)
+    W = solve_lower(La, root[:, None] * prior)
+    diag = np.diagonal(prior) - np.einsum("ij,ij->j", W, W)
+    return La, W, diag, logdet_from_factor(La) - float(prec @ diag)
+
+
+def _posterior_cov(prior, W, diag):
+    """``prior - W'W`` whose diagonal is the ``diag`` the candidate was judged by, bit for bit."""
+    cov = prior - W.T @ W
+    cov = 0.5 * (cov + cov.T)
+    np.fill_diagonal(cov, diag)
+    return cov
+
+
+def _noise_candidate(lam, Q, qz, m_tilde):
+    """Mean, posterior variances, KL, bound factor and ``W`` of one noise block at bound parameter Q."""
+    La, W, s_diag, kl_core = _diag_precision_posterior(lam, Q, "noise bound matrix")
+    t = Q - 0.5 * qz
+    lam_t = lam @ t
+    return m_tilde + lam_t, s_diag, 0.5 * (float(t @ lam_t) + kl_core), La, W
+
+
+def _latent_candidate(K, B, y):
+    """Mean, covariance, its diagonal and KL-without-mean-term of one latent mean block."""
+    _, W, diag, kl_core = _diag_precision_posterior(K, B, "mean bound matrix")
+    Sigma = _posterior_cov(K, W, diag)
+    return Sigma @ (B * y), Sigma, diag, kl_core
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +504,7 @@ def _init_state(ctx):
     for c in range(C):
         for d in range(D):
             Q[c, d] = 0.5 * R[:, c]
-            m[c, d], S[c, d], _ = _noise_posterior(ctx.lam[c], Q[c, d], R[:, c], ctx.m_tilde[c, d])
+            m[c, d], S[c, d] = noise_posterior_given_q(ctx.lam[c], Q[c, d], R[:, c], ctx.m_tilde[c, d])
 
     state = VariationalState(R, mu, Sigma, m, S, Q, sticks, innovation)
     refresh_caches(state, ctx)
@@ -494,34 +526,33 @@ def _gauss_kl_from_arrays(mean_diff, cov, prior_chol, prior_logdet):
 
 
 def refresh_caches(state, ctx):
-    """Rebuild every derived cache from the primal state arrays."""
-    C, D, n = state.m.shape
-    state.inv_noise = 1.0 / expected_noise_variance(state.m, state.S)
-    omega = np.empty((C, D, n))
+    """Rebuild every derived cache from the primal state arrays.
+
+    The noise bound factors are cleared; a forecast rebuilds those it needs.
+    """
+    C, D, _ = state.m.shape
+    state.inv_noise = expected_noise_precision(state.m, np.diagonal(state.S, axis1=-2, axis2=-1))
+    resid = ctx.Y.T[None, :, :] - state.mu
+    state.omega = resid**2 + np.diagonal(state.Sigma, axis1=-2, axis2=-1)
+    state.g_kl, state.f_kl = _prior_kls(state, ctx)
+    state.noise_chol = [[None] * D for _ in range(C)]
+
+
+def _prior_kls(state, ctx):
+    """KL of every q(g) and q(f) from its prior, from the stored matrices; (C, D) each."""
+    C, D, _ = state.m.shape
     g_kl = np.empty((C, D))
     f_kl = np.zeros((C, D))
-    noise_chol = [[None] * D for _ in range(C)]
     for c in range(C):
         for d in range(D):
-            resid = ctx.Y[:, d] - state.mu[c, d]
-            omega[c, d] = resid**2 + np.diagonal(state.Sigma[c, d])
             g_kl[c, d] = _gauss_kl_from_arrays(
-                state.m[c, d] - ctx.m_tilde[c, d],
-                state.S[c, d],
-                ctx.lam_chol[c],
-                ctx.lam_logdet[c],
+                state.m[c, d] - ctx.m_tilde[c, d], state.S[c, d], ctx.lam_chol[c], ctx.lam_logdet[c]
             )
             if ctx.K[c] is not None:
                 f_kl[c, d] = _gauss_kl_from_arrays(
                     state.mu[c, d], state.Sigma[c, d], ctx.K_chol[c], ctx.K_logdet[c]
                 )
-            root = np.sqrt(state.Q[c, d])
-            A = root[:, None] * ctx.lam[c] * root[None, :] + np.eye(n)
-            noise_chol[c][d] = cholesky_factor(A, context="noise bound matrix")
-    state.omega = omega
-    state.g_kl = g_kl
-    state.f_kl = f_kl
-    state.noise_chol = noise_chol
+    return g_kl, f_kl
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +569,7 @@ def update_noise_processes(state, ctx):
     decrease; if every candidate fails the block keeps its current
     state, so the step never lowers the objective.
     """
-    C, D, n = state.m.shape
+    C, D, _ = state.m.shape
     for c in range(C):
         qz = state.R[:, c]
         for d in range(D):
@@ -549,18 +580,12 @@ def update_noise_processes(state, ctx):
             target = 0.5 * qz * omega * state.inv_noise[c, d]
             for lam_step in _BACKTRACK_STEPS:
                 Q = (1.0 - lam_step) * state.Q[c, d] + lam_step * target
-                m, S, La = _noise_posterior(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
-                Linv = solve_lower(La, np.eye(n))
-                trace = float(np.sum(Linv * Linv))
-                t = Q - 0.5 * qz
-                quad = float(t @ (ctx.lam[c] @ t))
-                logdet_a = logdet_from_factor(La)
-                kl = 0.5 * (trace + quad - n + logdet_a)
-                inv_noise = np.exp(-m + 0.5 * np.diagonal(S))
+                m, s_diag, kl, La, W = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
+                inv_noise = expected_noise_precision(m, s_diag)
                 obj = -kl - 0.5 * float(qz @ (m + omega * inv_noise))
                 if obj >= old_obj - _ACCEPT_SLACK * (1.0 + abs(old_obj)):
                     state.m[c, d] = m
-                    state.S[c, d] = S
+                    state.S[c, d] = _posterior_cov(ctx.lam[c], W, s_diag)
                     state.Q[c, d] = Q
                     state.g_kl[c, d] = kl
                     state.inv_noise[c, d] = inv_noise
@@ -575,23 +600,20 @@ def update_latent_functions(state, ctx):
     Components with the zero kernel are left untouched: their mean is
     identically zero and carries no free-energy terms.
     """
-    C, D, n = state.m.shape
+    C, D, _ = state.m.shape
     for c in range(C):
         if ctx.K[c] is None:
             continue
         qz = state.R[:, c]
         for d in range(D):
             B = qz * state.inv_noise[c, d]
-            mu, Sigma, La = _latent_posterior(ctx.K[c], B, ctx.Y[:, d])
+            mu, Sigma, diag, kl_core = _latent_candidate(ctx.K[c], B, ctx.Y[:, d])
             state.mu[c, d] = mu
             state.Sigma[c, d] = Sigma
             resid = ctx.Y[:, d] - mu
-            state.omega[c, d] = resid**2 + np.diagonal(Sigma)
-            Linv = solve_lower(La, np.eye(n))
-            trace = float(np.sum(Linv * Linv))
+            state.omega[c, d] = resid**2 + diag
             w = solve_lower(ctx.K_chol[c], mu)
-            quad = float(w @ w)
-            state.f_kl[c, d] = 0.5 * (trace + quad - n + logdet_from_factor(La))
+            state.f_kl[c, d] = 0.5 * (float(w @ w) + kl_core)
 
 
 def _responsibility_logits(state, ctx):
@@ -722,21 +744,8 @@ def _context_with_theta(ctx, theta):
 
 def _prior_fit_objective(state, ctx):
     """Free-energy terms that move with the kernel hyperparameters."""
-    total = 0.0
-    C, D = state.g_kl.shape
-    for c in range(C):
-        for d in range(D):
-            total -= _gauss_kl_from_arrays(
-                state.m[c, d] - ctx.m_tilde[c, d],
-                state.S[c, d],
-                ctx.lam_chol[c],
-                ctx.lam_logdet[c],
-            )
-            if ctx.K[c] is not None:
-                total -= _gauss_kl_from_arrays(
-                    state.mu[c, d], state.Sigma[c, d], ctx.K_chol[c], ctx.K_logdet[c]
-                )
-    return total
+    g_kl, f_kl = _prior_kls(state, ctx)
+    return -float(np.sum(g_kl)) - float(np.sum(f_kl))
 
 
 def _hyperopt_step(state, ctx):
@@ -881,27 +890,57 @@ def _model_context(model):
 # prediction
 
 
+def _model_factors(model, ctx):
+    """Per-model predictive factors, built from the stored state on first use.
+
+    Returns ``Lam^-1 (m - m_tilde)`` as a (C, D, N) array and, per (c, d)
+    with a mean kernel, ``sqrt(B)``, the factor of ``I + sqrt(B) K
+    sqrt(B)`` and the gain on y.  Also fills the noise factors the state
+    lacks; one the fit kept is the one this builds from the stored Q, so
+    a loaded model forecasts the same bits as after :func:`fit`.
+    """
+    if model._factors is None:
+        state = model.state
+        if state.g_kl is None:
+            refresh_caches(state, ctx)
+        C, D, n = state.m.shape
+        alpha = np.empty((C, D, n))
+        mean = [[None] * D for _ in range(C)]
+        for c in range(C):
+            for d in range(D):
+                alpha[c, d] = cholesky_solve(ctx.lam_chol[c], state.m[c, d] - ctx.m_tilde[c, d])
+                if state.noise_chol[c][d] is None:
+                    _, state.noise_chol[c][d] = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+                if ctx.K[c] is not None:
+                    B = state.R[:, c] * state.inv_noise[c, d]
+                    root, La = _bound_factor(ctx.K[c], B, "mean bound matrix")
+                    mean[c][d] = (root, La, root * cholesky_solve(La, root * ctx.Y[:, d]))
+        model._factors = (alpha, mean)
+    return model._factors
+
+
 def predict(model, xstar):
     """Mixture predictive moments at a single input point.
 
     Per component, the regression moments come from the noisy-kernel
     solve against the training targets, and the noise moments from the
-    log-variance posterior evaluated at the new input; the mixture
-    blends components with the posterior mean weights (squared for the
-    variance).
+    GP conditional of the log-variance posterior at the new input,
+    ``m_tilde + k*' Lam^-1 (m - m_tilde)``; the mixture blends
+    components with the posterior mean weights (squared for the
+    variance).  Factorizations are built once per model, on the first
+    call.
     """
     if model.state is None:
         raise ModelStateError("predict requires a fitted model")
     state = model.state
     ctx = _model_context(model)
-    if state.g_kl is None or state.noise_chol is None:
-        refresh_caches(state, ctx)
     xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
     if xstar.shape != (ctx.X.shape[1],):
         raise InvalidArgumentError(
             f"xstar must have dimension {ctx.X.shape[1]}, got shape {xstar.shape}"
         )
-    C, D, n = state.m.shape
+    alpha, mean_factors = _model_factors(model, ctx)
+    C, D, _ = state.m.shape
     weights = expected_weights(state.sticks)
 
     a = np.zeros((C, D))
@@ -916,18 +955,14 @@ def predict(model, xstar):
             k_cross = cross_vector(mk, ctx.X, xstar)
             k_ss = kernel_eval(mk, xstar, xstar)
         for d in range(D):
-            tau[c, d] = float(lam_cross @ (state.Q[c, d] - 0.5)) + ctx.m_tilde[c, d]
+            tau[c, d] = ctx.m_tilde[c, d] + float(lam_cross @ alpha[c, d])
             root = np.sqrt(state.Q[c, d])
             w = solve_lower(state.noise_chol[c][d], root * lam_cross)
             phi_star[c, d] = max(lam_ss - float(w @ w), 0.0)
-            if not isinstance(mk, ZeroKernel):
-                B = state.R[:, c] * state.inv_noise[c, d]
-                rootB = np.sqrt(B)
-                A = rootB[:, None] * ctx.K[c] * rootB[None, :] + np.eye(n)
-                La = cholesky_factor(A, context="mean bound matrix")
-                inner = rootB * cholesky_solve(La, rootB * ctx.Y[:, d])
+            if mean_factors[c][d] is not None:
+                root, La, inner = mean_factors[c][d]
                 a[c, d] = float(k_cross @ inner)
-                wk = solve_lower(La, rootB * k_cross)
+                wk = solve_lower(La, root * k_cross)
                 svar[c, d] = max(k_ss - float(wk @ wk), 0.0)
     psi = np.exp(tau + 0.5 * phi_star)
     mean = weights @ a
@@ -1022,16 +1057,8 @@ def simulate(config, n_points, n_dims, seed=0):
         noise_kernels = tuple(config.noise_kernels)
     else:
         noise_kernels = (Ar1Kernel(phi=0.5, sigma0_sq=0.75),) * C
-    if config.m_tilde is None:
-        m_tilde = np.zeros((C, n_dims))
-    else:
-        m_tilde = np.asarray(config.m_tilde, dtype=float)
-        if m_tilde.ndim == 0:
-            m_tilde = np.full((C, n_dims), float(m_tilde))
-        elif m_tilde.shape != (C, n_dims):
-            raise InvalidArgumentError(
-                f"m_tilde must broadcast to ({C}, {n_dims}), got {m_tilde.shape}"
-            )
+    # with no outputs to take a variance from, the prior mean defaults to zero
+    m_tilde = _resolve_m_tilde(0.0 if config.m_tilde is None else config.m_tilde, np.empty((0, n_dims)), C)
 
     g_paths = [
         [_LazyGpPath(noise_kernels[c], m_tilde[c, d]) for d in range(n_dims)] for c in range(C)

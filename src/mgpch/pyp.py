@@ -15,6 +15,7 @@ free sticks and a Gamma factor for alpha.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .errors import InvalidArgumentError, NumericalDomainError
 
@@ -106,46 +107,17 @@ class InnovationPosterior:
         return float(digamma(self.eta1_hat)) - np.log(self.eta2_hat)
 
 
-# Asymptotic expansion psi(x) ~ ln x - 1/(2x) - sum B_2n / (2n x^2n),
-# applied after shifting the argument above 10 via psi(x) = psi(x+1) - 1/x.
-_DIGAMMA_SHIFT = 10.0
-_DIGAMMA_COEFFS = (
-    -1.0 / 12.0,
-    1.0 / 120.0,
-    -1.0 / 252.0,
-    1.0 / 240.0,
-    -1.0 / 132.0,
-    691.0 / 32760.0,
-    -1.0 / 12.0,
-)
-
-
 def digamma(x):
     """Digamma function for positive arguments.
 
-    Accurate to about 1e-12 over the positive reals; accepts scalars or
-    arrays and preserves the input shape.
+    Accepts scalars or arrays and preserves the input shape; a scalar
+    gives a float.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise InvalidArgumentError("digamma requires positive arguments")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).copy()
-    acc = np.zeros_like(x)
-    while True:
-        small = x < _DIGAMMA_SHIFT
-        if not np.any(small):
-            break
-        acc[small] -= 1.0 / x[small]
-        x[small] += 1.0
-    inv2 = 1.0 / (x * x)
-    series = np.zeros_like(x)
-    power = inv2.copy()
-    for coeff in _DIGAMMA_COEFFS:
-        series += coeff * power
-        power *= inv2
-    out = acc + np.log(x) - 0.5 / x + series
-    return float(out[0]) if scalar else out
+    out = special.digamma(x)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_responsibilities(R, truncation):

@@ -14,10 +14,15 @@ from scipy.special import gammaln as sp_gammaln
 
 from mgpch.errors import InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, ZeroKernel
+from mgpch.linalg import cholesky_factor, logdet_from_factor
 from mgpch.model import (
     MgpchConfig,
+    _gauss_kl_from_arrays,
     _init_state,
+    _latent_candidate,
     _make_context,
+    _noise_candidate,
+    _posterior_cov,
     expected_noise_variance,
     free_energy,
     latent_function_posterior,
@@ -181,6 +186,96 @@ class TestLatentFunctionPosterior:
         mu, Sigma = latent_function_posterior(K, np.zeros(4), rng.standard_normal(4))
         assert_allclose(Sigma, K, rtol=1e-12)
         assert_allclose(mu, np.zeros(4), atol=1e-15)
+
+
+def assert_rel(actual, desired, tol=1e-10):
+    """Agreement to ``tol`` relative to the largest entry of ``desired``."""
+    desired = np.asarray(desired, dtype=float)
+    scale = max(float(np.max(np.abs(desired))), 1e-300)
+    assert float(np.max(np.abs(np.asarray(actual) - desired))) <= tol * scale
+
+
+def prior_kl(mean_diff, cov, prior):
+    L = cholesky_factor(prior)
+    return _gauss_kl_from_arrays(mean_diff, cov, L, logdet_from_factor(L))
+
+
+class TestFastCandidate:
+    """One factorization per candidate against explicit inverses and full-matrix KLs."""
+
+    def test_noise_candidate_matches_full_posterior(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            lam = random_spd(rng, n, scale=rng.uniform(0.1, 3.0))
+            Q = rng.uniform(0.0, 2.0, size=n)
+            Q[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+            qz = rng.uniform(0.0, 1.0, size=n)
+            m_tilde = rng.normal()
+            m, s_diag, kl, _, W = _noise_candidate(lam, Q, qz, m_tilde)
+            S_ref = np.linalg.inv(np.linalg.inv(lam) + np.diag(Q))
+            m_ref = m_tilde + lam @ (Q - 0.5 * qz)
+            m_pub, S_pub = noise_posterior_given_q(lam, Q, qz, m_tilde)
+            assert_rel(m, m_ref)
+            assert_rel(m, m_pub)
+            assert_rel(s_diag, np.diagonal(S_ref))
+            assert_rel(_posterior_cov(lam, W, s_diag), S_ref)
+            assert_rel(S_pub, S_ref)
+            assert_rel(kl, prior_kl(m_ref - m_tilde, S_ref, lam))
+
+    def test_latent_candidate_matches_full_posterior(self):
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            K = random_spd(rng, n, scale=rng.uniform(0.1, 3.0))
+            B = rng.uniform(0.0, 3.0, size=n)
+            B[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
+            y = rng.standard_normal(n)
+            mu, Sigma, diag, kl_core = _latent_candidate(K, B, y)
+            Sigma_ref = np.linalg.inv(np.linalg.inv(K) + np.diag(B))
+            mu_ref = Sigma_ref @ (B * y)
+            mu_pub, Sigma_pub = latent_function_posterior(K, B, y)
+            assert_rel(mu, mu_ref)
+            assert_rel(mu_pub, mu_ref)
+            assert_rel(Sigma, Sigma_ref)
+            assert_rel(Sigma_pub, Sigma_ref)
+            assert_rel(diag, np.diagonal(Sigma_ref))
+            quad = float(mu_ref @ np.linalg.solve(K, mu_ref))
+            assert_rel(0.5 * (quad + kl_core), prior_kl(mu_ref, Sigma_ref, K))
+
+    def test_updated_blocks_match_public_posteriors_with_more_components_than_points(self):
+        ctx = small_context(seed=6, n=3, n_components=4, mean_kernel=Ar1Kernel(phi=0.5, sigma0_sq=1.0))
+        state = _init_state(ctx)
+        for _ in range(3):
+            update_noise_processes(state, ctx)
+            update_latent_functions(state, ctx)
+            C, D, _ = state.m.shape
+            for c in range(C):
+                for d in range(D):
+                    qz = state.R[:, c]
+                    m, S = noise_posterior_given_q(ctx.lam[c], state.Q[c, d], qz, ctx.m_tilde[c, d])
+                    assert_rel(state.m[c, d], m)
+                    assert_rel(state.S[c, d], S)
+                    assert_rel(state.g_kl[c, d], prior_kl(m - ctx.m_tilde[c, d], S, ctx.lam[c]))
+                    mu, Sigma = latent_function_posterior(
+                        ctx.K[c], qz * state.inv_noise[c, d], ctx.Y[:, d]
+                    )
+                    assert_rel(state.mu[c, d], mu)
+                    assert_rel(state.Sigma[c, d], Sigma)
+                    assert_rel(state.f_kl[c, d], prior_kl(mu, Sigma, ctx.K[c]))
+            update_responsibilities(state, ctx)
+
+    def test_rebuilt_caches_equal_the_updated_ones_bit_for_bit(self):
+        ctx = small_context(seed=2, n=8, n_components=3, mean_kernel=Ar1Kernel(phi=0.4, sigma0_sq=0.8))
+        state = _init_state(ctx)
+        for _ in range(3):
+            update_noise_processes(state, ctx)
+            update_latent_functions(state, ctx)
+            update_responsibilities(state, ctx)
+        inv_noise, omega = state.inv_noise.copy(), state.omega.copy()
+        refresh_caches(state, ctx)
+        assert np.array_equal(state.inv_noise, inv_noise)
+        assert np.array_equal(state.omega, omega)
 
 
 def small_context(seed=0, n=6, n_components=2, mean_kernel=None):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from mgpch.errors import InvalidArgumentError, ModelStateError
 from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, cross_vector, kernel_eval
@@ -144,6 +146,46 @@ class TestFittedModel:
         direct = predict(fitted, xs)
         assert_allclose(fitted.predict(xs).mean, direct.mean)
         assert_allclose(fitted.predict(xs).variance, direct.variance)
+
+
+def gp_conditional(model, xstar):
+    """GP conditional of each log-variance posterior at xstar, with scipy.
+
+    tau = m_tilde + k*' Lam^-1 (m - m_tilde) and
+    phi = k** - k*' Lam^-1 k* + k*' Lam^-1 S Lam^-1 k*.
+    """
+    state = model.state
+    X = model.X
+    C, D, n = state.m.shape
+    tau = np.empty((C, D))
+    phi = np.empty((C, D))
+    for c in range(C):
+        nk = model.noise_kernels[c]
+        marginal = nk.sigma0_sq / (1.0 - nk.phi**2)
+        lam = marginal * nk.phi ** cdist(X, X) + ar1_jitter(nk) * np.eye(n)
+        k_star = marginal * nk.phi ** cdist(X, xstar[None, :])[:, 0]
+        factor = cho_factor(lam, lower=True)
+        v = cho_solve(factor, k_star)
+        for d in range(D):
+            alpha = cho_solve(factor, state.m[c, d] - model.m_tilde[c, d])
+            tau[c, d] = model.m_tilde[c, d] + k_star @ alpha
+            phi[c, d] = marginal - k_star @ v + v @ state.S[c, d] @ v
+    return tau, phi
+
+
+class TestThreeComponentNoiseForecast:
+    def test_noise_moments_equal_the_gp_conditional(self):
+        rng = np.random.default_rng(8)
+        r = 0.01 * rng.standard_normal(61) * np.repeat([1.0, 3.0, 0.5], [20, 21, 20])
+        X, Y = r[:-1, None], r[1:, None]
+        model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=3), max_iters=20, seed=1))
+        assert np.min(model.state.R) < 0.5  # responsibilities below one in every component
+        for xs in (Y[-1], np.array([0.0]), np.array([0.03])):
+            out = predict(model, xs)
+            tau, phi = gp_conditional(model, xs)
+            assert_allclose(out.noise_log_mean, tau, rtol=1e-9)
+            assert_allclose(out.noise_log_var, phi, rtol=1e-7, atol=1e-12)
+            assert_allclose(out.component_noise_vars, np.exp(tau + 0.5 * phi), rtol=1e-7)
 
 
 class TestMixtureWeights:
