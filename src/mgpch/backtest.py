@@ -10,6 +10,7 @@ maximal; ``forecast_only_at_retrain`` restores the sparser cadence.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -228,6 +229,14 @@ def _fit_segments(returns, config, factory, max_workers):
     return segments, forecasters
 
 
+def _grouped_mse(log, key, error):
+    """Mean of ``error(rec)`` per ``key(rec)``, in one pass over the log (log order within a group)."""
+    groups = {}
+    for rec in log:
+        groups.setdefault(key(rec), []).append(error(rec))
+    return {k: float(np.mean(v)) for k, v in groups.items()}
+
+
 def run_volatility_backtest(series, config, forecaster_factory=None, max_workers=None):
     """Score rolling variance forecasts against realized measures.
 
@@ -275,15 +284,13 @@ def run_volatility_backtest(series, config, forecaster_factory=None, max_workers
                         )
                     )
 
+    by_asset = attrgetter("horizon", "asset")
+    sq_by = _grouped_mse(log, by_asset, lambda rec: (rec.value - rec.realized_sq) ** 2)
+    hv_by = _grouped_mse(log, by_asset, lambda rec: (rec.value - rec.realized_hist_vol) ** 2)
     mse_sq, mse_hv, avg_sq, avg_hv = {}, {}, {}, {}
     for h in config.horizons:
-        sq = np.full(D, np.nan)
-        hvm = np.full(D, np.nan)
-        for d in range(D):
-            recs = [rec for rec in log if rec.horizon == h and rec.asset == d]
-            if recs:
-                sq[d] = np.mean([(rec.value - rec.realized_sq) ** 2 for rec in recs])
-                hvm[d] = np.mean([(rec.value - rec.realized_hist_vol) ** 2 for rec in recs])
+        sq = np.array([sq_by.get((h, d), np.nan) for d in range(D)])
+        hvm = np.array([hv_by.get((h, d), np.nan) for d in range(D)])
         mse_sq[h], mse_hv[h] = sq, hvm
         avg_sq[h] = float(np.mean(sq))
         avg_hv[h] = float(np.mean(hvm))
@@ -347,15 +354,10 @@ def run_covariance_backtest(
                         )
                     )
 
+    mse_by = _grouped_mse(log, attrgetter("horizon", "pair"), lambda rec: (rec.value - rec.realized_product) ** 2)
     mse_pairs, avg_pairs = {}, {}
     for h in config.horizons:
-        per_pair = {}
-        for pair in pairs:
-            recs = [rec for rec in log if rec.horizon == h and rec.pair == pair]
-            if recs:
-                per_pair[pair] = float(
-                    np.mean([(rec.value - rec.realized_product) ** 2 for rec in recs])
-                )
+        per_pair = {pair: mse_by[h, pair] for pair in pairs if (h, pair) in mse_by}
         mse_pairs[h] = per_pair
         avg_pairs[h] = float(np.mean(list(per_pair.values()))) if per_pair else np.nan
 

@@ -375,8 +375,9 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
 
     coarse = estimate(QUADRATURE_NODES)
     fine = estimate(2 * QUADRATURE_NODES)
+    # judged on sqrt(v_i v_j), the largest covariance the marginals allow;
     # stable message so repeated triggers from one call site are deduplicated
-    if abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
+    if abs(fine - coarse) > 1e-6 * math.sqrt(var[i] * var[j]):
         warnings.warn(
             "covariance quadrature still moving after doubling nodes",
             QuadratureWarning,

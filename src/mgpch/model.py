@@ -15,12 +15,15 @@ The posterior over each g keeps the conjugate form
     m = Lam (Q - diag(r_c) / 2) 1 + m_tilde 1,
 
 where Q is a diagonal free parameter of the bound.  The expected
-noise precision ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)`` comes from one
-accessor, :func:`expected_noise_precision`, shared by the noise update
-and the cache rebuild after loading, so a loaded model forecasts bit
-for bit like the one in memory.  Q itself is moved toward its
-stationary value ``q_nc * omega_n * E[exp(-g_n)] / 2`` with a
-backtracking safeguard that only ever accepts free-energy improvements.
+noise precision is ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)``.  S is a
+function of Q alone, and the latent mean covariance Sigma of the
+effective precisions B of the last mean update, so the primal state is
+R, mu, m, Q, B and the mixture factors; :func:`refresh_caches` rebuilds
+everything else with the fit's own expressions, and a model rebuilt
+from its primal state forecasts bit for bit like the one in memory.
+Q itself is moved toward its stationary value
+``q_nc * omega_n * E[exp(-g_n)] / 2`` with a backtracking safeguard
+that only ever accepts free-energy improvements.
 Each candidate costs one Cholesky factor La of ``A = I + sqrt(Q) Lam
 sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
 ``diag(S) = diag(Lam) - colsum(W o W)`` and, by Woodbury,
@@ -152,18 +155,18 @@ class VariationalState:
 
     R: np.ndarray  # (N, C) responsibilities
     mu: np.ndarray  # (C, D, N) latent mean posterior means
-    Sigma: np.ndarray  # (C, D, N, N) latent mean posterior covariances
     m: np.ndarray  # (C, D, N) log-variance posterior means
-    S: np.ndarray  # (C, D, N, N) log-variance posterior covariances
-    Q: np.ndarray  # (C, D, N) diagonal bound parameters
+    Q: np.ndarray  # (C, D, N) diagonal bound parameters of q(g)
+    B: np.ndarray  # (C, D, N) effective precisions of the last mean update
     sticks: object
     innovation: object
+    Sigma: np.ndarray = None  # (C, D, N, N) latent mean posterior covariances
+    S: np.ndarray = None  # (C, D, N, N) log-variance posterior covariances
     omega: np.ndarray = None  # (C, D, N) expected squared residuals
     inv_noise: np.ndarray = None  # (C, D, N) expected noise precisions
     g_kl: np.ndarray = None  # (C, D) KL of each q(g) from its prior
     f_kl: np.ndarray = None  # (C, D) KL of each q(f) from its prior
-    # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q) kept from the accepted
-    # noise candidate; None until an update or a forecast needs it
+    # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q), reused by forecasts
     noise_chol: object = None
 
     @property
@@ -183,10 +186,8 @@ class _FitContext:
     m_tilde: np.ndarray  # (C, D)
     lam: np.ndarray  # (C, N, N) jittered noise design matrices
     lam_chol: np.ndarray
-    lam_logdet: np.ndarray
     K: object  # per component: jittered mean design matrix or None
     K_chol: object
-    K_logdet: object
 
 
 @dataclass
@@ -425,25 +426,21 @@ def _make_context(X, Y, config):
 
     lam = np.empty((C, n, n))
     lam_chol = np.empty_like(lam)
-    lam_logdet = np.empty(C)
-    K, K_chol, K_logdet = [], [], []
+    K, K_chol = [], []
     eye = np.eye(n)
     for c in range(C):
         lam[c] = design_matrix(noise_kernels[c], X) + ar1_jitter(noise_kernels[c]) * eye
         lam_chol[c] = cholesky_factor(lam[c], context=f"noise design matrix {c}")
-        lam_logdet[c] = logdet_from_factor(lam_chol[c])
         mk = mean_kernels[c]
         if isinstance(mk, ZeroKernel):
             K.append(None)
             K_chol.append(None)
-            K_logdet.append(0.0)
         else:
             Kc = design_matrix(mk, X) + ar1_jitter(mk) * eye
             K.append(Kc)
             K_chol.append(cholesky_factor(Kc, context=f"mean design matrix {c}"))
-            K_logdet.append(logdet_from_factor(K_chol[-1]))
     return _FitContext(
-        X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, lam_chol, lam_logdet, K, K_chol, K_logdet
+        X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, lam_chol, K, K_chol
     )
 
 
@@ -493,20 +490,11 @@ def _init_state(ctx):
     innovation = update_innovation_posterior(sticks, config.pyp.eta1, config.pyp.eta2)
 
     mu = np.zeros((C, D, n))
-    Sigma = np.zeros((C, D, n, n))
-    for c in range(C):
-        if ctx.K[c] is not None:
-            Sigma[c, :] = ctx.K[c]
-
-    m = np.empty((C, D, n))
-    S = np.empty((C, D, n, n))
-    Q = np.empty((C, D, n))
-    for c in range(C):
-        for d in range(D):
-            Q[c, d] = 0.5 * R[:, c]
-            m[c, d], S[c, d] = noise_posterior_given_q(ctx.lam[c], Q[c, d], R[:, c], ctx.m_tilde[c, d])
-
-    state = VariationalState(R, mu, Sigma, m, S, Q, sticks, innovation)
+    B = np.zeros((C, D, n))
+    # at Q = R / 2 the noise mean m_tilde + Lam (Q - R / 2) is the prior mean
+    Q = np.repeat(0.5 * R.T[:, None, :], D, axis=1)
+    m = np.repeat(ctx.m_tilde[:, :, None], n, axis=2)
+    state = VariationalState(R, mu, m, Q, B, sticks, innovation)
     refresh_caches(state, ctx)
     return state
 
@@ -515,44 +503,41 @@ def _init_state(ctx):
 # cache maintenance
 
 
-def _gauss_kl_from_arrays(mean_diff, cov, prior_chol, prior_logdet):
-    """KL(N(mean, cov) || N(prior_mean, prior_cov)) from explicit arrays."""
-    n = cov.shape[0]
-    Ls = cholesky_factor(0.5 * (cov + cov.T), context="posterior covariance")
-    trace = float(np.trace(cholesky_solve(prior_chol, cov)))
-    w = solve_lower(prior_chol, mean_diff)
-    quad = float(w @ w)
-    return 0.5 * (trace + quad - n + prior_logdet - logdet_from_factor(Ls))
-
-
 def refresh_caches(state, ctx):
-    """Rebuild every derived cache from the primal state arrays.
+    """Rebuild every derived array from the primal ones with the fit's own expressions.
 
-    The noise bound factors are cleared; a forecast rebuilds those it needs.
+    Per (c, d) block one factor of ``I + sqrt(Q) Lam sqrt(Q)`` gives S, the
+    expected noise precisions, the KL of q(g) and the bound factor that
+    forecasts reuse; one of ``I + sqrt(B) K sqrt(B)`` gives Sigma, the
+    expected squared residuals and the KL of q(f).  Every derived array is
+    replaced, not written into, so a shallow copy refreshes on its own.
     """
-    C, D, _ = state.m.shape
-    state.inv_noise = expected_noise_precision(state.m, np.diagonal(state.S, axis1=-2, axis2=-1))
-    resid = ctx.Y.T[None, :, :] - state.mu
-    state.omega = resid**2 + np.diagonal(state.Sigma, axis1=-2, axis2=-1)
-    state.g_kl, state.f_kl = _prior_kls(state, ctx)
+    C, D, n = state.m.shape
+    state.S = np.empty((C, D, n, n))
+    state.Sigma = np.zeros((C, D, n, n))
+    state.inv_noise = np.empty((C, D, n))
+    state.omega = (ctx.Y.T[None, :, :] - state.mu) ** 2
+    state.g_kl = np.empty((C, D))
+    state.f_kl = np.zeros((C, D))
     state.noise_chol = [[None] * D for _ in range(C)]
-
-
-def _prior_kls(state, ctx):
-    """KL of every q(g) and q(f) from its prior, from the stored matrices; (C, D) each."""
-    C, D, _ = state.m.shape
-    g_kl = np.empty((C, D))
-    f_kl = np.zeros((C, D))
     for c in range(C):
         for d in range(D):
-            g_kl[c, d] = _gauss_kl_from_arrays(
-                state.m[c, d] - ctx.m_tilde[c, d], state.S[c, d], ctx.lam_chol[c], ctx.lam_logdet[c]
-            )
+            La, W, s_diag, kl_core = _diag_precision_posterior(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+            state.S[c, d] = _posterior_cov(ctx.lam[c], W, s_diag)
+            state.inv_noise[c, d] = expected_noise_precision(state.m[c, d], s_diag)
+            diff = state.m[c, d] - ctx.m_tilde[c, d]
+            state.g_kl[c, d] = 0.5 * (float(diff @ cholesky_solve(ctx.lam_chol[c], diff)) + kl_core)
+            state.noise_chol[c][d] = La
             if ctx.K[c] is not None:
-                f_kl[c, d] = _gauss_kl_from_arrays(
-                    state.mu[c, d], state.Sigma[c, d], ctx.K_chol[c], ctx.K_logdet[c]
-                )
-    return g_kl, f_kl
+                _, state.Sigma[c, d], diag, kl_core = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+                state.omega[c, d] += diag
+                state.f_kl[c, d] = _latent_kl(ctx, c, state.mu[c, d], kl_core)
+
+
+def _latent_kl(ctx, c, mu, kl_core):
+    """KL of one q(f) from its prior, from its mean and the candidate's KL-without-mean-term."""
+    w = solve_lower(ctx.K_chol[c], mu)
+    return 0.5 * (float(w @ w) + kl_core)
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +591,12 @@ def update_latent_functions(state, ctx):
             continue
         qz = state.R[:, c]
         for d in range(D):
-            B = qz * state.inv_noise[c, d]
-            mu, Sigma, diag, kl_core = _latent_candidate(ctx.K[c], B, ctx.Y[:, d])
+            state.B[c, d] = qz * state.inv_noise[c, d]
+            mu, Sigma, diag, kl_core = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
             state.mu[c, d] = mu
             state.Sigma[c, d] = Sigma
-            resid = ctx.Y[:, d] - mu
-            state.omega[c, d] = resid**2 + diag
-            w = solve_lower(ctx.K_chol[c], mu)
-            state.f_kl[c, d] = 0.5 * (float(w @ w) + kl_core)
+            state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
+            state.f_kl[c, d] = _latent_kl(ctx, c, mu, kl_core)
 
 
 def _responsibility_logits(state, ctx):
@@ -743,17 +726,19 @@ def _context_with_theta(ctx, theta):
 
 
 def _prior_fit_objective(state, ctx):
-    """Free-energy terms that move with the kernel hyperparameters."""
-    g_kl, f_kl = _prior_kls(state, ctx)
-    return -float(np.sum(g_kl)) - float(np.sum(f_kl))
+    """Free energy under ``ctx`` with the primal arrays held and the derived ones rebuilt."""
+    trial = replace(state)
+    refresh_caches(trial, ctx)
+    return free_energy(trial, ctx)
 
 
 def _hyperopt_step(state, ctx):
     """One quasi-Newton burst over kernel parameters and prior means.
 
-    Maximizes the free energy with the variational factors frozen,
-    using central finite differences; the result is applied only when
-    it improves the objective, so the overall trace stays monotone.
+    Maximizes the free energy with the primal variational arrays frozen
+    (S follows Q under each candidate kernel), using central finite
+    differences; the result is applied only when it improves the
+    objective, so the overall trace stays monotone.
     """
     from scipy.optimize import minimize
 
@@ -895,22 +880,19 @@ def _model_factors(model, ctx):
 
     Returns ``Lam^-1 (m - m_tilde)`` as a (C, D, N) array and, per (c, d)
     with a mean kernel, ``sqrt(B)``, the factor of ``I + sqrt(B) K
-    sqrt(B)`` and the gain on y.  Also fills the noise factors the state
-    lacks; one the fit kept is the one this builds from the stored Q, so
-    a loaded model forecasts the same bits as after :func:`fit`.
+    sqrt(B)`` and the gain on y, with B from the current responsibilities.
+    The noise bound factors are the state's: the fit keeps the accepted
+    candidate's, and :func:`refresh_caches` builds the same one from the
+    stored Q, so a loaded model forecasts the same bits as after :func:`fit`.
     """
     if model._factors is None:
         state = model.state
-        if state.g_kl is None:
-            refresh_caches(state, ctx)
         C, D, n = state.m.shape
         alpha = np.empty((C, D, n))
         mean = [[None] * D for _ in range(C)]
         for c in range(C):
             for d in range(D):
                 alpha[c, d] = cholesky_solve(ctx.lam_chol[c], state.m[c, d] - ctx.m_tilde[c, d])
-                if state.noise_chol[c][d] is None:
-                    _, state.noise_chol[c][d] = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")
                 if ctx.K[c] is not None:
                     B = state.R[:, c] * state.inv_noise[c, d]
                     root, La = _bound_factor(ctx.K[c], B, "mean bound matrix")
@@ -939,6 +921,8 @@ def predict(model, xstar):
         raise InvalidArgumentError(
             f"xstar must have dimension {ctx.X.shape[1]}, got shape {xstar.shape}"
         )
+    if not np.all(np.isfinite(xstar)):
+        raise InvalidArgumentError(f"xstar must be finite, got {xstar.tolist()}")
     alpha, mean_factors = _model_factors(model, ctx)
     C, D, _ = state.m.shape
     weights = expected_weights(state.sticks)

@@ -5,6 +5,14 @@ trained on top of it.  Floats survive a round trip exactly (JSON text
 uses the shortest representation that reparses to the same double), and
 keys are emitted sorted, so the same model always produces the same
 bytes.
+
+Version 2 stores only the primal variational arrays, each O(C D N):
+responsibilities, the latent means mu and m, the bound parameters Q,
+the effective precisions B of the last mean update, the sticks and the
+innovation.  The N x N covariances S and Sigma and every other derived
+array are rebuilt on load by the fit's own expressions, so a loaded
+model forecasts the same bits as the fitted one.  Version 1 files, which
+stored S and Sigma, are not read; refit the model to write version 2.
 """
 
 import json
@@ -20,7 +28,7 @@ from .pyp import InnovationPosterior, PypConfig, StickPosterior
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]
 
 FORMAT_NAME = "mgpch-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def dump_json(obj, path):
@@ -97,10 +105,9 @@ def _state_to_obj(state):
     return {
         "R": _array(state.R),
         "mu": _array(state.mu),
-        "Sigma": _array(state.Sigma),
         "m": _array(state.m),
-        "S": _array(state.S),
         "Q": _array(state.Q),
+        "B": _array(state.B),
         "sticks": {"beta1": _array(state.sticks.beta1), "beta2": _array(state.sticks.beta2)},
         "innovation": {
             "eta1_hat": state.innovation.eta1_hat,
@@ -113,10 +120,9 @@ def _state_from_obj(obj):
     return VariationalState(
         R=np.asarray(obj["R"]),
         mu=np.asarray(obj["mu"]),
-        Sigma=np.asarray(obj["Sigma"]),
         m=np.asarray(obj["m"]),
-        S=np.asarray(obj["S"]),
         Q=np.asarray(obj["Q"]),
+        B=np.asarray(obj["B"]),
         sticks=StickPosterior(
             beta1=np.asarray(obj["sticks"]["beta1"]),
             beta2=np.asarray(obj["sticks"]["beta2"]),
@@ -187,7 +193,10 @@ def load_model(path):
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise FormatError(f"not a {FORMAT_NAME} file")
     if payload.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {payload.get('version')!r}")
+        raise FormatError(
+            f"unsupported version {payload.get('version')!r}; this release reads "
+            f"version {FORMAT_VERSION} only, so refit the model to write a current file"
+        )
     try:
         model = MgpchModel(
             config=_config_from_obj(payload["config"]),

@@ -1,6 +1,7 @@
 """Copula families, conditional training and covariance quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,16 @@ class TestPredictiveCovariance:
         mo = gaussian_moments([0.0, 0.0], [1.0, 1.0])
         with pytest.warns(QuadratureWarning):
             copula_module.predictive_covariance(pm, mo, (0, 1), np.array([0.0]))
+
+    def test_convergence_check_is_judged_on_the_marginal_scale(self):
+        # daily-return variances put covariances near 1e-4, far below an absolute 1e-6 floor
+        mo = gaussian_moments([0.0, 0.0], [1e-4, 2.25e-4])
+        strong = single_point_pair_model(Clayton(), math.log(20.0))
+        with pytest.warns(QuadratureWarning):
+            predictive_covariance(strong, mo, (0, 1), np.array([0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureWarning)
+            predictive_covariance(single_point_pair_model(Clayton(), 0.0), mo, (0, 1), np.array([0.0]))
 
     def test_validation(self):
         pm = single_point_pair_model(Frank(), 2.0)

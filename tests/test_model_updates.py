@@ -8,16 +8,15 @@ every term using scipy's special functions.
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import betaln as sp_betaln
 from scipy.special import digamma as sp_digamma
 from scipy.special import gammaln as sp_gammaln
 
 from mgpch.errors import InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, ZeroKernel
-from mgpch.linalg import cholesky_factor, logdet_from_factor
 from mgpch.model import (
     MgpchConfig,
-    _gauss_kl_from_arrays,
     _init_state,
     _latent_candidate,
     _make_context,
@@ -196,8 +195,12 @@ def assert_rel(actual, desired, tol=1e-10):
 
 
 def prior_kl(mean_diff, cov, prior):
-    L = cholesky_factor(prior)
-    return _gauss_kl_from_arrays(mean_diff, cov, L, logdet_from_factor(L))
+    """KL(N(mean, cov) || N(prior_mean, prior)) from full Cholesky factors of both matrices."""
+    L = cholesky(prior, lower=True)
+    Ls = cholesky(0.5 * (cov + cov.T), lower=True)
+    w = solve_triangular(L, mean_diff, lower=True)
+    logdets = 2.0 * np.sum(np.log(np.diag(L))) - 2.0 * np.sum(np.log(np.diag(Ls)))
+    return 0.5 * (np.trace(cho_solve((L, True), cov)) + w @ w - cov.shape[0] + logdets)
 
 
 class TestFastCandidate:
@@ -272,10 +275,16 @@ class TestFastCandidate:
             update_noise_processes(state, ctx)
             update_latent_functions(state, ctx)
             update_responsibilities(state, ctx)
-        inv_noise, omega = state.inv_noise.copy(), state.omega.copy()
+        names = ("S", "Sigma", "inv_noise", "omega", "f_kl")
+        updated = {name: getattr(state, name).copy() for name in names}
+        chol, g_kl = state.noise_chol, state.g_kl.copy()
         refresh_caches(state, ctx)
-        assert np.array_equal(state.inv_noise, inv_noise)
-        assert np.array_equal(state.omega, omega)
+        for name in names:
+            assert np.array_equal(getattr(state, name), updated[name]), name
+        for row, row_updated in zip(state.noise_chol, chol):
+            assert all(np.array_equal(a, b) for a, b in zip(row, row_updated))
+        # the rebuild takes the quadratic term as (m - m~)' Lam^-1 (m - m~), the update as t' Lam t
+        assert_allclose(state.g_kl, g_kl, rtol=1e-10)
 
 
 def small_context(seed=0, n=6, n_components=2, mean_kernel=None):

@@ -213,3 +213,12 @@ class TestValidation:
         model = manual_scalar_model()
         with pytest.raises(InvalidArgumentError):
             predict(model, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((16, 1))
+        Y = 0.05 * rng.standard_normal((16, 1))
+        model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=2), max_iters=3, seed=5))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            predict(model, np.array([bad]))

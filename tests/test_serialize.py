@@ -1,14 +1,19 @@
 """Model persistence round trips."""
 
+import dataclasses
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mgpch.copula import family_from_name, train_pairwise
 from mgpch.errors import FormatError, InvalidArgumentError
 from mgpch.kernels import Ar1Kernel
-from mgpch.model import MgpchConfig, MgpchModel, fit, predict
+from mgpch.model import MgpchConfig, MgpchModel, _model_context, fit, free_energy, predict, refresh_caches
 from mgpch.pyp import PypConfig
 from mgpch.serialize import load_model, save_model
 
@@ -113,6 +118,16 @@ class TestSchema:
         with pytest.raises(FormatError, match="version"):
             load_model(path)
 
+    def test_version_1_files_ask_for_a_refit(self, fitted, tmp_path):
+        model, _ = fitted
+        path = tmp_path / "v1.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="version 1.*refit"):
+            load_model(path)
+
     def test_rejects_broken_json_with_line(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"format": "mgpch-model",\n  broken\n}')
@@ -129,3 +144,73 @@ class TestSchema:
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="state"):
             load_model(path)
+
+
+def assert_round_trip_exact(model, xstars):
+    """Save, load and re-save ``model``: same forecast bits, same bytes, same free energy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_model(path, model)
+        loaded, _ = load_model(path)
+        for xstar in xstars:
+            want, got = predict(model, xstar), predict(loaded, xstar)
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
+        resaved = os.path.join(tmp, "resaved.json")
+        save_model(resaved, loaded)
+        with open(path, "rb") as a, open(resaved, "rb") as b:
+            assert a.read() == b.read()
+        with open(path, encoding="utf-8") as handle:
+            state = json.load(handle)["state"]
+    value = free_energy(loaded.state, _model_context(loaded))
+    assert value == pytest.approx(model.free_energy_trace[-1], rel=1e-10, abs=0.0)
+    # no N x N array: the state holds (C + 4 C D) N numbers plus the sticks and the innovation
+    n, C = model.state.R.shape
+    D = model.Y.shape[1]
+    leaves = np.concatenate([np.ravel(state[k]) for k in ("R", "mu", "m", "Q", "B")])
+    assert leaves.size == (C + 4 * C * D) * n
+    assert np.ravel(state["sticks"]["beta1"]).size == C - 1
+
+
+class TestVersion2RoundTrip:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(3, 30),
+        C=st.integers(1, 5),
+        D=st.sampled_from([1, 2]),
+        mean_kernel=st.booleans(),
+        max_iters=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=3, C=5, D=2, mean_kernel=True, max_iters=5, seed=0)
+    @example(n=4, C=4, D=1, mean_kernel=False, max_iters=3, seed=1)
+    def test_loaded_model_forecasts_the_fitted_bits(self, n, C, D, mean_kernel, max_iters, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, 1))
+        Y = 0.02 * rng.standard_normal((n, D))
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=C),
+            mean_kernels=[Ar1Kernel(0.5, 0.4)] * C if mean_kernel else None,
+            max_iters=max_iters,
+            seed=seed,
+        )
+        model = fit(X, Y, config)
+        assert_round_trip_exact(model, [X[-1], np.zeros(1), rng.standard_normal(1)])
+
+    def test_accepted_kernel_step_resynchronizes_the_state(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((20, 1))
+        Y = 0.05 * rng.standard_normal((20, 2))
+        start = Ar1Kernel(phi=0.6, sigma0_sq=0.5)
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=2), noise_kernels=(start,) * 2, max_iters=4, hyperopt_every=1, seed=0
+        )
+        model = fit(X, Y, config)
+        assert model.noise_kernels[0] != start  # a kernel step was accepted
+        trace = np.asarray(model.free_energy_trace)
+        assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
+        # S is the posterior of the stored Q under the accepted kernels
+        S = model.state.S.copy()
+        refresh_caches(model.state, _model_context(model))
+        assert np.array_equal(model.state.S, S)
+        assert_round_trip_exact(model, [X[-1], np.zeros(1)])
