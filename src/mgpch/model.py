@@ -29,16 +29,25 @@ sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
 ``diag(S) = diag(Lam) - colsum(W o W)`` and, by Woodbury,
 ``trace(Lam^-1 S) = N - Q . diag(S)``; ``S = Lam - W'W`` is formed for
 the accepted candidate only.  The mean update uses the same algebra.
+
+For one-column inputs the noise prior ``s phi^|x - x'|`` is the
+covariance of an Ornstein-Uhlenbeck process, which is Markov in sorted
+input order, so diag(S) and the KL of every candidate of every block come
+from one batched Kalman filter and smoother pass instead
+(:func:`_ou_moments`, O(N log N) arithmetic in log2(N) vectorized steps);
+the dense factor is then built for accepted candidates only.  Inputs with
+more columns take the dense path.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, expit, gammaln
 
 from .errors import (
     DivergedFitError,
+    IllConditionedError,
     InvalidArgumentError,
     ModelStateError,
     NumericalDomainError,
@@ -188,6 +197,26 @@ class _FitContext:
     lam_chol: np.ndarray
     K: object  # per component: jittered mean design matrix or None
     K_chol: object
+    ou: object  # _OuTransitions for one-column inputs, else None
+
+
+@dataclass(frozen=True)
+class _OuTransitions:
+    """Sorted-input transitions of every component's noise prior.
+
+    On one-column inputs the prior g = h + e splits into an Ornstein-Uhlenbeck
+    process h of marginal variance s, with ``h[n+1] = a[n] h[n]`` plus noise
+    of variance ``s (1 - a[n]^2)`` and ``a[n] = phi^(x[n+1] - x[n])`` between
+    sorted neighbours, and the jitter e kept as an explicit nugget of
+    variance eps.  So ``cov(g)`` is Lam exactly, and tied inputs (a = 1)
+    need no special case.
+    """
+
+    order: np.ndarray  # (N,) stable sort of the inputs
+    a2: np.ndarray  # (N - 1, C) squared transition coefficients
+    q: np.ndarray  # (N - 1, C) transition variances s (1 - a^2)
+    s: np.ndarray  # (C,) marginal variances
+    eps: np.ndarray  # (C,) jitter variances
 
 
 @dataclass
@@ -319,17 +348,21 @@ def _bound_factor(prior, prec, label):
     return root, cholesky_factor(A, context=label)
 
 
+def _bound_solve(prior, prec, label):
+    """The factor La of A and ``W = La^-1 sqrt(P) prior``, so the posterior covariance is ``prior - W'W``."""
+    root, La = _bound_factor(prior, prec, label)
+    return La, solve_lower(La, root[:, None] * prior)
+
+
 def _diag_precision_posterior(prior, prec, label):
     """Posterior ``(prior^-1 + diag(prec))^-1`` without forming it.
 
-    Returns the factor La of A; ``W = La^-1 sqrt(P) prior``, so the
-    posterior covariance is ``prior - W'W``; its diagonal ``diag(prior) -
-    colsum(W o W)``; and ``log|A| - prec . diag``, which is
+    Returns La and W of :func:`_bound_solve`; the posterior diagonal
+    ``diag(prior) - colsum(W o W)``; and ``log|A| - prec . diag``, which is
     ``trace(prior^-1 cov) - N + log|prior| - log|cov|`` by Woodbury, the
     KL from the prior without its mean term.
     """
-    root, La = _bound_factor(prior, prec, label)
-    W = solve_lower(La, root[:, None] * prior)
+    La, W = _bound_solve(prior, prec, label)
     diag = np.diagonal(prior) - np.einsum("ij,ij->j", W, W)
     return La, W, diag, logdet_from_factor(La) - float(prec @ diag)
 
@@ -340,6 +373,69 @@ def _posterior_cov(prior, W, diag):
     cov = 0.5 * (cov + cov.T)
     np.fill_diagonal(cov, diag)
     return cov
+
+
+def _ou_moments(ou, comp, Q):
+    """diag(S) and ``log|A| - Q . diag(S)`` for every row of Q, by Kalman filtering and smoothing.
+
+    Row b of Q (B, N) holds the bound parameters of a block of component
+    ``comp[b]``.  S = (Lam^-1 + diag(Q))^-1 is the posterior covariance of
+    g = h + e (see :class:`_OuTransitions`) given pseudo-observations of
+    precision Q, where Q = 0 means no observation.  Integrating out the
+    nugget leaves observations of h with precision ``rho = Q / (1 + eps Q)``.
+    Over the sorted inputs the filter predicts ``pred[i+1] = a^2 filt[i] +
+    q`` from ``filt = pred / (1 + rho pred)``, the Rauch-Tung-Striebel
+    smoother gives the posterior variances P of h, and ``diag(S) = w^2 P +
+    eps w`` with ``w = 1 / (1 + eps Q)``.  The prediction-error
+    decomposition gives ``log|A| = sum log1p(eps Q) + sum log1p(rho pred)``.
+
+    Both recursions run as prefix scans of associative maps (Sarkka and
+    Garcia-Fernandez, IEEE TAC 2021), in log2(N) vectorized steps instead
+    of N interpreted ones: ``pred[i] -> pred[i+1]`` is the Moebius map of the
+    non-negative matrix [[a^2 + q rho, q], [rho, 1]], and a smoother step is
+    an affine map with non-negative coefficients, so no product cancels.
+    Every operation is elementwise, so a row gets the same bits in any batch.
+    """
+    Qs = Q[:, ou.order].T  # (N, B), sorted
+    s, eps = ou.s[comp], ou.eps[comp]
+    a2, q = ou.a2[:, comp], ou.q[:, comp]
+    w = 1.0 / (1.0 + eps * Qs)
+    rho = Qs * w
+    n = Qs.shape[0]
+    # prefix products M[i] ... M[0], rescaled at each step (only ratios matter)
+    r = rho[:-1]
+    maps = [a2 + q * r, q.copy(), r.copy(), np.ones_like(q)]
+    k = 1
+    while k < n - 1:
+        a00, a01, a10, a11 = (e[k:] for e in maps)
+        b00, b01, b10, b11 = (e[:-k] for e in maps)
+        prod = (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11, a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+        scale = 1.0 / (prod[0] + prod[1] + prod[2] + prod[3])
+        for e, v in zip(maps, prod):
+            e[k:] = v * scale
+        k *= 2
+    pred = np.empty_like(Qs)
+    pred[0] = s
+    pred[1:] = (maps[0] * s + maps[1]) / (maps[2] * s + maps[3])
+    filt = pred / (1.0 + rho * pred)
+    # RTS: smooth[i] = filt[i] + G^2 (smooth[i+1] - pred[i+1]) with gain
+    # G = a filt[i] / pred[i+1]; as pred[i+1] - a^2 filt[i] = q, that is
+    # the affine map smooth[i] = filt[i] q / pred[i+1] + G^2 smooth[i+1]
+    ratio = filt[:-1] / pred[1:]
+    gain2 = ratio * ratio * a2
+    offset = ratio * q
+    k = 1
+    while k < n - 1:
+        offset[:-k] += gain2[:-k] * offset[k:]
+        gain2[:-k] *= gain2[k:]
+        k *= 2
+    smooth = filt.copy()
+    smooth[:-1] = offset + gain2 * filt[-1]
+    diag = w * w * smooth + eps * w
+    logdet = np.sum(np.log1p(eps * Qs), axis=0) + np.sum(np.log1p(rho * pred), axis=0)
+    s_diag = np.empty_like(Q)
+    s_diag[:, ou.order] = diag.T
+    return s_diag, logdet - np.sum(Qs * diag, axis=0)
 
 
 def _noise_candidate(lam, Q, qz, m_tilde):
@@ -411,6 +507,16 @@ def _resolve_m_tilde(m_tilde, Y, C):
     return arr.copy()
 
 
+def _ou_transitions(X, noise_kernels):
+    """Sort order and per-component transitions of the noise priors on one-column inputs."""
+    order = np.argsort(X[:, 0], kind="stable")
+    log_phi = np.log([k.phi for k in noise_kernels])
+    log_a2 = 2.0 * np.diff(X[order, 0])[:, None] * log_phi[None, :]
+    s = np.array([k.marginal_variance for k in noise_kernels])
+    eps = np.array([ar1_jitter(k) for k in noise_kernels])
+    return _OuTransitions(order, np.exp(log_a2), -s * np.expm1(log_a2), s, eps)
+
+
 def _make_context(X, Y, config):
     X, Y = _validate_data(X, Y)
     C = config.pyp.truncation
@@ -424,23 +530,28 @@ def _make_context(X, Y, config):
         noise_kernels = (_default_noise_kernel(X),) * C
     m_tilde = _resolve_m_tilde(config.m_tilde, Y, C)
 
+    eye = np.eye(n)
+    factored = {}  # components with equal kernels share one matrix and factor
+
+    def jittered(kernel, label):
+        if kernel not in factored:
+            M = design_matrix(kernel, X) + ar1_jitter(kernel) * eye
+            factored[kernel] = (M, cholesky_factor(M, context=label))
+        return factored[kernel]
+
     lam = np.empty((C, n, n))
     lam_chol = np.empty_like(lam)
     K, K_chol = [], []
-    eye = np.eye(n)
     for c in range(C):
-        lam[c] = design_matrix(noise_kernels[c], X) + ar1_jitter(noise_kernels[c]) * eye
-        lam_chol[c] = cholesky_factor(lam[c], context=f"noise design matrix {c}")
+        lam[c], lam_chol[c] = jittered(noise_kernels[c], f"noise design matrix {c}")
         mk = mean_kernels[c]
-        if isinstance(mk, ZeroKernel):
-            K.append(None)
-            K_chol.append(None)
-        else:
-            Kc = design_matrix(mk, X) + ar1_jitter(mk) * eye
-            K.append(Kc)
-            K_chol.append(cholesky_factor(Kc, context=f"mean design matrix {c}"))
+        Kc, Kc_chol = (None, None) if isinstance(mk, ZeroKernel) else jittered(mk, f"mean design matrix {c}")
+        K.append(Kc)
+        K_chol.append(Kc_chol)
+    # the one place the noise path is chosen: O(N) recursions on scalar inputs
+    ou = _ou_transitions(X, noise_kernels) if X.shape[1] == 1 else None
     return _FitContext(
-        X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, lam_chol, K, K_chol
+        X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, lam_chol, K, K_chol, ou
     )
 
 
@@ -508,9 +619,11 @@ def refresh_caches(state, ctx):
 
     Per (c, d) block one factor of ``I + sqrt(Q) Lam sqrt(Q)`` gives S, the
     expected noise precisions, the KL of q(g) and the bound factor that
-    forecasts reuse; one of ``I + sqrt(B) K sqrt(B)`` gives Sigma, the
-    expected squared residuals and the KL of q(f).  Every derived array is
-    replaced, not written into, so a shallow copy refreshes on its own.
+    forecasts reuse; on one-column inputs diag(S) and the KL's core come
+    from :func:`_ou_moments`, as in the fit.  One factor of ``I + sqrt(B) K
+    sqrt(B)`` gives Sigma, the expected squared residuals and the KL of
+    q(f).  Every derived array is replaced, not written into, so a shallow
+    copy refreshes on its own.
     """
     C, D, n = state.m.shape
     state.S = np.empty((C, D, n, n))
@@ -520,9 +633,15 @@ def refresh_caches(state, ctx):
     state.g_kl = np.empty((C, D))
     state.f_kl = np.zeros((C, D))
     state.noise_chol = [[None] * D for _ in range(C)]
+    if ctx.ou is not None:
+        ou_diag, ou_kl = _ou_moments(ctx.ou, np.repeat(np.arange(C), D), state.Q.reshape(C * D, n))
     for c in range(C):
         for d in range(D):
-            La, W, s_diag, kl_core = _diag_precision_posterior(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+            if ctx.ou is None:
+                La, W, s_diag, kl_core = _diag_precision_posterior(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+            else:
+                La, W = _bound_solve(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+                s_diag, kl_core = ou_diag[c * D + d], ou_kl[c * D + d]
             state.S[c, d] = _posterior_cov(ctx.lam[c], W, s_diag)
             state.inv_noise[c, d] = expected_noise_precision(state.m[c, d], s_diag)
             diff = state.m[c, d] - ctx.m_tilde[c, d]
@@ -552,9 +671,16 @@ def update_noise_processes(state, ctx):
     posterior is rebuilt from the closed forms.  Candidates are damped
     geometrically until the block's free-energy contribution does not
     decrease; if every candidate fails the block keeps its current
-    state, so the step never lowers the objective.
+    state, so the step never lowers the objective.  A candidate whose
+    objective is not finite (its precisions overflow) is rejected.  On
+    one-column inputs every candidate of every block is judged up front by
+    :func:`_ou_ladder`, and only an accepted candidate is factorized.
     """
     C, D, _ = state.m.shape
+    steps = np.array(_BACKTRACK_STEPS)[:, None, None, None]
+    target = 0.5 * state.R.T[:, None, :] * state.omega * state.inv_noise
+    ladder = (1.0 - steps) * state.Q + steps * target  # (L, C, D, N) candidate Q
+    judged = None if ctx.ou is None else _ou_ladder(state, ctx, ladder)
     for c in range(C):
         qz = state.R[:, c]
         for d in range(D):
@@ -562,13 +688,18 @@ def update_noise_processes(state, ctx):
             old_obj = -state.g_kl[c, d] - 0.5 * float(
                 qz @ (state.m[c, d] + omega * state.inv_noise[c, d])
             )
-            target = 0.5 * qz * omega * state.inv_noise[c, d]
-            for lam_step in _BACKTRACK_STEPS:
-                Q = (1.0 - lam_step) * state.Q[c, d] + lam_step * target
-                m, s_diag, kl, La, W = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
-                inv_noise = expected_noise_precision(m, s_diag)
-                obj = -kl - 0.5 * float(qz @ (m + omega * inv_noise))
-                if obj >= old_obj - _ACCEPT_SLACK * (1.0 + abs(old_obj)):
+            for k, Q in enumerate(ladder[:, c, d]):
+                if judged is None:
+                    m, s_diag, kl, La, W = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
+                else:
+                    m, s_diag, kl = (part[k, c, d] for part in judged)
+                    La = None
+                with np.errstate(over="ignore", invalid="ignore"):
+                    inv_noise = expected_noise_precision(m, s_diag)
+                    obj = -kl - 0.5 * float(qz @ (m + omega * inv_noise))
+                if math.isfinite(obj) and obj >= old_obj - _ACCEPT_SLACK * (1.0 + abs(old_obj)):
+                    if La is None:
+                        La, W = _bound_solve(ctx.lam[c], Q, "noise bound matrix")
                     state.m[c, d] = m
                     state.S[c, d] = _posterior_cov(ctx.lam[c], W, s_diag)
                     state.Q[c, d] = Q
@@ -577,6 +708,25 @@ def update_noise_processes(state, ctx):
                     state.noise_chol[c][d] = La
                     break
             # every candidate rejected: keep the current block unchanged
+
+
+def _ou_ladder(state, ctx, ladder):
+    """Mean, diag(S) and KL of every candidate in ``ladder`` (L, C, D, N).
+
+    One :func:`_ou_moments` pass judges all L * C * D candidates, and
+    ``m = m_tilde + Lam t`` with ``t = Q - R_c / 2`` takes one matrix
+    product per component.
+    """
+    L, C, D, n = ladder.shape
+    comp = np.broadcast_to(np.arange(C)[None, :, None], (L, C, D)).ravel()
+    s_diag, kl_core = _ou_moments(ctx.ou, comp, ladder.reshape(-1, n))
+    t = ladder - 0.5 * state.R.T[None, :, None, :]
+    lam_t = np.empty_like(t)
+    for c in range(C):
+        # Lam is symmetric, so the rows of t Lam are Lam t
+        lam_t[:, c] = (t[:, c].reshape(-1, n) @ ctx.lam[c]).reshape(L, D, n)
+    kl = 0.5 * (np.einsum("lcdn,lcdn->lcd", t, lam_t) + kl_core.reshape(L, C, D))
+    return ctx.m_tilde[None, :, :, None] + lam_t, s_diag.reshape(L, C, D, n), kl
 
 
 def update_latent_functions(state, ctx):
@@ -714,14 +864,13 @@ def _unconstrained_get(ctx):
 def _context_with_theta(ctx, theta):
     C = len(ctx.noise_kernels)
     D = ctx.m_tilde.shape[1]
-    kernels = []
-    for c in range(C):
-        logit_phi, log_s0 = theta[2 * c], theta[2 * c + 1]
-        phi = 1.0 / (1.0 + np.exp(-logit_phi))
-        phi = float(np.clip(phi, 1e-12, 1.0 - 1e-12))
-        kernels.append(Ar1Kernel(phi=phi, sigma0_sq=float(np.exp(log_s0))))
+    sigma0_sq = np.exp(theta[1 : 2 * C : 2])
+    if not (np.all(np.isfinite(theta)) and np.all((sigma0_sq > 0.0) & np.isfinite(sigma0_sq))):
+        raise NumericalDomainError(f"kernel parameters out of range: theta = {theta.tolist()}")
+    phi = np.clip(expit(theta[0 : 2 * C : 2]), 1e-12, 1.0 - 1e-12)
+    kernels = tuple(Ar1Kernel(phi=float(p), sigma0_sq=float(v)) for p, v in zip(phi, sigma0_sq))
     m_tilde = theta[2 * C :].reshape(C, D)
-    config = replace(ctx.config, noise_kernels=tuple(kernels), m_tilde=m_tilde)
+    config = replace(ctx.config, noise_kernels=kernels, m_tilde=m_tilde)
     return _make_context(ctx.X, ctx.Y, config)
 
 
@@ -746,11 +895,14 @@ def _hyperopt_step(state, ctx):
     base = _prior_fit_objective(state, ctx)
 
     def negative(theta):
+        # a candidate that fails to factorize or whose objective is not
+        # finite is rejected; overflow toward such a value is expected
         try:
-            cand = _context_with_theta(ctx, theta)
-            return -_prior_fit_objective(state, cand)
-        except Exception:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _prior_fit_objective(state, _context_with_theta(ctx, theta))
+        except (IllConditionedError, NumericalDomainError):
             return 1e30
+        return -value if math.isfinite(value) else 1e30
 
     step = 1e-5
 
@@ -880,7 +1032,9 @@ def _model_factors(model, ctx):
 
     Returns ``Lam^-1 (m - m_tilde)`` as a (C, D, N) array and, per (c, d)
     with a mean kernel, ``sqrt(B)``, the factor of ``I + sqrt(B) K
-    sqrt(B)`` and the gain on y, with B from the current responsibilities.
+    sqrt(B)`` and the gain on y, with the stored B of the mean update that
+    produced mu and Sigma, so a component's forecast is the q(f)
+    predictive ``k*' K^-1 mu``.
     The noise bound factors are the state's: the fit keeps the accepted
     candidate's, and :func:`refresh_caches` builds the same one from the
     stored Q, so a loaded model forecasts the same bits as after :func:`fit`.
@@ -894,8 +1048,7 @@ def _model_factors(model, ctx):
             for d in range(D):
                 alpha[c, d] = cholesky_solve(ctx.lam_chol[c], state.m[c, d] - ctx.m_tilde[c, d])
                 if ctx.K[c] is not None:
-                    B = state.R[:, c] * state.inv_noise[c, d]
-                    root, La = _bound_factor(ctx.K[c], B, "mean bound matrix")
+                    root, La = _bound_factor(ctx.K[c], state.B[c, d], "mean bound matrix")
                     mean[c][d] = (root, La, root * cholesky_solve(La, root * ctx.Y[:, d]))
         model._factors = (alpha, mean)
     return model._factors

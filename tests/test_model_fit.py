@@ -1,5 +1,7 @@
 """End-to-end behavior of the coordinate-ascent fit and the sampler."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -74,6 +76,24 @@ class TestFit:
         floor = -1e-8 * np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(np.diff(trace) >= floor)
         assert len(model.trace_labels) == len(model.free_energy_trace)
+
+    def test_kernel_steps_reject_overflowing_candidates_silently(self):
+        rng = np.random.default_rng(0)
+        X = 0.05 * rng.standard_normal((20, 1))
+        Y = 0.05 * rng.standard_normal((20, 2))
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=2),
+            mean_kernels=(Ar1Kernel(0.5, 0.4),) * 2,
+            max_iters=10,
+            hyperopt_every=1,
+            seed=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            model = fit(X, Y, config)
+        assert "hyperparameters" in model.trace_labels
+        trace = np.asarray(model.free_energy_trace)
+        assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
 
     def test_converges_before_iteration_cap(self):
         rng = np.random.default_rng(3)

@@ -7,22 +7,29 @@ every term using scipy's special functions.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.special import betaln as sp_betaln
 from scipy.special import digamma as sp_digamma
 from scipy.special import gammaln as sp_gammaln
 
+import mgpch.model as model_module
 from mgpch.errors import InvalidArgumentError
-from mgpch.kernels import Ar1Kernel, ZeroKernel
+from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
 from mgpch.model import (
     MgpchConfig,
+    _diag_precision_posterior,
     _init_state,
     _latent_candidate,
     _make_context,
     _noise_candidate,
+    _ou_moments,
+    _ou_transitions,
     _posterior_cov,
     expected_noise_variance,
+    fit,
     free_energy,
     latent_function_posterior,
     noise_posterior_given_q,
@@ -414,3 +421,55 @@ class TestMonotonicity:
         drops = np.diff(values)
         floor = -1e-8 * np.maximum(1.0, np.abs(values[:-1]))
         assert np.all(drops >= floor), f"free energy decreased: {values}"
+
+
+@st.composite
+def scalar_input_blocks(draw):
+    """One-column inputs with ties at scales 1e-9..1, per-component AR(1) kernels, and Q rows with zeros."""
+    n = draw(st.integers(1, 40))
+    C = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = 10.0 ** draw(st.floats(-9.0, 0.0))
+    X = scale * rng.standard_normal((n, 1))
+    ties = draw(st.integers(0, n - 1))
+    X[rng.integers(n, size=ties), 0] = X[rng.integers(n, size=ties), 0]
+    phis = draw(st.lists(st.floats(1e-12, 1.0 - 1e-6), min_size=C, max_size=C))
+    marginals = draw(st.lists(st.floats(0.1, 3.0), min_size=C, max_size=C))
+    kernels = tuple(Ar1Kernel(phi=p, sigma0_sq=(1.0 - p * p) * v) for p, v in zip(phis, marginals))
+    rows = draw(st.integers(1, 2 * C))
+    comp = rng.integers(C, size=rows)
+    Q = rng.uniform(0.0, 5.0, size=(rows, n))
+    Q[rng.random((rows, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    return X, kernels, comp, Q
+
+
+class TestScalarInputPath:
+    """The Kalman-filter noise moments on one-column inputs against the dense factor."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scalar_input_blocks())
+    @example((np.zeros((3, 1)), (Ar1Kernel(1e-12, 1.0),) * 4, np.arange(4), np.array([[0.0, 1.0, 0.0]] * 4)))
+    def test_moments_match_the_dense_factor(self, case):
+        X, kernels, comp, Q = case
+        ou = _ou_transitions(X, kernels)
+        s_diag, kl_core = _ou_moments(ou, comp, Q)
+        for row, c in enumerate(comp):
+            lam = design_matrix(kernels[c], X) + ar1_jitter(kernels[c]) * np.eye(X.shape[0])
+            _, _, diag_ref, kl_ref = _diag_precision_posterior(lam, Q[row], "noise bound matrix")
+            assert_allclose(s_diag[row], diag_ref, rtol=1e-10, atol=0.0)
+            # relative to the size of log|A| and Q . diag(S), whose difference kl_core is
+            assert abs(kl_core[row] - kl_ref) <= 1e-10 * (abs(kl_ref) + float(Q[row] @ diag_ref))
+
+    def test_fit_matches_the_dense_evaluator(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        r = 0.01 * rng.standard_normal(81) * np.repeat([1.0, 2.5, 0.6], 27)
+        r[rng.integers(81, size=8)] = 0.0  # tied inputs
+        X, Y = r[:-1, None], r[1:, None]
+        config = MgpchConfig(pyp=PypConfig(truncation=3), seed=3)
+        markov = fit(X, Y, config)
+        assert markov._ctx.ou is not None
+        monkeypatch.setattr(model_module, "_ou_transitions", lambda X, kernels: None)
+        dense = fit(X, Y, config)
+        assert dense._ctx.ou is None
+        assert len(markov.free_energy_trace) == len(dense.free_energy_trace)
+        assert markov.free_energy_trace[-1] == pytest.approx(dense.free_energy_trace[-1], rel=1e-12, abs=0.0)

@@ -188,6 +188,43 @@ class TestThreeComponentNoiseForecast:
             assert_allclose(out.component_noise_vars, np.exp(tau + 0.5 * phi), rtol=1e-7)
 
 
+def mean_conditional(model, xstar):
+    """q(f) predictive of each component's mean, with scipy.
+
+    mean = k*' K^-1 mu and var = k** - k*' K^-1 k* + k*' K^-1 Sigma K^-1 k*.
+    """
+    state = model.state
+    C, D, n = state.mu.shape
+    mean = np.empty((C, D))
+    var = np.empty((C, D))
+    for c, mk in enumerate(model.mean_kernels):
+        marginal = mk.sigma0_sq / (1.0 - mk.phi**2)
+        K = marginal * mk.phi ** cdist(model.X, model.X) + ar1_jitter(mk) * np.eye(n)
+        k_star = marginal * mk.phi ** cdist(model.X, xstar[None, :])[:, 0]
+        v = cho_solve(cho_factor(K, lower=True), k_star)
+        for d in range(D):
+            mean[c, d] = v @ state.mu[c, d]
+            var[c, d] = marginal - k_star @ v + v @ state.Sigma[c, d] @ v
+    return mean, var
+
+
+class TestThreeComponentMeanForecast:
+    def test_component_means_are_the_q_f_predictive(self):
+        rng = np.random.default_rng(8)
+        r = 0.01 * rng.standard_normal(61) * np.repeat([1.0, 3.0, 0.5], [20, 21, 20])
+        X, Y = r[:-1, None], r[1:, None]
+        kernel = Ar1Kernel(phi=float(np.exp(np.log(0.5) / 0.01)), sigma0_sq=1e-5)
+        config = MgpchConfig(pyp=PypConfig(truncation=3), mean_kernels=(kernel,) * 3, max_iters=20, seed=1)
+        model = fit(X, Y, config)
+        # the last responsibility update moved R after the mean update's B
+        assert not np.allclose(model.state.B, model.state.R.T[:, None, :] * model.state.inv_noise, rtol=1e-6)
+        for xs in (Y[-1], np.array([0.0]), np.array([0.03])):
+            out = predict(model, xs)
+            mean, var = mean_conditional(model, xs)
+            assert_allclose(out.component_means, mean, rtol=1e-10)
+            assert_allclose(out.component_mean_vars, var, rtol=1e-10)
+
+
 class TestMixtureWeights:
     def test_weights_normalized_and_variance_positive(self):
         rng = np.random.default_rng(2)
