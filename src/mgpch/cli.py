@@ -55,7 +55,7 @@ _TOP_KEYS = {
     "backtest",
     "simulate",
 }
-_MGPCH_KEYS = {"truncation", "delta", "eta1", "eta2", "m_tilde", "max_iters", "tol", "hyperopt_every"}
+_MGPCH_KEYS = {"truncation", "delta", "eta1", "eta2", "m_tilde", "max_iters", "tol"}
 _BACKTEST_KEYS = {
     "window",
     "retrain_every",
@@ -174,7 +174,7 @@ class _Run:
         }
         kwargs = {
             key: section[key]
-            for key in ("max_iters", "tol", "hyperopt_every")
+            for key in ("max_iters", "tol")
             if key in section
         }
         if section.get("m_tilde") is not None:

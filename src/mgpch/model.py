@@ -43,11 +43,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import betaln, expit, gammaln
+from scipy.special import betaln, gammaln
 
 from .errors import (
     DivergedFitError,
-    IllConditionedError,
     InvalidArgumentError,
     ModelStateError,
     NumericalDomainError,
@@ -100,13 +99,14 @@ class MgpchConfig:
     ----------
     pyp : PypConfig
         Mixture prior; its truncation fixes the component count C.
-    mean_kernels : sequence of kernels or None
+    mean_kernels : sequence of ZeroKernel or Ar1Kernel, or None
         Per-component kernel of the latent mean.  None means the zero
         kernel everywhere, which removes the mean update entirely.
     noise_kernels : sequence of Ar1Kernel or None
         Per-component kernel of the latent log variance.  None selects
         a data-driven default at fit time: correlation 1/2 at the
         median pairwise input distance and unit marginal variance.
+        Kernels and m_tilde stay fixed for the whole fit.
     m_tilde : float, array or None
         Prior mean of the log variance, broadcast to shape (C, D).
         None uses the log of the empirical variance of each output.
@@ -114,9 +114,6 @@ class MgpchConfig:
         Coordinate-ascent iteration cap.
     tol : float
         Relative free-energy change that declares convergence.
-    hyperopt_every : int
-        Cadence of the quasi-Newton hyperparameter step over the kernel
-        parameters and m_tilde; 0 disables it.
     seed : int
         Seed for the k-means responsibility initialization.
     """
@@ -127,7 +124,6 @@ class MgpchConfig:
     m_tilde: object = None
     max_iters: int = 200
     tol: float = 1e-6
-    hyperopt_every: int = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -135,8 +131,6 @@ class MgpchConfig:
             raise InvalidArgumentError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.tol <= 0.0:
             raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
-        if self.hyperopt_every < 0:
-            raise InvalidArgumentError("hyperopt_every must be >= 0")
         for name in ("mean_kernels", "noise_kernels"):
             kernels = getattr(self, name)
             if kernels is not None:
@@ -147,6 +141,10 @@ class MgpchConfig:
                         f"({self.pyp.truncation}), got {len(kernels)}"
                     )
                 setattr(self, name, kernels)
+        if self.mean_kernels is not None:
+            for k in self.mean_kernels:
+                if not isinstance(k, (ZeroKernel, Ar1Kernel)):
+                    raise InvalidArgumentError(f"mean kernels must be zero or autoregressive, got {k!r}")
         if self.noise_kernels is not None:
             for k in self.noise_kernels:
                 if not isinstance(k, Ar1Kernel):
@@ -175,6 +173,8 @@ class VariationalState:
     inv_noise: np.ndarray = None  # (C, D, N) expected noise precisions
     g_kl: np.ndarray = None  # (C, D) KL of each q(g) from its prior
     f_kl: np.ndarray = None  # (C, D) KL of each q(f) from its prior
+    # innovation and stick terms of the free energy, set with the mixture factors
+    mixture_terms: tuple = None
     # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q), reused by forecasts
     noise_chol: object = None
 
@@ -622,8 +622,8 @@ def refresh_caches(state, ctx):
     forecasts reuse; on one-column inputs diag(S) and the KL's core come
     from :func:`_ou_moments`, as in the fit.  One factor of ``I + sqrt(B) K
     sqrt(B)`` gives Sigma, the expected squared residuals and the KL of
-    q(f).  Every derived array is replaced, not written into, so a shallow
-    copy refreshes on its own.
+    q(f).  The innovation and stick terms of the free energy come from the
+    mixture factors.
     """
     C, D, n = state.m.shape
     state.S = np.empty((C, D, n, n))
@@ -633,6 +633,7 @@ def refresh_caches(state, ctx):
     state.g_kl = np.empty((C, D))
     state.f_kl = np.zeros((C, D))
     state.noise_chol = [[None] * D for _ in range(C)]
+    state.mixture_terms = _mixture_terms(state, ctx.config.pyp)
     if ctx.ou is not None:
         ou_diag, ou_kl = _ou_moments(ctx.ou, np.repeat(np.arange(C), D), state.Q.reshape(C * D, n))
     for c in range(C):
@@ -777,6 +778,7 @@ def update_mixture_posteriors(state, ctx):
         state.R, config.delta, state.innovation.mean, config.truncation
     )
     state.innovation = update_innovation_posterior(state.sticks, config.eta1, config.eta2)
+    state.mixture_terms = _mixture_terms(state, config)
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +815,14 @@ def _stick_term(sticks, innovation, delta):
     return float(np.sum(cross + entropy))
 
 
+def _mixture_terms(state, config):
+    """Innovation and stick terms of the free energy; only the mixture factors move them."""
+    return (
+        _alpha_term(state.innovation, config.eta1, config.eta2),
+        _stick_term(state.sticks, state.innovation, config.delta),
+    )
+
+
 def _assignment_terms(state):
     elogw = expected_log_weights(state.sticks)
     R = state.R
@@ -839,93 +849,13 @@ def free_energy(state, ctx):
     """
     if state.g_kl is None:
         refresh_caches(state, ctx)
-    config = ctx.config.pyp
+    alpha_term, stick_term = state.mixture_terms
     value = -float(np.sum(state.g_kl)) - float(np.sum(state.f_kl))
-    value += _alpha_term(state.innovation, config.eta1, config.eta2)
-    value += _stick_term(state.sticks, state.innovation, config.delta)
+    value += alpha_term
+    value += stick_term
     value += _assignment_terms(state)
     value += _expected_log_lik(state, ctx)
     return value
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter step
-
-
-def _unconstrained_get(ctx):
-    theta = []
-    for k in ctx.noise_kernels:
-        theta.append(np.log(k.phi / (1.0 - k.phi)))
-        theta.append(np.log(k.sigma0_sq))
-    theta.extend(np.ravel(ctx.m_tilde))
-    return np.array(theta)
-
-
-def _context_with_theta(ctx, theta):
-    C = len(ctx.noise_kernels)
-    D = ctx.m_tilde.shape[1]
-    sigma0_sq = np.exp(theta[1 : 2 * C : 2])
-    if not (np.all(np.isfinite(theta)) and np.all((sigma0_sq > 0.0) & np.isfinite(sigma0_sq))):
-        raise NumericalDomainError(f"kernel parameters out of range: theta = {theta.tolist()}")
-    phi = np.clip(expit(theta[0 : 2 * C : 2]), 1e-12, 1.0 - 1e-12)
-    kernels = tuple(Ar1Kernel(phi=float(p), sigma0_sq=float(v)) for p, v in zip(phi, sigma0_sq))
-    m_tilde = theta[2 * C :].reshape(C, D)
-    config = replace(ctx.config, noise_kernels=kernels, m_tilde=m_tilde)
-    return _make_context(ctx.X, ctx.Y, config)
-
-
-def _prior_fit_objective(state, ctx):
-    """Free energy under ``ctx`` with the primal arrays held and the derived ones rebuilt."""
-    trial = replace(state)
-    refresh_caches(trial, ctx)
-    return free_energy(trial, ctx)
-
-
-def _hyperopt_step(state, ctx):
-    """One quasi-Newton burst over kernel parameters and prior means.
-
-    Maximizes the free energy with the primal variational arrays frozen
-    (S follows Q under each candidate kernel), using central finite
-    differences; the result is applied only when it improves the
-    objective, so the overall trace stays monotone.
-    """
-    from scipy.optimize import minimize
-
-    theta0 = _unconstrained_get(ctx)
-    base = _prior_fit_objective(state, ctx)
-
-    def negative(theta):
-        # a candidate that fails to factorize or whose objective is not
-        # finite is rejected; overflow toward such a value is expected
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = _prior_fit_objective(state, _context_with_theta(ctx, theta))
-        except (IllConditionedError, NumericalDomainError):
-            return 1e30
-        return -value if math.isfinite(value) else 1e30
-
-    step = 1e-5
-
-    def grad(theta):
-        g = np.empty_like(theta)
-        for i in range(theta.size):
-            plus = theta.copy()
-            plus[i] += step
-            minus = theta.copy()
-            minus[i] -= step
-            g[i] = (negative(plus) - negative(minus)) / (2.0 * step)
-        return g
-
-    result = minimize(
-        negative,
-        theta0,
-        jac=grad,
-        method="L-BFGS-B",
-        options={"maxiter": 5, "maxcor": 10, "maxls": 20},
-    )
-    if result.fun < -base:
-        return _context_with_theta(ctx, result.x)
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -984,12 +914,6 @@ def fit(X, Y, config=None):
         record("responsibilities", it)
         update_mixture_posteriors(state, ctx)
         current = record("mixture", it)
-        if config.hyperopt_every and (it + 1) % config.hyperopt_every == 0:
-            new_ctx = _hyperopt_step(state, ctx)
-            if new_ctx is not ctx:
-                ctx = new_ctx
-                refresh_caches(state, ctx)
-            current = record("hyperparameters", it)
         if abs(current - previous) <= config.tol * max(abs(previous), abs(current), 1.0):
             break
         previous = current

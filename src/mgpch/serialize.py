@@ -6,13 +6,15 @@ uses the shortest representation that reparses to the same double), and
 keys are emitted sorted, so the same model always produces the same
 bytes.
 
-Version 2 stores only the primal variational arrays, each O(C D N):
+Version 3 stores only the primal variational arrays, each O(C D N):
 responsibilities, the latent means mu and m, the bound parameters Q,
 the effective precisions B of the last mean update, the sticks and the
 innovation.  The N x N covariances S and Sigma and every other derived
 array are rebuilt on load by the fit's own expressions, so a loaded
-model forecasts the same bits as the fitted one.  Version 1 files, which
-stored S and Sigma, are not read; refit the model to write version 2.
+model forecasts the same bits as the fitted one.  Kernels are zero or
+autoregressive, fixed for the whole fit.  Files of earlier versions
+(version 1 stored S and Sigma, version 2 a hyperparameter-step cadence
+in the config) are not read; refit the model to write version 3.
 """
 
 import json
@@ -28,7 +30,7 @@ from .pyp import InnovationPosterior, PypConfig, StickPosterior
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]
 
 FORMAT_NAME = "mgpch-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def dump_json(obj, path):
@@ -47,8 +49,6 @@ def _kernel_to_obj(kernel):
         return {"kind": "zero"}
     if isinstance(kernel, Ar1Kernel):
         return {"kind": "ar1", "phi": kernel.phi, "sigma0_sq": kernel.sigma0_sq}
-    if isinstance(kernel, RbfKernel):
-        return {"kind": "rbf", "lengthscale": kernel.lengthscale}
     raise InvalidArgumentError(f"cannot serialize kernel {kernel!r}")
 
 
@@ -58,8 +58,6 @@ def _kernel_from_obj(obj):
         return ZeroKernel()
     if kind == "ar1":
         return Ar1Kernel(phi=obj["phi"], sigma0_sq=obj["sigma0_sq"])
-    if kind == "rbf":
-        return RbfKernel(lengthscale=obj["lengthscale"])
     raise FormatError(f"unknown kernel kind {kind!r}")
 
 
@@ -79,7 +77,6 @@ def _config_to_obj(config):
         "m_tilde": None if config.m_tilde is None else _array(config.m_tilde),
         "max_iters": config.max_iters,
         "tol": config.tol,
-        "hyperopt_every": config.hyperopt_every,
         "seed": config.seed,
     }
 
@@ -96,7 +93,6 @@ def _config_from_obj(obj):
         m_tilde=None if m_tilde is None else np.asarray(m_tilde),
         max_iters=obj["max_iters"],
         tol=obj["tol"],
-        hyperopt_every=obj["hyperopt_every"],
         seed=obj["seed"],
     )
 

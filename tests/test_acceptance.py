@@ -2,8 +2,8 @@
 
 Each test prints one summary line; together they gate the properties
 the library is sold on: monotone inference, oracle-exact updates on a
-tiny instance, the Dirichlet-process reduction, closed-form GP
-behavior, the volatility-recovery ordering against the GARCH baseline,
+tiny instance, the Dirichlet-process reduction, the volatility-recovery
+ordering against the GARCH baseline,
 copula correctness and recovery, evaluation-protocol fidelity, and
 byte-level CLI determinism.
 """
@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import expit, ndtri
+from scipy.special import ndtri
 
 from mgpch.cli import run_command
 from mgpch.copula import (
@@ -33,7 +33,6 @@ from mgpch.backtest import BacktestConfig, historical_volatility, run_volatility
 from mgpch.data_io import ReturnSeries
 from mgpch.errors import QuadratureWarning
 from mgpch.garch import garch_filter, garch_fit
-from mgpch.gp import fit_gp, gp_log_evidence, gp_log_evidence_gradient, gp_predict
 from mgpch.kernels import Ar1Kernel, RbfKernel
 from mgpch.model import (
     MgpchConfig,
@@ -171,63 +170,6 @@ def test_zero_discount_sticks_equal_a_dirichlet_process_update():
         checks.append((f"beta1 C={C}", np.array_equal(sticks.beta1, beta1)))
         checks.append((f"beta2 C={C}", np.array_equal(sticks.beta2, beta2)))
     conclude("zero-discount stick updates equal the Dirichlet-process form exactly", checks)
-
-
-def test_gp_closed_form_values_and_evidence_gradient():
-    kernel = Ar1Kernel(phi=0.5, sigma0_sq=2.0)
-    X = np.array([[0.0], [1.0]])
-    y = np.array([1.0, -1.0])
-    noise = 0.5
-    model = fit_gp(kernel, X, y, noise)
-
-    # hand algebra on the 2x2 system; marginal = sigma0_sq / (1 - phi^2),
-    # jitter scales with the marginal
-    v = 2.0 / (1.0 - 0.25)
-    K = v * np.array([[1.0, 0.5], [0.5, 1.0]]) + 1e-8 * v * np.eye(2)
-    A = K + noise * np.eye(2)
-    alpha = np.linalg.solve(A, y)
-    kstar = np.array([v * 0.5**0.5, v * 0.5**0.5])  # midpoint column
-    mean_direct = float(kstar @ alpha)
-    var_direct = float(noise + v - kstar @ np.linalg.solve(A, kstar))
-    mean, var = gp_predict(model, np.array([0.5]))
-    evidence_direct = float(
-        -0.5 * y @ alpha - 0.5 * np.linalg.slogdet(A)[1] - np.log(2.0 * np.pi)
-    )
-    checks = [
-        ("predictive mean", abs(mean - mean_direct) < 1e-10),
-        ("predictive variance", abs(var - var_direct) < 1e-10),
-        ("log evidence", abs(gp_log_evidence(model) - evidence_direct) < 1e-10),
-    ]
-
-    rng = np.random.default_rng(3)
-    Xg = rng.normal(size=(12, 1))
-    yg = rng.normal(size=12)
-    phi, sig, nv = 0.7, 1.3, 0.2
-    grads = gp_log_evidence_gradient(fit_gp(Ar1Kernel(phi, sig), Xg, yg, nv))
-    h = 1e-6
-
-    def evidence_at(p, s, n_var):
-        return gp_log_evidence(fit_gp(Ar1Kernel(p, s), Xg, yg, n_var))
-
-    t = math.log(phi / (1.0 - phi))
-    fd = {
-        "logit_phi": (
-            evidence_at(expit(t + h), sig, nv) - evidence_at(expit(t - h), sig, nv)
-        )
-        / (2.0 * h),
-        "log_sigma0_sq": (
-            evidence_at(phi, sig * math.exp(h), nv) - evidence_at(phi, sig * math.exp(-h), nv)
-        )
-        / (2.0 * h),
-        "log_noise_var": (
-            evidence_at(phi, sig, nv * math.exp(h)) - evidence_at(phi, sig, nv * math.exp(-h))
-        )
-        / (2.0 * h),
-    }
-    for name, value in fd.items():
-        rel = abs(grads[name] - value) / max(abs(value), 1e-12)
-        checks.append((f"gradient {name}", rel < 1e-4))
-    conclude("GP prediction, evidence and gradient match hand computation", checks)
 
 
 def test_two_regime_volatility_recovery_beats_garch_at_horizon_one():

@@ -241,6 +241,9 @@ class TestRunConfig:
         config = write_config(tmp_path, {"backtest": {"every": 3}}, name="r2.json")
         assert run_command(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
         assert "unknown backtest key" in capsys.readouterr().err
+        config = write_config(tmp_path, {"mgpch": {"hyperopt_every": 5}}, name="r3.json")
+        assert run_command(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
+        assert "unknown mgpch key" in capsys.readouterr().err
 
     def test_flags_override_config_file(self, tmp_path):
         config = write_config(tmp_path, {"seed": 1, "simulate": {"n_points": 60}})

@@ -1,13 +1,11 @@
 """End-to-end behavior of the coordinate-ascent fit and the sampler."""
 
-import warnings
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mgpch.errors import InvalidArgumentError
-from mgpch.kernels import Ar1Kernel
+from mgpch.kernels import Ar1Kernel, RbfKernel
 from mgpch.model import MgpchConfig, expected_noise_variance, fit, simulate
 from mgpch.pyp import PypConfig
 
@@ -77,24 +75,6 @@ class TestFit:
         assert np.all(np.diff(trace) >= floor)
         assert len(model.trace_labels) == len(model.free_energy_trace)
 
-    def test_kernel_steps_reject_overflowing_candidates_silently(self):
-        rng = np.random.default_rng(0)
-        X = 0.05 * rng.standard_normal((20, 1))
-        Y = 0.05 * rng.standard_normal((20, 2))
-        config = MgpchConfig(
-            pyp=PypConfig(truncation=2),
-            mean_kernels=(Ar1Kernel(0.5, 0.4),) * 2,
-            max_iters=10,
-            hyperopt_every=1,
-            seed=0,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            model = fit(X, Y, config)
-        assert "hyperparameters" in model.trace_labels
-        trace = np.asarray(model.free_energy_trace)
-        assert np.all(np.diff(trace) >= -1e-9 * (1.0 + np.abs(trace[:-1])))
-
     def test_converges_before_iteration_cap(self):
         rng = np.random.default_rng(3)
         y = rng.standard_normal(80)
@@ -139,6 +119,9 @@ class TestFit:
             MgpchConfig(tol=0.0)
         with pytest.raises(InvalidArgumentError):
             MgpchConfig(pyp=PypConfig(truncation=2), noise_kernels=(Ar1Kernel(0.5, 1.0),))
+        # the mean update needs an AR(1) or zero kernel; others fail here, not inside fit
+        with pytest.raises(InvalidArgumentError, match="mean kernels"):
+            MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=(RbfKernel(1.0),) * 2)
 
 
 class TestSimulate:

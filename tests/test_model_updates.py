@@ -5,6 +5,8 @@ computations, and the free energy against a looped direct summation of
 every term using scipy's special functions.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -421,6 +423,34 @@ class TestMonotonicity:
         drops = np.diff(values)
         floor = -1e-8 * np.maximum(1.0, np.abs(values[:-1]))
         assert np.all(drops >= floor), f"free energy decreased: {values}"
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_noise_update_keeps_blocks_whose_candidates_overflow(self, p):
+        # zero outputs pull Q to zero, and a prior variance of 1e6 then sends
+        # every candidate's mean so low that exp(S/2 - m) overflows
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((6, p))
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=2),
+            noise_kernels=(Ar1Kernel(phi=0.9, sigma0_sq=0.19e6),) * 2,
+            m_tilde=0.0,
+            seed=0,
+        )
+        ctx = _make_context(X, np.zeros((6, 1)), config)
+        assert (ctx.ou is None) == (p > 1)
+        state = _init_state(ctx)
+        before = {k: np.copy(getattr(state, k)) for k in ("m", "S", "Q", "g_kl", "inv_noise")}
+        chol = [list(row) for row in state.noise_chol]
+        for c in range(2):
+            gentlest = (1.0 - model_module._BACKTRACK_STEPS[-1]) * state.Q[c, 0]
+            m, s_diag, _, _, _ = _noise_candidate(ctx.lam[c], gentlest, state.R[:, c], 0.0)
+            assert np.max(0.5 * s_diag - m) > np.log(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            update_noise_processes(state, ctx)
+        for k, value in before.items():
+            assert np.array_equal(getattr(state, k), value), k
+        assert all(a is b for row, old in zip(state.noise_chol, chol) for a, b in zip(row, old))
 
 
 @st.composite
