@@ -27,8 +27,9 @@ that only ever accepts free-energy improvements.
 Each candidate costs one Cholesky factor La of ``A = I + sqrt(Q) Lam
 sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
 ``diag(S) = diag(Lam) - colsum(W o W)`` and, by Woodbury,
-``trace(Lam^-1 S) = N - Q . diag(S)``; ``S = Lam - W'W`` is formed for
-the accepted candidate only.  The mean update uses the same algebra.
+``trace(Lam^-1 S) = N - Q . diag(S)``.  The mean update uses the same
+algebra.  The fit, the free energy and forecasts need no full S or Sigma,
+so neither is stored (:attr:`VariationalState.S` rebuilds S on demand).
 
 For one-column inputs the noise prior ``s phi^|x - x'|`` is the
 covariance of an Ornstein-Uhlenbeck process, which is Markov in sorted
@@ -43,6 +44,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import betaln, gammaln
 
 from .errors import (
@@ -157,7 +159,7 @@ class VariationalState:
 
     Shapes use N observations, C components and D output dimensions.
     The trailing fields are derived caches that :func:`refresh_caches`
-    rebuilds from the primal arrays.
+    rebuilds from the primal arrays; none is N x N (see :attr:`S`).
     """
 
     R: np.ndarray  # (N, C) responsibilities
@@ -167,8 +169,7 @@ class VariationalState:
     B: np.ndarray  # (C, D, N) effective precisions of the last mean update
     sticks: object
     innovation: object
-    Sigma: np.ndarray = None  # (C, D, N, N) latent mean posterior covariances
-    S: np.ndarray = None  # (C, D, N, N) log-variance posterior covariances
+    s_diag: np.ndarray = None  # (C, D, N) log-variance posterior variances diag(S)
     omega: np.ndarray = None  # (C, D, N) expected squared residuals
     inv_noise: np.ndarray = None  # (C, D, N) expected noise precisions
     g_kl: np.ndarray = None  # (C, D) KL of each q(g) from its prior
@@ -177,10 +178,23 @@ class VariationalState:
     mixture_terms: tuple = None
     # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q), reused by forecasts
     noise_chol: object = None
+    noise_priors: object = None  # per component Lam the caches were built with (shared)
 
     @property
     def n_components(self):
         return self.R.shape[1]
+
+    @property
+    def S(self):
+        """(C, D, N, N) log-variance posterior covariances, built from Q and ``s_diag`` on each access."""
+        if self.s_diag is None:
+            raise ModelStateError("S needs the caches that refresh_caches builds")
+        C, D, n = self.Q.shape
+        S = np.empty((C, D, n, n))
+        for c, d in np.ndindex(C, D):
+            W = _diag_precision_posterior(self.noise_priors[c], self.Q[c, d], "noise bound matrix")[1]
+            S[c, d] = _posterior_cov(self.noise_priors[c], W, self.s_diag[c, d])
+        return S
 
 
 @dataclass
@@ -193,10 +207,10 @@ class _FitContext:
     mean_kernels: tuple
     noise_kernels: tuple
     m_tilde: np.ndarray  # (C, D)
-    lam: np.ndarray  # (C, N, N) jittered noise design matrices
-    lam_chol: np.ndarray
-    K: object  # per component: jittered mean design matrix or None
-    K_chol: object
+    lam: tuple  # per component: jittered noise design matrix, shared by equal kernels
+    lam_chol: tuple
+    K: tuple  # per component: jittered mean design matrix or None
+    K_chol: tuple
     ou: object  # _OuTransitions for one-column inputs, else None
 
 
@@ -275,15 +289,9 @@ class SimulationDraw:
     weights: np.ndarray  # (C,) sampled stick weights
 
 
-def expected_noise_variance(m, S):
-    """Expected noise variance ``exp(m_n - S_nn / 2)`` per observation.
-
-    The reciprocal of :func:`expected_noise_precision` up to rounding.
-    """
-    m = np.asarray(m, dtype=float)
-    S = np.asarray(S, dtype=float)
-    diag = np.diagonal(S, axis1=-2, axis2=-1)
-    return np.exp(m - 0.5 * diag)
+def expected_noise_variance(m, s_diag):
+    """Expected noise variance ``exp(m_n - S_nn / 2)`` from ``s_diag = diag(S)``, the reciprocal precision up to rounding."""
+    return np.exp(m - 0.5 * s_diag)
 
 
 def expected_noise_precision(m, s_diag):
@@ -348,21 +356,17 @@ def _bound_factor(prior, prec, label):
     return root, cholesky_factor(A, context=label)
 
 
-def _bound_solve(prior, prec, label):
-    """The factor La of A and ``W = La^-1 sqrt(P) prior``, so the posterior covariance is ``prior - W'W``."""
-    root, La = _bound_factor(prior, prec, label)
-    return La, solve_lower(La, root[:, None] * prior)
-
-
 def _diag_precision_posterior(prior, prec, label):
     """Posterior ``(prior^-1 + diag(prec))^-1`` without forming it.
 
-    Returns La and W of :func:`_bound_solve`; the posterior diagonal
-    ``diag(prior) - colsum(W o W)``; and ``log|A| - prec . diag``, which is
-    ``trace(prior^-1 cov) - N + log|prior| - log|cov|`` by Woodbury, the
-    KL from the prior without its mean term.
+    Returns the factor La of :func:`_bound_factor` and ``W = La^-1
+    sqrt(P) prior``, so the posterior is ``prior - W'W``; the posterior
+    diagonal ``diag(prior) - colsum(W o W)``; and ``log|A| - prec . diag``,
+    which is ``trace(prior^-1 cov) - N + log|prior| - log|cov|`` by
+    Woodbury, the KL from the prior without its mean term.
     """
-    La, W = _bound_solve(prior, prec, label)
+    root, La = _bound_factor(prior, prec, label)
+    W = solve_lower(La, root[:, None] * prior)
     diag = np.diagonal(prior) - np.einsum("ij,ij->j", W, W)
     return La, W, diag, logdet_from_factor(La) - float(prec @ diag)
 
@@ -447,7 +451,7 @@ def _noise_candidate(lam, Q, qz, m_tilde):
 
 
 def _latent_candidate(K, B, y):
-    """Mean, covariance, its diagonal and KL-without-mean-term of one latent mean block."""
+    """Mean ``Sigma (B y)``, the Sigma it needs, its diagonal and KL-without-mean-term of one latent mean block."""
     _, W, diag, kl_core = _diag_precision_posterior(K, B, "mean bound matrix")
     Sigma = _posterior_cov(K, W, diag)
     return Sigma @ (B * y), Sigma, diag, kl_core
@@ -478,10 +482,8 @@ def _validate_data(X, Y, min_points=1):
 
 
 def _default_noise_kernel(X):
-    diff = X[:, None, :] - X[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=-1))
-    positive = dists[np.triu_indices(X.shape[0], k=1)]
-    positive = positive[positive > 0.0]
+    dists = pdist(X)
+    positive = dists[dists > 0.0]
     if positive.size == 0:
         phi = 0.5
     else:
@@ -534,20 +536,15 @@ def _make_context(X, Y, config):
     factored = {}  # components with equal kernels share one matrix and factor
 
     def jittered(kernel, label):
+        if isinstance(kernel, ZeroKernel):
+            return None, None
         if kernel not in factored:
             M = design_matrix(kernel, X) + ar1_jitter(kernel) * eye
             factored[kernel] = (M, cholesky_factor(M, context=label))
         return factored[kernel]
 
-    lam = np.empty((C, n, n))
-    lam_chol = np.empty_like(lam)
-    K, K_chol = [], []
-    for c in range(C):
-        lam[c], lam_chol[c] = jittered(noise_kernels[c], f"noise design matrix {c}")
-        mk = mean_kernels[c]
-        Kc, Kc_chol = (None, None) if isinstance(mk, ZeroKernel) else jittered(mk, f"mean design matrix {c}")
-        K.append(Kc)
-        K_chol.append(Kc_chol)
+    lam, lam_chol = zip(*(jittered(k, f"noise design matrix {c}") for c, k in enumerate(noise_kernels)))
+    K, K_chol = zip(*(jittered(k, f"mean design matrix {c}") for c, k in enumerate(mean_kernels)))
     # the one place the noise path is chosen: O(N) recursions on scalar inputs
     ou = _ou_transitions(X, noise_kernels) if X.shape[1] == 1 else None
     return _FitContext(
@@ -617,39 +614,42 @@ def _init_state(ctx):
 def refresh_caches(state, ctx):
     """Rebuild every derived array from the primal ones with the fit's own expressions.
 
-    Per (c, d) block one factor of ``I + sqrt(Q) Lam sqrt(Q)`` gives S, the
-    expected noise precisions, the KL of q(g) and the bound factor that
-    forecasts reuse; on one-column inputs diag(S) and the KL's core come
-    from :func:`_ou_moments`, as in the fit.  One factor of ``I + sqrt(B) K
-    sqrt(B)`` gives Sigma, the expected squared residuals and the KL of
-    q(f).  The innovation and stick terms of the free energy come from the
-    mixture factors.
+    Per (c, d) block one factor of ``I + sqrt(Q) Lam sqrt(Q)`` gives
+    diag(S), the expected noise precisions, the KL of q(g) and the bound
+    factor that forecasts reuse; on one-column inputs diag(S) and the KL's
+    core come from :func:`_ou_moments`, as in the fit.  One factor of ``I +
+    sqrt(B) K sqrt(B)`` gives diag(Sigma) for the expected squared
+    residuals, and the KL of q(f).  The innovation and stick terms of the
+    free energy come from the mixture factors.
     """
     C, D, n = state.m.shape
-    state.S = np.empty((C, D, n, n))
-    state.Sigma = np.zeros((C, D, n, n))
+    state.noise_priors = ctx.lam
     state.inv_noise = np.empty((C, D, n))
     state.omega = (ctx.Y.T[None, :, :] - state.mu) ** 2
     state.g_kl = np.empty((C, D))
     state.f_kl = np.zeros((C, D))
     state.noise_chol = [[None] * D for _ in range(C)]
     state.mixture_terms = _mixture_terms(state, ctx.config.pyp)
-    if ctx.ou is not None:
+    if ctx.ou is None:
+        state.s_diag = np.empty((C, D, n))
+    else:
         ou_diag, ou_kl = _ou_moments(ctx.ou, np.repeat(np.arange(C), D), state.Q.reshape(C * D, n))
+        state.s_diag = ou_diag.reshape(C, D, n)
     for c in range(C):
         for d in range(D):
             if ctx.ou is None:
-                La, W, s_diag, kl_core = _diag_precision_posterior(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+                La, _, state.s_diag[c, d], kl_core = _diag_precision_posterior(
+                    ctx.lam[c], state.Q[c, d], "noise bound matrix"
+                )
             else:
-                La, W = _bound_solve(ctx.lam[c], state.Q[c, d], "noise bound matrix")
-                s_diag, kl_core = ou_diag[c * D + d], ou_kl[c * D + d]
-            state.S[c, d] = _posterior_cov(ctx.lam[c], W, s_diag)
-            state.inv_noise[c, d] = expected_noise_precision(state.m[c, d], s_diag)
+                _, La = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+                kl_core = ou_kl[c * D + d]
+            state.inv_noise[c, d] = expected_noise_precision(state.m[c, d], state.s_diag[c, d])
             diff = state.m[c, d] - ctx.m_tilde[c, d]
             state.g_kl[c, d] = 0.5 * (float(diff @ cholesky_solve(ctx.lam_chol[c], diff)) + kl_core)
             state.noise_chol[c][d] = La
             if ctx.K[c] is not None:
-                _, state.Sigma[c, d], diag, kl_core = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+                _, _, diag, kl_core = _diag_precision_posterior(ctx.K[c], state.B[c, d], "mean bound matrix")
                 state.omega[c, d] += diag
                 state.f_kl[c, d] = _latent_kl(ctx, c, state.mu[c, d], kl_core)
 
@@ -691,7 +691,7 @@ def update_noise_processes(state, ctx):
             )
             for k, Q in enumerate(ladder[:, c, d]):
                 if judged is None:
-                    m, s_diag, kl, La, W = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
+                    m, s_diag, kl, La, _ = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
                 else:
                     m, s_diag, kl = (part[k, c, d] for part in judged)
                     La = None
@@ -700,9 +700,9 @@ def update_noise_processes(state, ctx):
                     obj = -kl - 0.5 * float(qz @ (m + omega * inv_noise))
                 if math.isfinite(obj) and obj >= old_obj - _ACCEPT_SLACK * (1.0 + abs(old_obj)):
                     if La is None:
-                        La, W = _bound_solve(ctx.lam[c], Q, "noise bound matrix")
+                        _, La = _bound_factor(ctx.lam[c], Q, "noise bound matrix")
                     state.m[c, d] = m
-                    state.S[c, d] = _posterior_cov(ctx.lam[c], W, s_diag)
+                    state.s_diag[c, d] = s_diag
                     state.Q[c, d] = Q
                     state.g_kl[c, d] = kl
                     state.inv_noise[c, d] = inv_noise
@@ -743,9 +743,8 @@ def update_latent_functions(state, ctx):
         qz = state.R[:, c]
         for d in range(D):
             state.B[c, d] = qz * state.inv_noise[c, d]
-            mu, Sigma, diag, kl_core = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+            mu, _, diag, kl_core = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
             state.mu[c, d] = mu
-            state.Sigma[c, d] = Sigma
             state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
             state.f_kl[c, d] = _latent_kl(ctx, c, mu, kl_core)
 

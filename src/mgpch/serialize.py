@@ -9,9 +9,9 @@ bytes.
 Version 3 stores only the primal variational arrays, each O(C D N):
 responsibilities, the latent means mu and m, the bound parameters Q,
 the effective precisions B of the last mean update, the sticks and the
-innovation.  The N x N covariances S and Sigma and every other derived
-array are rebuilt on load by the fit's own expressions, so a loaded
-model forecasts the same bits as the fitted one.  Kernels are zero or
+innovation.  Every derived array is rebuilt on load by the fit's own
+expressions, so a loaded model forecasts the same bits as the fitted
+one; like the fitted state, it holds no N x N posterior covariance.  Kernels are zero or
 autoregressive, fixed for the whole fit.  Files of earlier versions
 (version 1 stored S and Sigma, version 2 a hyperparameter-step cadence
 in the config) are not read; refit the model to write version 3.

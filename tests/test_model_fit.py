@@ -9,6 +9,8 @@ from mgpch.kernels import Ar1Kernel, RbfKernel
 from mgpch.model import MgpchConfig, expected_noise_variance, fit, simulate
 from mgpch.pyp import PypConfig
 
+from test_model_updates import latent_covariances
+
 
 def two_regime_draw(n_points=300, seed=9):
     """Series whose conditional variance switches between two levels."""
@@ -36,7 +38,7 @@ class TestFit:
         X, Y = y[:-1, None], y[1:, None]
         config = MgpchConfig(pyp=PypConfig(truncation=1), seed=0)
         model = fit(X, Y, config)
-        fitted = expected_noise_variance(model.state.m, model.state.S)[0, 0]
+        fitted = expected_noise_variance(model.state.m, model.state.s_diag)[0, 0]
         frac = np.mean((fitted >= 0.5) & (fitted <= 2.0))
         assert frac >= 0.9, f"only {frac:.0%} of fitted variances near truth"
 
@@ -93,9 +95,10 @@ class TestFit:
             seed=5,
         )
         model = fit(X, Y, config)
+        S, Sigma = model.state.S, latent_covariances(model.state, model._ctx)
         for c in range(2):
-            np.linalg.cholesky(model.state.S[c, 0])
-            np.linalg.cholesky(model.state.Sigma[c, 0])
+            np.linalg.cholesky(S[c, 0])
+            np.linalg.cholesky(Sigma[c, 0])
 
     def test_responsibilities_normalized_after_fit(self):
         rng = np.random.default_rng(6)

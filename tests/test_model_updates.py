@@ -48,17 +48,29 @@ def random_spd(rng, n, scale=1.0):
     return scale * (A @ A.T + n * np.eye(n))
 
 
+def latent_covariances(state, ctx):
+    """Sigma of every block from the public closed form at the stored B; zero for zero-kernel components."""
+    C, D, n = state.mu.shape
+    Sigma = np.zeros((C, D, n, n))
+    for c in range(C):
+        if ctx.K[c] is not None:
+            for d in range(D):
+                Sigma[c, d] = latent_function_posterior(ctx.K[c], state.B[c, d], ctx.Y[:, d])[1]
+    return Sigma
+
+
 def brute_force_free_energy(state, ctx):
     """Direct summation of every free-energy term with explicit inverses."""
     C, D, n = state.m.shape
     cfg = ctx.config.pyp
     Y = ctx.Y
+    S_all, Sigma = state.S, latent_covariances(state, ctx)
     total = 0.0
     for c in range(C):
         lam_inv = np.linalg.inv(ctx.lam[c])
         lam_logdet = np.linalg.slogdet(ctx.lam[c])[1]
         for d in range(D):
-            S = state.S[c, d]
+            S = S_all[c, d]
             diff = state.m[c, d] - ctx.m_tilde[c, d]
             total -= 0.5 * (
                 np.trace(lam_inv @ S)
@@ -71,11 +83,11 @@ def brute_force_free_energy(state, ctx):
                 K_inv = np.linalg.inv(ctx.K[c])
                 mu = state.mu[c, d]
                 total -= 0.5 * (
-                    np.trace(K_inv @ state.Sigma[c, d])
+                    np.trace(K_inv @ Sigma[c, d])
                     + mu @ K_inv @ mu
                     - n
                     + np.linalg.slogdet(ctx.K[c])[1]
-                    - np.linalg.slogdet(state.Sigma[c, d])[1]
+                    - np.linalg.slogdet(Sigma[c, d])[1]
                 )
 
     a, b = state.innovation.eta1_hat, state.innovation.eta2_hat
@@ -120,8 +132,8 @@ def brute_force_free_energy(state, ctx):
             ell = 0.0
             for d in range(D):
                 m_n = state.m[c, d, row]
-                s_nn = state.S[c, d, row, row]
-                resid2 = (Y[row, d] - state.mu[c, d, row]) ** 2 + state.Sigma[c, d, row, row]
+                s_nn = S_all[c, d, row, row]
+                resid2 = (Y[row, d] - state.mu[c, d, row]) ** 2 + Sigma[c, d, row, row]
                 ell += -0.5 * (
                     np.log(2.0 * np.pi) + m_n + resid2 * np.exp(-m_n + 0.5 * s_nn)
                 )
@@ -136,7 +148,7 @@ class TestNoisePosterior:
         )
         assert_allclose(S, [[0.5]], rtol=1e-12)
         assert_allclose(m, [0.5], rtol=1e-12)
-        assert_allclose(expected_noise_variance(m, S), [np.exp(0.25)], rtol=1e-12)
+        assert_allclose(expected_noise_variance(m, np.diagonal(S)), [np.exp(0.25)], rtol=1e-12)
 
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(7)
@@ -255,25 +267,29 @@ class TestFastCandidate:
             quad = float(mu_ref @ np.linalg.solve(K, mu_ref))
             assert_rel(0.5 * (quad + kl_core), prior_kl(mu_ref, Sigma_ref, K))
 
-    def test_updated_blocks_match_public_posteriors_with_more_components_than_points(self):
-        ctx = small_context(seed=6, n=3, n_components=4, mean_kernel=Ar1Kernel(phi=0.5, sigma0_sq=1.0))
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_updated_blocks_match_public_posteriors_with_more_components_than_points(self, p):
+        ctx = small_context(seed=6, n=3, n_components=4, mean_kernel=Ar1Kernel(phi=0.5, sigma0_sq=1.0), p=p)
+        assert (ctx.ou is None) == (p > 1)
         state = _init_state(ctx)
         for _ in range(3):
             update_noise_processes(state, ctx)
             update_latent_functions(state, ctx)
             C, D, _ = state.m.shape
+            S_state = state.S
             for c in range(C):
                 for d in range(D):
                     qz = state.R[:, c]
                     m, S = noise_posterior_given_q(ctx.lam[c], state.Q[c, d], qz, ctx.m_tilde[c, d])
                     assert_rel(state.m[c, d], m)
-                    assert_rel(state.S[c, d], S)
+                    assert_rel(S_state[c, d], S)
+                    assert np.array_equal(np.diagonal(S_state[c, d]), state.s_diag[c, d])
                     assert_rel(state.g_kl[c, d], prior_kl(m - ctx.m_tilde[c, d], S, ctx.lam[c]))
                     mu, Sigma = latent_function_posterior(
                         ctx.K[c], qz * state.inv_noise[c, d], ctx.Y[:, d]
                     )
                     assert_rel(state.mu[c, d], mu)
-                    assert_rel(state.Sigma[c, d], Sigma)
+                    assert_rel(state.omega[c, d], (ctx.Y[:, d] - mu) ** 2 + np.diagonal(Sigma))
                     assert_rel(state.f_kl[c, d], prior_kl(mu, Sigma, ctx.K[c]))
             update_responsibilities(state, ctx)
 
@@ -284,7 +300,7 @@ class TestFastCandidate:
             update_noise_processes(state, ctx)
             update_latent_functions(state, ctx)
             update_responsibilities(state, ctx)
-        names = ("S", "Sigma", "inv_noise", "omega", "f_kl")
+        names = ("s_diag", "inv_noise", "omega", "f_kl")
         updated = {name: getattr(state, name).copy() for name in names}
         chol, g_kl = state.noise_chol, state.g_kl.copy()
         refresh_caches(state, ctx)
@@ -296,9 +312,9 @@ class TestFastCandidate:
         assert_allclose(state.g_kl, g_kl, rtol=1e-10)
 
 
-def small_context(seed=0, n=6, n_components=2, mean_kernel=None):
+def small_context(seed=0, n=6, n_components=2, mean_kernel=None, p=1):
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, 1))
+    X = rng.standard_normal((n, p))
     Y = 0.05 * rng.standard_normal((n, 1))
     kernels = None
     if mean_kernel is not None:
@@ -325,7 +341,7 @@ class TestPriorRecovery:
         assert_allclose(state.m[1, 0], np.full(6, ctx.m_tilde[1, 0]), rtol=1e-12)
         assert_allclose(state.S[1, 0], ctx.lam[1], rtol=1e-10, atol=1e-14)
         assert_allclose(state.mu[1, 0], np.zeros(6), atol=1e-12)
-        assert_allclose(state.Sigma[1, 0], ctx.K[1], rtol=1e-10, atol=1e-14)
+        assert_allclose(latent_covariances(state, ctx)[1, 0], ctx.K[1], rtol=1e-10, atol=1e-14)
         assert_allclose(state.g_kl[1, 0], 0.0, atol=1e-10)
         assert_allclose(state.f_kl[1, 0], 0.0, atol=1e-10)
 
@@ -342,16 +358,17 @@ class TestResponsibilities:
 
         elogw = expected_log_weights(state.sticks)
         n, C = state.R.shape
+        S, Sigma = state.S, latent_covariances(state, ctx)
         logits = np.empty((n, C))
         for row in range(n):
             for c in range(C):
                 acc = 0.0
                 for d in range(state.m.shape[1]):
                     m_n = state.m[c, d, row]
-                    s_nn = state.S[c, d, row, row]
+                    s_nn = S[c, d, row, row]
                     resid2 = (
                         ctx.Y[row, d] - state.mu[c, d, row]
-                    ) ** 2 + state.Sigma[c, d, row, row]
+                    ) ** 2 + Sigma[c, d, row, row]
                     acc += resid2 * np.exp(-m_n + 0.5 * s_nn) + m_n
                 logits[row, c] = elogw[c] - 0.5 * acc
         expected = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -368,9 +385,7 @@ class TestFreeEnergy:
             for d in range(D):
                 state.Q[c, d] = np.zeros(n)
                 state.m[c, d] = np.full(n, ctx.m_tilde[c, d])
-                state.S[c, d] = ctx.lam[c]
                 state.mu[c, d] = np.zeros(n)
-                state.Sigma[c, d] = ctx.K[c]
         state.innovation = InnovationPosterior(ctx.config.pyp.eta1, ctx.config.pyp.eta2)
         refresh_caches(state, ctx)
         assert_allclose(state.g_kl, np.zeros((C, D)), atol=1e-10)

@@ -14,6 +14,7 @@ from mgpch.model import (
     _init_state,
     _make_context,
     fit,
+    latent_function_posterior,
     noise_posterior_given_q,
     predict,
     refresh_caches,
@@ -32,8 +33,8 @@ def manual_scalar_model():
     ctx = _make_context(X, Y, config)
     state = _init_state(ctx)
     state.Q = np.array([[[0.4]]])
-    m, S = noise_posterior_given_q(ctx.lam[0], state.Q[0, 0], state.R[:, 0], -9.0)
-    state.m, state.S = m[None, None], S[None, None]
+    m, _ = noise_posterior_given_q(ctx.lam[0], state.Q[0, 0], state.R[:, 0], -9.0)
+    state.m = m[None, None]
     refresh_caches(state, ctx)
     return MgpchModel(
         config=config,
@@ -157,6 +158,7 @@ def gp_conditional(model, xstar):
     state = model.state
     X = model.X
     C, D, n = state.m.shape
+    S = state.S
     tau = np.empty((C, D))
     phi = np.empty((C, D))
     for c in range(C):
@@ -169,7 +171,7 @@ def gp_conditional(model, xstar):
         for d in range(D):
             alpha = cho_solve(factor, state.m[c, d] - model.m_tilde[c, d])
             tau[c, d] = model.m_tilde[c, d] + k_star @ alpha
-            phi[c, d] = marginal - k_star @ v + v @ state.S[c, d] @ v
+            phi[c, d] = marginal - k_star @ v + v @ S[c, d] @ v
     return tau, phi
 
 
@@ -203,8 +205,9 @@ def mean_conditional(model, xstar):
         k_star = marginal * mk.phi ** cdist(model.X, xstar[None, :])[:, 0]
         v = cho_solve(cho_factor(K, lower=True), k_star)
         for d in range(D):
+            _, Sigma = latent_function_posterior(K, state.B[c, d], model.Y[:, d])
             mean[c, d] = v @ state.mu[c, d]
-            var[c, d] = marginal - k_star @ v + v @ state.Sigma[c, d] @ v
+            var[c, d] = marginal - k_star @ v + v @ Sigma @ v
     return mean, var
 
 

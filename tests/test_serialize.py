@@ -101,6 +101,24 @@ class TestRoundTrip:
             save_model(tmp_path / "x.json", bare)
 
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_state_holds_no_n_by_n_array_after_fit_or_load(self, p, tmp_path):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(12, p))
+        Y = 0.02 * rng.standard_normal((12, 2))
+        config = MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=[Ar1Kernel(0.5, 0.4)] * 2, max_iters=3)
+        model = fit(X, Y, config)
+        save_model(tmp_path / "model.json", model)
+        loaded, _ = load_model(tmp_path / "model.json")
+        predict(loaded, X[0])  # builds the derived caches
+        for m in (model, loaded):
+            shapes = {k: v.shape for k, v in vars(m.state).items() if isinstance(v, np.ndarray)}
+            assert all(len(shape) < 4 for shape in shapes.values()), shapes
+        # S is rebuilt on demand, with the same bits after a load
+        assert model.state.S.shape == (2, 2, 12, 12)
+        assert np.array_equal(loaded.state.S, model.state.S)
+
+
 class TestSchema:
     def test_rejects_other_json(self, tmp_path):
         path = tmp_path / "x.json"
