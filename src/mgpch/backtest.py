@@ -130,13 +130,24 @@ def historical_volatility(returns, window):
 
 
 class _MgpchForecaster:
-    """One fitted mixture serving all horizons from a single input."""
+    """One fitted mixture serving all horizons from a single input.
+
+    The moments at an origin serve every horizon, so they are computed
+    once per input and kept until the next one.
+    """
 
     def __init__(self, window_returns, config):
         self.model = fit(window_returns[:-1], window_returns[1:], config)
+        self._origin = None  # (input bytes, moments, {pair: covariance})
+
+    def _at(self, x_star):
+        key = np.asarray(x_star, dtype=float).tobytes()
+        if self._origin is None or self._origin[0] != key:
+            self._origin = (key, predict(self.model, x_star), {})
+        return self._origin
 
     def predict_variance(self, x_star, h):
-        return predict(self.model, x_star).variance
+        return self._at(x_star)[1].variance
 
     def advance(self, r_row):
         pass
@@ -151,8 +162,10 @@ class _MgpchCovarianceForecaster(_MgpchForecaster):
         }
 
     def predict_covariance(self, x_star, h, pair):
-        moments = predict(self.model, x_star)
-        return predictive_covariance(self.pair_models[pair], moments, pair, x_star)
+        _, moments, covariances = self._at(x_star)
+        if pair not in covariances:
+            covariances[pair] = predictive_covariance(self.pair_models[pair], moments, pair, x_star)
+        return covariances[pair]
 
 
 class _GarchForecaster:

@@ -241,19 +241,17 @@ def cmd_predict(run):
     moments = predict(model, xstar)
     horizons = tuple(run.get("horizons") or (1, 7, 30))
     # the conditional one-step map is evaluated at the forecast origin;
-    # its variance serves every horizon, as in the rolling evaluation
-    per_horizon = {}
-    for h in horizons:
-        entry = {
-            "mean": [float(v) for v in moments.mean],
-            "variance": [float(v) for v in moments.variance],
+    # its moments serve every horizon, as in the rolling evaluation
+    entry = {
+        "mean": [float(v) for v in moments.mean],
+        "variance": [float(v) for v in moments.variance],
+    }
+    if pairwise:
+        entry["covariance"] = {
+            f"{i}-{j}": float(predictive_covariance(pm, moments, (i, j), xstar))
+            for (i, j), pm in sorted(pairwise.items())
         }
-        if pairwise:
-            entry["covariance"] = {
-                f"{i}-{j}": float(predictive_covariance(pm, moments, (i, j), xstar))
-                for (i, j), pm in sorted(pairwise.items())
-            }
-        per_horizon[_horizon_key(h)] = entry
+    per_horizon = {_horizon_key(h): entry for h in horizons}
     out = run.require("out", "predict")
     dump_json(
         {

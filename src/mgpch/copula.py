@@ -6,9 +6,12 @@ parameter varies with the input.  Each output pair gets a weight vector
 over radial basis features of the input, trained by maximizing the
 copula log likelihood of the pair's probability-integral transforms
 under the fitted predictive marginals.  Predictive covariance follows
-from integrating C(F_i, F_j) - F_i F_j over the two marginals.
+from integrating C(F_i, F_j) - F_i F_j over the two marginals by
+Gauss-Legendre quadrature; the parts of each rule that do not depend on
+the copula parameter are built once per process and shared read-only.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -307,12 +310,10 @@ def train_pairwise(pair, mgpch, data, family, basis_fraction=0.1):
     kernel = RbfKernel(_basis_lengthscale(basis))
     H = _feature_matrix(kernel, X, basis)
 
-    u = np.empty(N)
-    v = np.empty(N)
-    for n in range(N):
-        moments = mgpch.predict(X[n])
-        u[n] = marginal_cdf(moments, i, Y[n, i])
-        v[n] = marginal_cdf(moments, j, Y[n, j])
+    # one batched forecast at every training input; u and v are marginal_cdf per row
+    moments = mgpch.predict_batch(X)
+    u = ndtr((Y[:, i] - moments.mean[:, i]) / np.sqrt(moments.variance[:, i]))
+    v = ndtr((Y[:, j] - moments.mean[:, j]) / np.sqrt(moments.variance[:, j]))
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise DegenerateMarginalsError(
             "probability-integral transforms are non-finite; "
@@ -346,13 +347,30 @@ def train_pairwise(pair, mgpch, data, family, basis_fraction=0.1):
     return PairwiseCopulaModel(family=family, basis_points=basis, w=w, basis_kernel=kernel)
 
 
+@functools.cache
+def _quadrature_rule(nodes):
+    """Weights, node cdfs ``F = ndtr(8 t)`` as a column and a row, and ``F F'`` of one Gauss-Legendre rule.
+
+    Built on the first call for each node count and marked read-only,
+    since every caller in the process shares the same arrays.
+    """
+    t, wq = np.polynomial.legendre.leggauss(nodes)
+    F = ndtr(QUADRATURE_SPAN * t)
+    FF = F[:, None] * F[None, :]
+    for a in (wq, F, FF):
+        a.flags.writeable = False
+    return wq, F[:, None], F[None, :], FF
+
+
 def predictive_covariance(pairmodel, moments, pair, xstar):
     """Predictive covariance of one output pair at a single input.
 
     Integrates C(F_i(k), F_j(k')) - F_i(k) F_j(k') over both marginals
     by Gauss-Legendre quadrature spanning mean +/- 8 std each; the node
     count is doubled once as a convergence check and a warning is
-    attached when the two estimates disagree.
+    attached when the two estimates disagree.  The rules are built once
+    per process, so a call evaluates only the copula cdf at the nodes
+    and the weighted sum.
     """
     i, j = pair
     mean = np.asarray(moments.mean, dtype=float)
@@ -366,9 +384,8 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     positive = isinstance(pairmodel.family, (Clayton, Gumbel))
 
     def estimate(nodes):
-        t, wq = np.polynomial.legendre.leggauss(nodes)
-        F = ndtr(QUADRATURE_SPAN * t)
-        gap = _cdf_arrays(pairmodel.family, theta, F[:, None], F[None, :]) - F[:, None] * F[None, :]
+        wq, U, V, UV = _quadrature_rule(nodes)
+        gap = _cdf_arrays(pairmodel.family, theta, U, V) - UV
         if positive:
             gap = np.maximum(gap, 0.0)
         return scale * float(wq @ gap @ wq)

@@ -1,7 +1,9 @@
 """Cholesky-based helpers shared by the regression modules.
 
 All positive definite solves in the package go through these wrappers;
-nothing forms an explicit matrix inverse of a covariance.
+nothing forms an explicit matrix inverse of a covariance.  Every factor the
+solves receive comes from :func:`cholesky_factor`, which checks its input
+for non-finite entries, so the solves skip scipy's rescan of the factor.
 """
 
 import numpy as np
@@ -33,13 +35,13 @@ def cholesky_factor(A, context=""):
 
 
 def cholesky_solve(L, b):
-    """Solve ``A x = b`` given the lower factor of A."""
-    return cho_solve((L, True), b)
+    """Solve ``A x = b`` given the lower factor of A from :func:`cholesky_factor`."""
+    return cho_solve((L, True), b, check_finite=False)
 
 
 def solve_lower(L, b):
-    """Solve ``L x = b`` for lower triangular L."""
-    return solve_triangular(L, b, lower=True)
+    """Solve ``L x = b`` for a lower factor L from :func:`cholesky_factor`."""
+    return solve_triangular(L, b, lower=True, check_finite=False)
 
 
 def logdet_from_factor(L):

@@ -41,10 +41,10 @@ more columns take the dense path.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import betaln, gammaln
 
 from .errors import (
@@ -83,6 +83,7 @@ __all__ = [
     "free_energy",
     "fit",
     "predict",
+    "predict_batch",
     "simulate",
 ]
 
@@ -257,15 +258,20 @@ class MgpchModel:
     def predict(self, xstar):
         return predict(self, xstar)
 
+    def predict_batch(self, Xstar):
+        return predict_batch(self, Xstar)
+
 
 @dataclass(frozen=True)
 class PredictiveMoments:
-    """Mixture predictive moments at a single input.
+    """Mixture predictive moments at one input, or at M inputs.
 
     ``mean`` blends the per-component regression means with the
     posterior mean weights; ``variance`` blends the squared weights
     against the per-component mean uncertainty plus the predictive mean
-    of the component noise variance.
+    of the component noise variance.  The shapes below are those of
+    :func:`predict`; :func:`predict_batch` puts a leading M axis on every
+    field except ``weights``, which does not depend on the input.
     """
 
     mean: np.ndarray  # (D,)
@@ -343,8 +349,8 @@ def latent_function_posterior(K, B, y):
     -------
     (mu, Sigma)
     """
-    mu, Sigma, _, _ = _latent_candidate(K, B, y)
-    return mu, Sigma
+    mu, diag, _, W = _latent_candidate(K, B, y)
+    return mu, _posterior_cov(K, W, diag)
 
 
 def _bound_factor(prior, prec, label):
@@ -451,10 +457,14 @@ def _noise_candidate(lam, Q, qz, m_tilde):
 
 
 def _latent_candidate(K, B, y):
-    """Mean ``Sigma (B y)``, the Sigma it needs, its diagonal and KL-without-mean-term of one latent mean block."""
+    """Mean, diag(Sigma), KL-without-mean-term and ``W`` of one latent mean block.
+
+    The mean ``Sigma (B y)`` is taken as ``K (B y) - W'(W (B y))``, so no
+    N x N Sigma is formed.
+    """
     _, W, diag, kl_core = _diag_precision_posterior(K, B, "mean bound matrix")
-    Sigma = _posterior_cov(K, W, diag)
-    return Sigma @ (B * y), Sigma, diag, kl_core
+    by = B * y
+    return K @ by - W.T @ (W @ by), diag, kl_core, W
 
 
 # ---------------------------------------------------------------------------
@@ -743,7 +753,7 @@ def update_latent_functions(state, ctx):
         qz = state.R[:, c]
         for d in range(D):
             state.B[c, d] = qz * state.inv_noise[c, d]
-            mu, _, diag, kl_core = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+            mu, diag, kl_core, _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
             state.mu[c, d] = mu
             state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
             state.f_kl[c, d] = _latent_kl(ctx, c, mu, kl_core)
@@ -977,59 +987,91 @@ def _model_factors(model, ctx):
     return model._factors
 
 
+def _row_dots(A, B):
+    """Dot product of each row of A (M, N) with the matching row of B, or with B's one row.
+
+    numpy takes each stacked (1, N) @ (N, 1) product as one dot product, so a
+    row gets the same bits for any M; a matrix-vector product groups rows
+    differently for different M and moves the last bits.
+    """
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def predict(model, xstar):
     """Mixture predictive moments at a single input point.
 
+    The M = 1 row of :func:`predict_batch`: fields have the shapes listed
+    on :class:`PredictiveMoments`.
+    """
+    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
+    if xstar.ndim != 1:
+        raise InvalidArgumentError(f"xstar must be a single input point, got shape {xstar.shape}")
+    batch = predict_batch(model, xstar[None, :])
+    return replace(batch, **{f.name: getattr(batch, f.name)[0] for f in fields(batch) if f.name != "weights"})
+
+
+def predict_batch(model, Xstar):
+    """Mixture predictive moments at every row of ``Xstar`` (M, p).
+
     Per component, the regression moments come from the noisy-kernel
     solve against the training targets, and the noise moments from the
-    GP conditional of the log-variance posterior at the new input,
+    GP conditional of the log-variance posterior at each new input,
     ``m_tilde + k*' Lam^-1 (m - m_tilde)``; the mixture blends
     components with the posterior mean weights (squared for the
     variance).  Factorizations are built once per model, on the first
-    call.
+    call; a call computes one input-distance matrix and one triangular
+    solve per (c, d) block against all M inputs.
+
+    Returns
+    -------
+    PredictiveMoments
+        ``mean`` and ``variance`` are (M, D), the per-component fields
+        (M, C, D), and ``weights`` (C,).
     """
     if model.state is None:
         raise ModelStateError("predict requires a fitted model")
     state = model.state
     ctx = _model_context(model)
-    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    if xstar.shape != (ctx.X.shape[1],):
-        raise InvalidArgumentError(
-            f"xstar must have dimension {ctx.X.shape[1]}, got shape {xstar.shape}"
-        )
-    if not np.all(np.isfinite(xstar)):
-        raise InvalidArgumentError(f"xstar must be finite, got {xstar.tolist()}")
+    Xstar = np.asarray(Xstar, dtype=float)
+    p = ctx.X.shape[1]
+    if Xstar.ndim != 2 or Xstar.shape[0] < 1 or Xstar.shape[1] != p:
+        raise InvalidArgumentError(f"inputs must be an (M, {p}) array with M >= 1, got shape {Xstar.shape}")
+    if not np.all(np.isfinite(Xstar)):
+        raise InvalidArgumentError("inputs must be finite")
     alpha, mean_factors = _model_factors(model, ctx)
     C, D, _ = state.m.shape
+    M = Xstar.shape[0]
     weights = expected_weights(state.sticks)
 
-    a = np.zeros((C, D))
-    svar = np.zeros((C, D))
-    tau = np.empty((C, D))
-    phi_star = np.empty((C, D))
+    dist = cdist(Xstar, ctx.X)  # (M, N)
+    cross = {}  # (M, N) cross covariances per distinct kernel
+
+    def cross_cov(kernel):
+        if kernel not in cross:
+            cross[kernel] = kernel.marginal_variance * kernel.phi**dist
+        return cross[kernel]
+
+    a = np.zeros((M, C, D))
+    svar = np.zeros((M, C, D))
+    tau = np.empty((M, C, D))
+    phi_star = np.empty((M, C, D))
     for c in range(C):
-        lam_cross = cross_vector(ctx.noise_kernels[c], ctx.X, xstar)
-        lam_ss = kernel_eval(ctx.noise_kernels[c], xstar, xstar)
-        mk = ctx.mean_kernels[c]
-        if not isinstance(mk, ZeroKernel):
-            k_cross = cross_vector(mk, ctx.X, xstar)
-            k_ss = kernel_eval(mk, xstar, xstar)
+        nk, mk = ctx.noise_kernels[c], ctx.mean_kernels[c]
+        lam_cross = cross_cov(nk)
         for d in range(D):
-            tau[c, d] = ctx.m_tilde[c, d] + float(lam_cross @ alpha[c, d])
-            root = np.sqrt(state.Q[c, d])
-            w = solve_lower(state.noise_chol[c][d], root * lam_cross)
-            phi_star[c, d] = max(lam_ss - float(w @ w), 0.0)
+            tau[:, c, d] = ctx.m_tilde[c, d] + _row_dots(lam_cross, alpha[c, d][None, :])
+            w = solve_lower(state.noise_chol[c][d], (lam_cross * np.sqrt(state.Q[c, d])).T).T
+            phi_star[:, c, d] = np.maximum(nk.marginal_variance - _row_dots(w, w), 0.0)
             if mean_factors[c][d] is not None:
+                k_cross = cross_cov(mk)
                 root, La, inner = mean_factors[c][d]
-                a[c, d] = float(k_cross @ inner)
-                wk = solve_lower(La, root * k_cross)
-                svar[c, d] = max(k_ss - float(wk @ wk), 0.0)
+                a[:, c, d] = _row_dots(k_cross, inner[None, :])
+                wk = solve_lower(La, (k_cross * root).T).T
+                svar[:, c, d] = np.maximum(mk.marginal_variance - _row_dots(wk, wk), 0.0)
     psi = np.exp(tau + 0.5 * phi_star)
-    mean = weights @ a
-    variance = (weights**2) @ (svar + psi)
     return PredictiveMoments(
-        mean=mean,
-        variance=variance,
+        mean=weights @ a,
+        variance=(weights**2) @ (svar + psi),
         weights=weights,
         component_means=a,
         component_mean_vars=svar,
@@ -1044,41 +1086,46 @@ def predict(model, xstar):
 
 
 class _LazyGpPath:
-    """Sequentially conditioned draw of one Gaussian process path."""
+    """Sequentially conditioned draw of one Gaussian process path of at most ``size`` points in ``dim`` dimensions.
 
-    def __init__(self, kernel, mean):
+    The history's inputs, the Cholesky factor L of its jittered kernel
+    matrix and the solve u of its centered values against L fill
+    preallocated buffers row by row; the zero kernel gets none.
+    """
+
+    def __init__(self, kernel, mean, size, dim):
         self.kernel = kernel
         self.mean = mean
         self.jitter = ar1_jitter(kernel) + 1e-12
-        self.points = []
-        self.L = np.empty((0, 0))
-        self.u = np.empty(0)  # solve of the centered values against L
+        self.k = 0  # points drawn so far
+        if isinstance(kernel, ZeroKernel):
+            size = 0
+        self.points = np.empty((size, dim))
+        self.L = np.zeros((size, size))
+        self.u = np.empty(size)
 
     def sample(self, x, rng):
         if isinstance(self.kernel, ZeroKernel):
             return 0.0
+        k = self.k
         k_self = kernel_eval(self.kernel, x, x) + self.jitter
-        if not self.points:
+        if k == 0:
             mean, var = self.mean, k_self
             w = np.empty(0)
         else:
-            hist = np.array(self.points)
-            k_cross = cross_vector(self.kernel, hist, np.atleast_1d(x))
-            w = solve_lower(self.L, k_cross)
-            mean = self.mean + float(w @ self.u)
+            k_cross = cross_vector(self.kernel, self.points[:k], x)
+            w = solve_lower(self.L[:k, :k], k_cross)
+            mean = self.mean + float(w @ self.u[:k])
             var = max(k_self - float(w @ w), self.jitter)
         value = mean + math.sqrt(var) * rng.standard_normal()
         # grow the Cholesky factor by one row; the new solve entry only
         # needs the conditional residual over the pivot
-        k = self.L.shape[0]
         pivot = math.sqrt(var)
-        newL = np.zeros((k + 1, k + 1))
-        newL[:k, :k] = self.L
-        newL[k, :k] = w
-        newL[k, k] = pivot
-        self.L = newL
-        self.u = np.append(self.u, (value - mean) / pivot)
-        self.points.append(np.atleast_1d(np.asarray(x, dtype=float)))
+        self.L[k, :k] = w
+        self.L[k, k] = pivot
+        self.u[k] = (value - mean) / pivot
+        self.points[k] = x
+        self.k = k + 1
         return value
 
 
@@ -1120,15 +1167,18 @@ def simulate(config, n_points, n_dims, seed=0):
     # with no outputs to take a variance from, the prior mean defaults to zero
     m_tilde = _resolve_m_tilde(0.0 if config.m_tilde is None else config.m_tilde, np.empty((0, n_dims)), C)
 
+    assignments = rng.choice(C, size=n_points, p=weights)
+    # a path draws once per observation of its component
+    counts = np.bincount(assignments, minlength=C)
     g_paths = [
-        [_LazyGpPath(noise_kernels[c], m_tilde[c, d]) for d in range(n_dims)] for c in range(C)
+        [_LazyGpPath(noise_kernels[c], m_tilde[c, d], counts[c], n_dims) for d in range(n_dims)]
+        for c in range(C)
     ]
-    f_paths = [[_LazyGpPath(mean_kernels[c], 0.0) for d in range(n_dims)] for c in range(C)]
+    f_paths = [[_LazyGpPath(mean_kernels[c], 0.0, counts[c], n_dims) for d in range(n_dims)] for c in range(C)]
 
     X = np.zeros((n_points, n_dims))
     Y = np.empty((n_points, n_dims))
     variances = np.empty((n_points, n_dims))
-    assignments = rng.choice(C, size=n_points, p=weights)
     for n in range(n_points):
         c = assignments[n]
         x = X[n]

@@ -11,8 +11,10 @@ responsibilities, the latent means mu and m, the bound parameters Q,
 the effective precisions B of the last mean update, the sticks and the
 innovation.  Every derived array is rebuilt on load by the fit's own
 expressions, so a loaded model forecasts the same bits as the fitted
-one; like the fitted state, it holds no N x N posterior covariance.  Kernels are zero or
-autoregressive, fixed for the whole fit.  Files of earlier versions
+one; like the fitted state, it holds no N x N posterior covariance.  A
+primal array with a non-finite entry is rejected with a FormatError that
+names the field.  Kernels are zero or autoregressive, fixed for the
+whole fit.  Files of earlier versions
 (version 1 stored S and Sigma, version 2 a hyperparameter-step cadence
 in the config) are not read; refit the model to write version 3.
 """
@@ -112,16 +114,27 @@ def _state_to_obj(state):
     }
 
 
+def _finite_array(value, name):
+    """A primal state array; forecasts solve against factors built from it unchecked, so it must be finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"state field {name!r} is not a numeric array") from exc
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"state field {name!r} holds non-finite values")
+    return arr
+
+
 def _state_from_obj(obj):
     return VariationalState(
-        R=np.asarray(obj["R"]),
-        mu=np.asarray(obj["mu"]),
-        m=np.asarray(obj["m"]),
-        Q=np.asarray(obj["Q"]),
-        B=np.asarray(obj["B"]),
+        R=_finite_array(obj["R"], "R"),
+        mu=_finite_array(obj["mu"], "mu"),
+        m=_finite_array(obj["m"], "m"),
+        Q=_finite_array(obj["Q"], "Q"),
+        B=_finite_array(obj["B"], "B"),
         sticks=StickPosterior(
-            beta1=np.asarray(obj["sticks"]["beta1"]),
-            beta2=np.asarray(obj["sticks"]["beta2"]),
+            beta1=_finite_array(obj["sticks"]["beta1"], "sticks.beta1"),
+            beta2=_finite_array(obj["sticks"]["beta2"], "sticks.beta2"),
         ),
         innovation=InnovationPosterior(
             eta1_hat=obj["innovation"]["eta1_hat"],

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 import mgpch.copula as copula_module
 from mgpch.errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
@@ -25,7 +25,7 @@ from mgpch.copula import (
     predictive_covariance,
     train_pairwise,
 )
-from mgpch.copula import _log_density_arrays
+from mgpch.copula import QUADRATURE_NODES, QUADRATURE_SPAN, _cdf_arrays, _log_density_arrays, _quadrature_rule
 from mgpch.kernels import Ar1Kernel, RbfKernel, design_matrix
 from mgpch.model import MgpchConfig, PredictiveMoments, fit
 from mgpch.pyp import PypConfig
@@ -361,6 +361,35 @@ class TestPredictiveCovariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error", QuadratureWarning)
             predictive_covariance(single_point_pair_model(Clayton(), 0.0), mo, (0, 1), np.array([0.0]))
+
+    @pytest.mark.filterwarnings("ignore::mgpch.errors.QuadratureWarning")
+    @pytest.mark.parametrize("family, score", [(Clayton(), 0.3), (Clayton(), 2.5), (Frank(), -4.0), (Frank(), 3.0),
+                                               (Gumbel(), -1.0), (Gumbel(), 1.2)])
+    def test_cached_rules_give_the_bits_of_fresh_ones(self, family, score):
+        pm = single_point_pair_model(family, score)
+        mo = gaussian_moments([0.3, -0.2], [2.0, 0.5])
+        theta = conditional_theta(pm, np.array([0.0]))
+        positive = not isinstance(family, Frank)
+
+        def fresh(nodes):
+            t, wq = np.polynomial.legendre.leggauss(nodes)
+            F = ndtr(QUADRATURE_SPAN * t)
+            gap = _cdf_arrays(family, theta, F[:, None], F[None, :]) - F[:, None] * F[None, :]
+            if positive:
+                gap = np.maximum(gap, 0.0)
+            return QUADRATURE_SPAN**2 * math.sqrt(2.0 * 0.5) * float(wq @ gap @ wq)
+
+        for _ in range(2):  # the second call reads the cache
+            assert predictive_covariance(pm, mo, (0, 1), np.array([0.0])) == fresh(2 * QUADRATURE_NODES)
+
+    def test_cached_rules_are_read_only(self):
+        predictive_covariance(single_point_pair_model(Frank(), 1.0), gaussian_moments([0.0, 0.0], [1.0, 1.0]),
+                              (0, 1), np.array([0.0]))
+        for nodes in (QUADRATURE_NODES, 2 * QUADRATURE_NODES):
+            for a in _quadrature_rule(nodes):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[(0,) * a.ndim] = 0.0
 
     def test_validation(self):
         pm = single_point_pair_model(Frank(), 2.0)

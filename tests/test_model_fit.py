@@ -1,12 +1,14 @@
 """End-to-end behavior of the coordinate-ascent fit and the sampler."""
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mgpch.errors import InvalidArgumentError
-from mgpch.kernels import Ar1Kernel, RbfKernel
-from mgpch.model import MgpchConfig, expected_noise_variance, fit, simulate
+from mgpch.kernels import Ar1Kernel, RbfKernel, cross_vector, design_matrix
+from mgpch.model import MgpchConfig, _LazyGpPath, expected_noise_variance, fit, simulate
 from mgpch.pyp import PypConfig
 
 from test_model_updates import latent_covariances
@@ -127,7 +129,34 @@ class TestFit:
             MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=(RbfKernel(1.0),) * 2)
 
 
+class _FixedNormals:
+    """Stand-in generator whose standard normal draws are given in advance."""
+
+    def __init__(self, z):
+        self.z = list(z)
+
+    def standard_normal(self):
+        return self.z.pop(0)
+
+
 class TestSimulate:
+    def test_path_draws_are_the_dense_gp_conditional_on_their_history(self):
+        kernel = Ar1Kernel(phi=0.6, sigma0_sq=0.5)
+        rng = np.random.default_rng(3)
+        k, p, prior_mean = 12, 2, -1.0
+        xs = rng.standard_normal((k + 1, p))
+        path = _LazyGpPath(kernel, prior_mean, k + 1, p)
+        values = np.array([path.sample(x, rng) for x in xs[:k]])
+        # the next draw at z = 0 is the conditional mean, at z = 1 one standard deviation above it
+        at_mean = copy.deepcopy(path).sample(xs[k], _FixedNormals([0.0]))
+        at_one_sd = copy.deepcopy(path).sample(xs[k], _FixedNormals([1.0]))
+        K = design_matrix(kernel, xs[:k]) + path.jitter * np.eye(k)
+        k_star = cross_vector(kernel, xs[:k], xs[k])
+        mean = prior_mean + k_star @ np.linalg.solve(K, values - prior_mean)
+        var = kernel.marginal_variance + path.jitter - k_star @ np.linalg.solve(K, k_star)
+        assert_allclose(at_mean, mean, rtol=1e-10)
+        assert_allclose((at_one_sd - at_mean) ** 2, var, rtol=1e-10)
+
     def test_deterministic_given_seed(self):
         config = MgpchConfig(pyp=PypConfig(truncation=3))
         a = simulate(config, 50, 2, seed=7)

@@ -255,13 +255,12 @@ class TestFastCandidate:
             B = rng.uniform(0.0, 3.0, size=n)
             B[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
             y = rng.standard_normal(n)
-            mu, Sigma, diag, kl_core = _latent_candidate(K, B, y)
+            mu, diag, kl_core, _ = _latent_candidate(K, B, y)
             Sigma_ref = np.linalg.inv(np.linalg.inv(K) + np.diag(B))
             mu_ref = Sigma_ref @ (B * y)
             mu_pub, Sigma_pub = latent_function_posterior(K, B, y)
             assert_rel(mu, mu_ref)
             assert_rel(mu_pub, mu_ref)
-            assert_rel(Sigma, Sigma_ref)
             assert_rel(Sigma_pub, Sigma_ref)
             assert_rel(diag, np.diagonal(Sigma_ref))
             quad = float(mu_ref @ np.linalg.solve(K, mu_ref))

@@ -1,7 +1,11 @@
 """Predictive moments against explicit-inverse oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
@@ -17,6 +21,7 @@ from mgpch.model import (
     latent_function_posterior,
     noise_posterior_given_q,
     predict,
+    predict_batch,
     refresh_caches,
 )
 from mgpch.pyp import PypConfig
@@ -262,3 +267,59 @@ class TestValidation:
         model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=2), max_iters=3, seed=5))
         with pytest.raises(InvalidArgumentError, match="finite"):
             predict(model, np.array([bad]))
+
+
+class TestPredictBatch:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(2, 12),
+        p=st.sampled_from([1, 2]),
+        C=st.integers(1, 3),
+        mean_kernel=st.booleans(),
+        extra=st.integers(-1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rows_equal_single_input_forecasts(self, n, p, C, mean_kernel, extra, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        Y = 0.05 * rng.standard_normal((n, 2))
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=C),
+            mean_kernels=[Ar1Kernel(0.5, 0.4)] * C if mean_kernel else None,
+            max_iters=3,
+            seed=seed,
+        )
+        model = fit(X, Y, config)
+        # M from 1 to N + 2: training inputs, new inputs and repeated rows
+        M = max(1, n + extra)
+        pool = np.vstack([X, rng.standard_normal((n, p))])
+        Xstar = pool[rng.integers(0, 2 * n, size=M)]
+        batch = predict_batch(model, Xstar)
+        assert batch.mean.shape == (M, 2)
+        assert batch.component_noise_vars.shape == (M, C, 2)
+        assert batch.weights.shape == (C,)
+        # a posterior variance is its prior variance less a solve-based term,
+        # so it is compared on the prior's scale, and so is the mixture
+        # variance, which blends the regression variances with the squared
+        # weights; everything else relatively
+        mean_prior = 0.4 / 0.75 if mean_kernel else 0.0
+        prior = {
+            "noise_log_var": model.noise_kernels[0].marginal_variance,
+            "component_mean_vars": mean_prior,
+            "variance": mean_prior * float(np.sum(batch.weights**2)),
+        }
+        for i, x in enumerate(Xstar):
+            row = predict(model, x)
+            assert np.array_equal(batch.weights, row.weights)
+            for f in dataclasses.fields(row):
+                if f.name != "weights":
+                    atol = 1e-12 * prior.get(f.name, 0.0)
+                    assert_allclose(getattr(batch, f.name)[i], getattr(row, f.name), rtol=1e-12, atol=atol, err_msg=f.name)
+
+    def test_rejects_malformed_inputs(self):
+        model = manual_scalar_model()
+        for bad in (np.zeros(1), np.zeros((0, 1)), np.zeros((2, 2))):
+            with pytest.raises(InvalidArgumentError):
+                predict_batch(model, bad)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            predict_batch(model, np.array([[0.0], [np.nan]]))

@@ -154,6 +154,17 @@ class TestSchema:
             load_model(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("name", ["m", "Q"])
+    def test_non_finite_state_is_a_format_error(self, fitted, tmp_path, name):
+        model, _ = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["state"][name][0][0][1] = float("nan")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"'{name}'"):
+            load_model(path)
+
     def test_missing_field_is_a_format_error(self, fitted, tmp_path):
         model, _ = fitted
         path = tmp_path / "x.json"
