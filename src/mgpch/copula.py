@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import ndtr
 
 from .errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
@@ -110,6 +111,36 @@ def _check_theta(family, theta):
     return theta
 
 
+def _log1mexp(x):
+    """``log(1 - e^x)`` for x <= 0, accurate near 0 and for very negative x alike."""
+    with np.errstate(divide="ignore"):  # x == 0 gives log 0 = -inf
+        return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+
+
+def _log_abs_expm1(y):
+    """``log|e^y - 1|`` for either sign of y, finite for large y where e^y overflows."""
+    return np.maximum(y, 0.0) + _log1mexp(-np.abs(y))
+
+
+def _frank_log_terms(th, u, v):
+    """``log|e^-th - 1|`` and ``log(1 + r)`` of the Frank ratio ``r = (e^-th u - 1)(e^-th v - 1) / (e^-th - 1)``.
+
+    The cdf is ``-log(1 + r) / th``.  Forming r overflows once th u is
+    past about -709, and ``1 + r`` cancels for large positive th, where r
+    tends to -1.  So r is taken through ``log|r|``, a sum of
+    :func:`_log_abs_expm1` terms grouped so that both parts are <= 0 for
+    th > 0; there ``1 + r = 1 - e^log|r|``, and for th < 0, where r > 0,
+    ``1 + r = 1 + e^log|r|``.
+    """
+    log_g1 = _log_abs_expm1(-th)
+    log_r = (_log_abs_expm1(-th * u) - log_g1) + _log_abs_expm1(-th * v)
+    log1p_r = np.empty_like(log_r)
+    pos = th > 0.0
+    log1p_r[pos] = _log1mexp(log_r[pos])
+    log1p_r[~pos] = np.logaddexp(0.0, log_r[~pos])
+    return log_g1, log1p_r
+
+
 def _interior_cdf(family, theta, U, V):
     """Family cdf on strictly interior arguments; theta may be an array."""
     theta = np.broadcast_to(np.asarray(theta, dtype=float), U.shape)
@@ -123,11 +154,8 @@ def _interior_cdf(family, theta, U, V):
         out = U * V
         live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
         if np.any(live):
-            th, u, v = theta[live], U[live], V[live]
-            g1 = np.expm1(-th)
-            ratio = np.expm1(-th * u) * np.expm1(-th * v) / g1
-            ratio = np.maximum(ratio, -1.0 + 1e-300)
-            out[live] = -np.log1p(ratio) / th
+            th = theta[live]
+            out[live] = -_frank_log_terms(th, U[live], V[live])[1] / th
         return out
     tu = -np.log(U)
     tv = -np.log(V)
@@ -174,14 +202,9 @@ def _log_density_arrays(family, theta, U, V):
         live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
         if np.any(live):
             th, u, v = theta[live], U[live], V[live]
-            g1 = np.expm1(-th)
-            denom = g1 + np.expm1(-th * u) * np.expm1(-th * v)
-            out[live] = (
-                np.log(np.abs(th))
-                + np.log(np.abs(g1))
-                - th * (u + v)
-                - 2.0 * np.log(np.abs(denom))
-            )
+            # the density's denominator is (e^-th - 1)(1 + r)
+            log_g1, log1p_r = _frank_log_terms(th, u, v)
+            out[live] = np.log(np.abs(th)) - log_g1 - th * (u + v) - 2.0 * log1p_r
         return out
     out = np.zeros(U.shape)
     live = theta > 1.0
@@ -253,8 +276,7 @@ class PairwiseCopulaModel:
 
 
 def _feature_matrix(kernel, X, basis):
-    d2 = np.sum((X[:, None, :] - basis[None, :, :]) ** 2, axis=-1)
-    return np.exp(-0.5 * d2 / kernel.lengthscale**2)
+    return np.exp(-0.5 * cdist(X, basis, "sqeuclidean") / kernel.lengthscale**2)
 
 
 def basis_features(pairmodel, x):
@@ -275,9 +297,7 @@ def conditional_theta(pairmodel, x):
 def _basis_lengthscale(basis):
     if basis.shape[0] < 2:
         return 1.0
-    diff = basis[:, None, :] - basis[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    d = d[np.triu_indices(basis.shape[0], 1)]
+    d = pdist(basis)
     d = d[d > 0.0]
     return float(np.median(d)) if d.size else 1.0
 
@@ -349,17 +369,18 @@ def train_pairwise(pair, mgpch, data, family, basis_fraction=0.1):
 
 @functools.cache
 def _quadrature_rule(nodes):
-    """Weights, node cdfs ``F = ndtr(8 t)`` as a column and a row, and ``F F'`` of one Gauss-Legendre rule.
+    """Weights, grids ``U[k, l] = F[k]`` and ``V[k, l] = F[l]`` of the node cdfs ``F = ndtr(8 t)`` in (0, 1), and ``U V``.
 
-    Built on the first call for each node count and marked read-only,
+    Built on the first call for each node count, contiguous and read-only,
     since every caller in the process shares the same arrays.
     """
     t, wq = np.polynomial.legendre.leggauss(nodes)
     F = ndtr(QUADRATURE_SPAN * t)
-    FF = F[:, None] * F[None, :]
-    for a in (wq, F, FF):
+    U, V = (np.ascontiguousarray(g) for g in np.broadcast_arrays(F[:, None], F[None, :]))
+    UV = U * V
+    for a in (wq, U, V, UV):
         a.flags.writeable = False
-    return wq, F[:, None], F[None, :], FF
+    return wq, U, V, UV
 
 
 def predictive_covariance(pairmodel, moments, pair, xstar):
@@ -385,7 +406,7 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
 
     def estimate(nodes):
         wq, U, V, UV = _quadrature_rule(nodes)
-        gap = _cdf_arrays(pairmodel.family, theta, U, V) - UV
+        gap = _interior_cdf(pairmodel.family, theta, U, V) - UV
         if positive:
             gap = np.maximum(gap, 0.0)
         return scale * float(wq @ gap @ wq)

@@ -13,6 +13,7 @@ whose marginal variance sigma0_sq / (1 - phi**2) is attained at
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError
 
@@ -78,11 +79,6 @@ def _as_points(X):
     return X
 
 
-def _pairwise_distances(A, B):
-    diff = A[:, None, :] - B[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
-
-
 def kernel_eval(kernel, x, x2):
     """Evaluate the kernel between two input points.
 
@@ -118,7 +114,7 @@ def design_matrix(kernel, X):
     n = X.shape[0]
     if isinstance(kernel, ZeroKernel):
         return np.zeros((n, n))
-    D = _pairwise_distances(X, X)
+    D = cdist(X, X)
     if isinstance(kernel, RbfKernel):
         return np.exp(-0.5 * (D / kernel.lengthscale) ** 2)
     return kernel.marginal_variance * kernel.phi**D

@@ -12,15 +12,17 @@ observation, all driven by a single free-energy objective.
 The posterior over each g keeps the conjugate form
 
     S = (Lam^-1 + Q)^-1,
-    m = Lam (Q - diag(r_c) / 2) 1 + m_tilde 1,
+    m = m_tilde 1 + Lam t,  t = Q - diag(r_c) / 2 1,
 
 where Q is a diagonal free parameter of the bound.  The expected
 noise precision is ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)``.  S is a
 function of Q alone, and the latent mean covariance Sigma of the
 effective precisions B of the last mean update, so the primal state is
-R, mu, m, Q, B and the mixture factors; :func:`refresh_caches` rebuilds
-everything else with the fit's own expressions, and a model rebuilt
-from its primal state forecasts bit for bit like the one in memory.
+R, mu, the natural mean t, Q, B and the mixture factors; m is derived,
+and :func:`refresh_caches` rebuilds it and everything else with the
+fit's own expressions, so a model rebuilt from its primal state forecasts
+bit for bit like the one in memory.  No prior is ever factorized: t is
+``Lam^-1 (m - m_tilde)``, and ``K^-1 mu`` comes from the bound factor.
 Q itself is moved toward its stationary value
 ``q_nc * omega_n * E[exp(-g_n)] / 2`` with a backtracking safeguard
 that only ever accepts free-energy improvements.
@@ -165,11 +167,12 @@ class VariationalState:
 
     R: np.ndarray  # (N, C) responsibilities
     mu: np.ndarray  # (C, D, N) latent mean posterior means
-    m: np.ndarray  # (C, D, N) log-variance posterior means
+    t: np.ndarray  # (C, D, N) natural means Lam^-1 (m - m_tilde) of q(g), the primal
     Q: np.ndarray  # (C, D, N) diagonal bound parameters of q(g)
     B: np.ndarray  # (C, D, N) effective precisions of the last mean update
     sticks: object
     innovation: object
+    m: np.ndarray = None  # (C, D, N) log-variance posterior means m_tilde + Lam t
     s_diag: np.ndarray = None  # (C, D, N) log-variance posterior variances diag(S)
     omega: np.ndarray = None  # (C, D, N) expected squared residuals
     inv_noise: np.ndarray = None  # (C, D, N) expected noise precisions
@@ -200,7 +203,7 @@ class VariationalState:
 
 @dataclass
 class _FitContext:
-    """Resolved kernels and factorized design matrices for one dataset."""
+    """Resolved kernels and jittered design matrices for one dataset; no prior is factorized."""
 
     X: np.ndarray
     Y: np.ndarray
@@ -209,9 +212,7 @@ class _FitContext:
     noise_kernels: tuple
     m_tilde: np.ndarray  # (C, D)
     lam: tuple  # per component: jittered noise design matrix, shared by equal kernels
-    lam_chol: tuple
-    K: tuple  # per component: jittered mean design matrix or None
-    K_chol: tuple
+    K: tuple  # per component: jittered mean design matrix or None, shared likewise
     ou: object  # _OuTransitions for one-column inputs, else None
 
 
@@ -327,7 +328,7 @@ def noise_posterior_given_q(lam, Q, qz, m_tilde):
     -------
     (m, S) : posterior mean vector and covariance matrix.
     """
-    m, s_diag, _, _, W = _noise_candidate(lam, Q, qz, m_tilde)
+    _, m, s_diag, _, _, W = _noise_candidate(lam, Q, qz, m_tilde)
     return m, _posterior_cov(lam, W, s_diag)
 
 
@@ -442,29 +443,43 @@ def _ou_moments(ou, comp, Q):
     smooth = filt.copy()
     smooth[:-1] = offset + gain2 * filt[-1]
     diag = w * w * smooth + eps * w
-    logdet = np.sum(np.log1p(eps * Qs), axis=0) + np.sum(np.log1p(rho * pred), axis=0)
+    # summed along (B, N) rows, as numpy sums a lone (N, 1) column differently
+    terms = np.log1p(eps * Qs) + np.log1p(rho * pred) - Qs * diag
     s_diag = np.empty_like(Q)
     s_diag[:, ou.order] = diag.T
-    return s_diag, logdet - np.sum(Qs * diag, axis=0)
+    return s_diag, np.ascontiguousarray(terms.T).sum(axis=1)
+
+
+def _prior_mean_terms(lam, t):
+    """``Lam t`` and ``t . Lam t`` of every row of t (..., N), a stacked product per row: the same bits in any batch."""
+    lam_t = np.matmul(lam, t[..., None])[..., 0]
+    return lam_t, np.matmul(t[..., None, :], lam_t[..., None])[..., 0, 0]
 
 
 def _noise_candidate(lam, Q, qz, m_tilde):
-    """Mean, posterior variances, KL, bound factor and ``W`` of one noise block at bound parameter Q."""
+    """Natural mean, mean, posterior variances, KL, bound factor and ``W`` of one noise block at bound parameter Q."""
     La, W, s_diag, kl_core = _diag_precision_posterior(lam, Q, "noise bound matrix")
     t = Q - 0.5 * qz
-    lam_t = lam @ t
-    return m_tilde + lam_t, s_diag, 0.5 * (float(t @ lam_t) + kl_core), La, W
+    lam_t, quad = _prior_mean_terms(lam, t)
+    return t, m_tilde + lam_t, s_diag, 0.5 * (float(quad) + kl_core), La, W
+
+
+def _latent_gain(B, La, y):
+    """``K^-1 mu = sqrt(B) A^-1 sqrt(B) y`` of the posterior mean mu at precisions B, from the factor La of A."""
+    root = np.sqrt(B)
+    return root * cholesky_solve(La, root * y)
 
 
 def _latent_candidate(K, B, y):
-    """Mean, diag(Sigma), KL-without-mean-term and ``W`` of one latent mean block.
+    """Mean, diag(Sigma), KL and ``W`` of one latent mean block.
 
     The mean ``Sigma (B y)`` is taken as ``K (B y) - W'(W (B y))``, so no
-    N x N Sigma is formed.
+    N x N Sigma is formed, and the KL's ``K^-1 mu`` from the bound factor.
     """
-    _, W, diag, kl_core = _diag_precision_posterior(K, B, "mean bound matrix")
+    La, W, diag, kl_core = _diag_precision_posterior(K, B, "mean bound matrix")
     by = B * y
-    return K @ by - W.T @ (W @ by), diag, kl_core, W
+    mu = K @ by - W.T @ (W @ by)
+    return mu, diag, 0.5 * (float(mu @ _latent_gain(B, La, y)) + kl_core), W
 
 
 # ---------------------------------------------------------------------------
@@ -542,24 +557,18 @@ def _make_context(X, Y, config):
         noise_kernels = (_default_noise_kernel(X),) * C
     m_tilde = _resolve_m_tilde(config.m_tilde, Y, C)
 
-    eye = np.eye(n)
-    factored = {}  # components with equal kernels share one matrix and factor
+    built = {}  # components with equal kernels share one matrix
 
-    def jittered(kernel, label):
-        if isinstance(kernel, ZeroKernel):
-            return None, None
-        if kernel not in factored:
-            M = design_matrix(kernel, X) + ar1_jitter(kernel) * eye
-            factored[kernel] = (M, cholesky_factor(M, context=label))
-        return factored[kernel]
+    def jittered(kernel):
+        if not isinstance(kernel, ZeroKernel) and kernel not in built:
+            built[kernel] = design_matrix(kernel, X) + ar1_jitter(kernel) * np.eye(n)
+        return built.get(kernel)
 
-    lam, lam_chol = zip(*(jittered(k, f"noise design matrix {c}") for c, k in enumerate(noise_kernels)))
-    K, K_chol = zip(*(jittered(k, f"mean design matrix {c}") for c, k in enumerate(mean_kernels)))
+    lam = tuple(jittered(k) for k in noise_kernels)
+    K = tuple(jittered(k) for k in mean_kernels)
     # the one place the noise path is chosen: O(N) recursions on scalar inputs
     ou = _ou_transitions(X, noise_kernels) if X.shape[1] == 1 else None
-    return _FitContext(
-        X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, lam_chol, K, K_chol, ou
-    )
+    return _FitContext(X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, K, ou)
 
 
 def _kmeans_labels(Z, C, rng):
@@ -609,10 +618,10 @@ def _init_state(ctx):
 
     mu = np.zeros((C, D, n))
     B = np.zeros((C, D, n))
-    # at Q = R / 2 the noise mean m_tilde + Lam (Q - R / 2) is the prior mean
+    # at Q = R / 2 the natural mean t = Q - R / 2 is zero: q(g) has the prior mean
     Q = np.repeat(0.5 * R.T[:, None, :], D, axis=1)
-    m = np.repeat(ctx.m_tilde[:, :, None], n, axis=2)
-    state = VariationalState(R, mu, m, Q, B, sticks, innovation)
+    t = np.zeros((C, D, n))
+    state = VariationalState(R, mu, t, Q, B, sticks, innovation)
     refresh_caches(state, ctx)
     return state
 
@@ -624,16 +633,17 @@ def _init_state(ctx):
 def refresh_caches(state, ctx):
     """Rebuild every derived array from the primal ones with the fit's own expressions.
 
-    Per (c, d) block one factor of ``I + sqrt(Q) Lam sqrt(Q)`` gives
-    diag(S), the expected noise precisions, the KL of q(g) and the bound
-    factor that forecasts reuse; on one-column inputs diag(S) and the KL's
-    core come from :func:`_ou_moments`, as in the fit.  One factor of ``I +
-    sqrt(B) K sqrt(B)`` gives diag(Sigma) for the expected squared
-    residuals, and the KL of q(f).  The innovation and stick terms of the
-    free energy come from the mixture factors.
+    Per (c, d) block, m = m_tilde + Lam t, and one factor of ``I + sqrt(Q)
+    Lam sqrt(Q)`` gives diag(S), the expected noise precisions, the KL of
+    q(g) and the bound factor that forecasts reuse; on one-column inputs
+    diag(S) and the KL's core come from :func:`_ou_moments`, as in the fit.
+    One factor of ``I + sqrt(B) K sqrt(B)`` gives diag(Sigma) for the
+    expected squared residuals, and the KL of q(f).  The innovation and
+    stick terms of the free energy come from the mixture factors.
     """
-    C, D, n = state.m.shape
+    C, D, n = state.t.shape
     state.noise_priors = ctx.lam
+    state.m = np.empty((C, D, n))
     state.inv_noise = np.empty((C, D, n))
     state.omega = (ctx.Y.T[None, :, :] - state.mu) ** 2
     state.g_kl = np.empty((C, D))
@@ -646,6 +656,7 @@ def refresh_caches(state, ctx):
         ou_diag, ou_kl = _ou_moments(ctx.ou, np.repeat(np.arange(C), D), state.Q.reshape(C * D, n))
         state.s_diag = ou_diag.reshape(C, D, n)
     for c in range(C):
+        lam_t, quad = _prior_mean_terms(ctx.lam[c], state.t[c])
         for d in range(D):
             if ctx.ou is None:
                 La, _, state.s_diag[c, d], kl_core = _diag_precision_posterior(
@@ -654,20 +665,13 @@ def refresh_caches(state, ctx):
             else:
                 _, La = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")
                 kl_core = ou_kl[c * D + d]
+            state.m[c, d] = ctx.m_tilde[c, d] + lam_t[d]
             state.inv_noise[c, d] = expected_noise_precision(state.m[c, d], state.s_diag[c, d])
-            diff = state.m[c, d] - ctx.m_tilde[c, d]
-            state.g_kl[c, d] = 0.5 * (float(diff @ cholesky_solve(ctx.lam_chol[c], diff)) + kl_core)
+            state.g_kl[c, d] = 0.5 * (float(quad[d]) + kl_core)
             state.noise_chol[c][d] = La
             if ctx.K[c] is not None:
-                _, _, diag, kl_core = _diag_precision_posterior(ctx.K[c], state.B[c, d], "mean bound matrix")
+                _, diag, state.f_kl[c, d], _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
                 state.omega[c, d] += diag
-                state.f_kl[c, d] = _latent_kl(ctx, c, state.mu[c, d], kl_core)
-
-
-def _latent_kl(ctx, c, mu, kl_core):
-    """KL of one q(f) from its prior, from its mean and the candidate's KL-without-mean-term."""
-    w = solve_lower(ctx.K_chol[c], mu)
-    return 0.5 * (float(w @ w) + kl_core)
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +705,9 @@ def update_noise_processes(state, ctx):
             )
             for k, Q in enumerate(ladder[:, c, d]):
                 if judged is None:
-                    m, s_diag, kl, La, _ = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
+                    t, m, s_diag, kl, La, _ = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
                 else:
-                    m, s_diag, kl = (part[k, c, d] for part in judged)
+                    t, m, s_diag, kl = (part[k, c, d] for part in judged)
                     La = None
                 with np.errstate(over="ignore", invalid="ignore"):
                     inv_noise = expected_noise_precision(m, s_diag)
@@ -711,6 +715,7 @@ def update_noise_processes(state, ctx):
                 if math.isfinite(obj) and obj >= old_obj - _ACCEPT_SLACK * (1.0 + abs(old_obj)):
                     if La is None:
                         _, La = _bound_factor(ctx.lam[c], Q, "noise bound matrix")
+                    state.t[c, d] = t
                     state.m[c, d] = m
                     state.s_diag[c, d] = s_diag
                     state.Q[c, d] = Q
@@ -722,10 +727,10 @@ def update_noise_processes(state, ctx):
 
 
 def _ou_ladder(state, ctx, ladder):
-    """Mean, diag(S) and KL of every candidate in ``ladder`` (L, C, D, N).
+    """Natural mean, mean, diag(S) and KL of every candidate in ``ladder`` (L, C, D, N).
 
     One :func:`_ou_moments` pass judges all L * C * D candidates, and
-    ``m = m_tilde + Lam t`` with ``t = Q - R_c / 2`` takes one matrix
+    ``m = m_tilde + Lam t`` with ``t = Q - R_c / 2`` takes one stacked
     product per component.
     """
     L, C, D, n = ladder.shape
@@ -733,11 +738,11 @@ def _ou_ladder(state, ctx, ladder):
     s_diag, kl_core = _ou_moments(ctx.ou, comp, ladder.reshape(-1, n))
     t = ladder - 0.5 * state.R.T[None, :, None, :]
     lam_t = np.empty_like(t)
+    quad = np.empty((L, C, D))
     for c in range(C):
-        # Lam is symmetric, so the rows of t Lam are Lam t
-        lam_t[:, c] = (t[:, c].reshape(-1, n) @ ctx.lam[c]).reshape(L, D, n)
-    kl = 0.5 * (np.einsum("lcdn,lcdn->lcd", t, lam_t) + kl_core.reshape(L, C, D))
-    return ctx.m_tilde[None, :, :, None] + lam_t, s_diag.reshape(L, C, D, n), kl
+        lam_t[:, c], quad[:, c] = _prior_mean_terms(ctx.lam[c], t[:, c])
+    kl = 0.5 * (quad + kl_core.reshape(L, C, D))
+    return t, ctx.m_tilde[None, :, :, None] + lam_t, s_diag.reshape(L, C, D, n), kl
 
 
 def update_latent_functions(state, ctx):
@@ -753,10 +758,9 @@ def update_latent_functions(state, ctx):
         qz = state.R[:, c]
         for d in range(D):
             state.B[c, d] = qz * state.inv_noise[c, d]
-            mu, diag, kl_core, _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+            mu, diag, state.f_kl[c, d], _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
             state.mu[c, d] = mu
             state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
-            state.f_kl[c, d] = _latent_kl(ctx, c, mu, kl_core)
 
 
 def _responsibility_logits(state, ctx):
@@ -832,20 +836,19 @@ def _mixture_terms(state, config):
     )
 
 
-def _assignment_terms(state):
+def _assignment_terms(state, R):
     elogw = expected_log_weights(state.sticks)
-    R = state.R
     mixing = float(np.sum(R @ elogw))
     mask = R > 0.0
     entropy = -float(np.sum(R[mask] * np.log(R[mask])))
     return mixing + entropy
 
 
-def _expected_log_lik(state, ctx):
+def _expected_log_lik(state, R):
     D = state.m.shape[1]
     inner = np.sum(state.omega * state.inv_noise + state.m, axis=1)  # (C, N)
     per_point = -0.5 * (D * LOG_2PI + inner)  # (C, N)
-    return float(np.sum(state.R * per_point.T))
+    return float(np.sum(R * per_point.T))
 
 
 def free_energy(state, ctx):
@@ -862,8 +865,10 @@ def free_energy(state, ctx):
     value = -float(np.sum(state.g_kl)) - float(np.sum(state.f_kl))
     value += alpha_term
     value += stick_term
-    value += _assignment_terms(state)
-    value += _expected_log_lik(state, ctx)
+    # sums over R follow its memory order: the fit leaves R in Fortran order
+    R = np.asfortranarray(state.R)
+    value += _assignment_terms(state, R)
+    value += _expected_log_lik(state, R)
     return value
 
 
@@ -961,29 +966,26 @@ def _model_context(model):
 
 
 def _model_factors(model, ctx):
-    """Per-model predictive factors, built from the stored state on first use.
+    """Per-model mean factors, built from the stored state on first use.
 
-    Returns ``Lam^-1 (m - m_tilde)`` as a (C, D, N) array and, per (c, d)
-    with a mean kernel, ``sqrt(B)``, the factor of ``I + sqrt(B) K
-    sqrt(B)`` and the gain on y, with the stored B of the mean update that
-    produced mu and Sigma, so a component's forecast is the q(f)
-    predictive ``k*' K^-1 mu``.
-    The noise bound factors are the state's: the fit keeps the accepted
-    candidate's, and :func:`refresh_caches` builds the same one from the
-    stored Q, so a loaded model forecasts the same bits as after :func:`fit`.
+    Per (c, d) with a mean kernel: ``sqrt(B)``, the factor of ``I +
+    sqrt(B) K sqrt(B)`` and ``K^-1 mu``, with the stored B of the mean
+    update that produced mu and Sigma, so a component's forecast is the
+    q(f) predictive ``k*' K^-1 mu``.  The noise side uses the stored t and
+    the state's bound factors: the fit keeps the accepted candidate's, and
+    :func:`refresh_caches` builds the same one from the stored Q, so a
+    loaded model forecasts the same bits as after :func:`fit`.
     """
     if model._factors is None:
         state = model.state
-        C, D, n = state.m.shape
-        alpha = np.empty((C, D, n))
+        C, D, _ = state.t.shape
         mean = [[None] * D for _ in range(C)]
         for c in range(C):
             for d in range(D):
-                alpha[c, d] = cholesky_solve(ctx.lam_chol[c], state.m[c, d] - ctx.m_tilde[c, d])
                 if ctx.K[c] is not None:
                     root, La = _bound_factor(ctx.K[c], state.B[c, d], "mean bound matrix")
-                    mean[c][d] = (root, La, root * cholesky_solve(La, root * ctx.Y[:, d]))
-        model._factors = (alpha, mean)
+                    mean[c][d] = (root, La, _latent_gain(state.B[c, d], La, ctx.Y[:, d]))
+        model._factors = mean
     return model._factors
 
 
@@ -1016,7 +1018,7 @@ def predict_batch(model, Xstar):
     Per component, the regression moments come from the noisy-kernel
     solve against the training targets, and the noise moments from the
     GP conditional of the log-variance posterior at each new input,
-    ``m_tilde + k*' Lam^-1 (m - m_tilde)``; the mixture blends
+    ``m_tilde + k*' Lam^-1 (m - m_tilde) = m_tilde + k*' t``; the mixture blends
     components with the posterior mean weights (squared for the
     variance).  Factorizations are built once per model, on the first
     call; a call computes one input-distance matrix and one triangular
@@ -1038,8 +1040,8 @@ def predict_batch(model, Xstar):
         raise InvalidArgumentError(f"inputs must be an (M, {p}) array with M >= 1, got shape {Xstar.shape}")
     if not np.all(np.isfinite(Xstar)):
         raise InvalidArgumentError("inputs must be finite")
-    alpha, mean_factors = _model_factors(model, ctx)
-    C, D, _ = state.m.shape
+    mean_factors = _model_factors(model, ctx)
+    C, D, _ = state.t.shape
     M = Xstar.shape[0]
     weights = expected_weights(state.sticks)
 
@@ -1059,7 +1061,7 @@ def predict_batch(model, Xstar):
         nk, mk = ctx.noise_kernels[c], ctx.mean_kernels[c]
         lam_cross = cross_cov(nk)
         for d in range(D):
-            tau[:, c, d] = ctx.m_tilde[c, d] + _row_dots(lam_cross, alpha[c, d][None, :])
+            tau[:, c, d] = ctx.m_tilde[c, d] + _row_dots(lam_cross, state.t[c, d][None, :])
             w = solve_lower(state.noise_chol[c][d], (lam_cross * np.sqrt(state.Q[c, d])).T).T
             phi_star[:, c, d] = np.maximum(nk.marginal_variance - _row_dots(w, w), 0.0)
             if mean_factors[c][d] is not None:

@@ -6,17 +6,17 @@ uses the shortest representation that reparses to the same double), and
 keys are emitted sorted, so the same model always produces the same
 bytes.
 
-Version 3 stores only the primal variational arrays, each O(C D N):
-responsibilities, the latent means mu and m, the bound parameters Q,
-the effective precisions B of the last mean update, the sticks and the
-innovation.  Every derived array is rebuilt on load by the fit's own
-expressions, so a loaded model forecasts the same bits as the fitted
-one; like the fitted state, it holds no N x N posterior covariance.  A
-primal array with a non-finite entry is rejected with a FormatError that
-names the field.  Kernels are zero or autoregressive, fixed for the
-whole fit.  Files of earlier versions
-(version 1 stored S and Sigma, version 2 a hyperparameter-step cadence
-in the config) are not read; refit the model to write version 3.
+Version 4 stores only the primal variational arrays, each O(C D N):
+responsibilities, the latent means mu, the natural means t of q(g), the
+bound parameters Q, the effective precisions B of the last mean update,
+the sticks and the innovation.  Every derived array, the means m = m_tilde
++ Lam t included, is rebuilt on load by the fit's own expressions, so a
+loaded model forecasts the same bits as the fitted one; it holds no N x N
+posterior covariance.  A primal array with a non-finite entry is rejected
+with a FormatError that names the field.  Kernels are zero or
+autoregressive, fixed for the whole fit.  Files of earlier versions (1
+stored S and Sigma, 2 a hyperparameter-step cadence, 3 the means m) are
+not read; refit the model to write version 4.
 """
 
 import json
@@ -32,7 +32,7 @@ from .pyp import InnovationPosterior, PypConfig, StickPosterior
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]
 
 FORMAT_NAME = "mgpch-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def dump_json(obj, path):
@@ -103,7 +103,7 @@ def _state_to_obj(state):
     return {
         "R": _array(state.R),
         "mu": _array(state.mu),
-        "m": _array(state.m),
+        "t": _array(state.t),
         "Q": _array(state.Q),
         "B": _array(state.B),
         "sticks": {"beta1": _array(state.sticks.beta1), "beta2": _array(state.sticks.beta2)},
@@ -129,7 +129,7 @@ def _state_from_obj(obj):
     return VariationalState(
         R=_finite_array(obj["R"], "R"),
         mu=_finite_array(obj["mu"], "mu"),
-        m=_finite_array(obj["m"], "m"),
+        t=_finite_array(obj["t"], "t"),
         Q=_finite_array(obj["Q"], "Q"),
         B=_finite_array(obj["B"], "B"),
         sticks=StickPosterior(

@@ -135,6 +135,51 @@ class TestCdf:
             copula_cdf(Frank(), 2.0, 0.5, 1.1)
 
 
+FRANK_GRID = np.array([1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6])
+
+
+class TestFrankLargeTheta:
+    """The Frank cdf and density stay finite and accurate where the textbook formula overflows or cancels."""
+
+    @pytest.mark.parametrize("theta", [36.0, 40.0, 100.0, 300.0, 700.0, -36.0, -40.0, -100.0, -300.0, -700.0])
+    def test_finite_and_within_the_frechet_bounds(self, theta):
+        for u in FRANK_GRID:
+            for v in FRANK_GRID:
+                c = copula_cdf(Frank(), theta, u, v)
+                lower, upper = max(u + v - 1.0, 0.0), min(u, v)
+                assert math.isfinite(c)
+                assert lower * (1.0 - 1e-14) <= c <= upper * (1.0 + 1e-14), (u, v, c)
+                assert math.isfinite(copula_log_density(Frank(), theta, u, v))
+
+    @pytest.mark.filterwarnings("ignore::mgpch.errors.QuadratureWarning")
+    def test_covariance_is_finite_for_strong_dependence(self):
+        mo = gaussian_moments([0.0, 0.0], [1e-4, 2.25e-4])
+        bound = math.sqrt(1e-4 * 2.25e-4)  # the comonotone covariance
+        for theta in (40.0, 700.0, -40.0, -700.0):
+            cov = predictive_covariance(single_point_pair_model(Frank(), theta), mo, (0, 1), np.array([0.0]))
+            # near the comonotone limit the integrand has a kink on the diagonal,
+            # which the Gauss-Legendre rule resolves to a fraction of a percent
+            assert math.isfinite(cov) and abs(cov) <= 1.01 * bound
+
+    @pytest.mark.parametrize("theta", [1e-5, 0.5, 3.0, 8.0, 20.0, -1e-5, -0.5, -3.0, -8.0, -20.0])
+    def test_agrees_with_the_textbook_formula_where_it_is_accurate(self, theta):
+        # -log(1 + r) / theta with r = (e^-tu - 1)(e^-tv - 1) / (e^-t - 1); 1 + r >= 1e-3
+        # keeps its cancellation below 1e-13
+        checked = 0
+        for u in FRANK_GRID:
+            for v in FRANK_GRID:
+                g1 = math.expm1(-theta)
+                r = math.expm1(-theta * u) * math.expm1(-theta * v) / g1
+                if 1.0 + r < 1e-3:
+                    continue
+                checked += 1
+                assert copula_cdf(Frank(), theta, u, v) == pytest.approx(-math.log1p(r) / theta, rel=1e-12, abs=0.0)
+                log_density = math.log(abs(theta)) - math.log(abs(g1)) - theta * (u + v) - 2.0 * math.log1p(r)
+                got = copula_log_density(Frank(), theta, u, v)
+                assert abs(got - log_density) <= 1e-12 * max(1.0, abs(log_density))
+        assert checked >= 30
+
+
 def fd_density(family, theta, u, v, h=1e-4):
     c = lambda a, b: copula_cdf(family, theta, a, b)
     return (c(u + h, v + h) - c(u + h, v - h) - c(u - h, v + h) + c(u - h, v - h)) / (4 * h * h)

@@ -236,7 +236,8 @@ class TestFastCandidate:
             Q[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
             qz = rng.uniform(0.0, 1.0, size=n)
             m_tilde = rng.normal()
-            m, s_diag, kl, _, W = _noise_candidate(lam, Q, qz, m_tilde)
+            t, m, s_diag, kl, _, W = _noise_candidate(lam, Q, qz, m_tilde)
+            assert np.array_equal(t, Q - 0.5 * qz)
             S_ref = np.linalg.inv(np.linalg.inv(lam) + np.diag(Q))
             m_ref = m_tilde + lam @ (Q - 0.5 * qz)
             m_pub, S_pub = noise_posterior_given_q(lam, Q, qz, m_tilde)
@@ -255,7 +256,7 @@ class TestFastCandidate:
             B = rng.uniform(0.0, 3.0, size=n)
             B[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
             y = rng.standard_normal(n)
-            mu, diag, kl_core, _ = _latent_candidate(K, B, y)
+            mu, diag, kl, _ = _latent_candidate(K, B, y)
             Sigma_ref = np.linalg.inv(np.linalg.inv(K) + np.diag(B))
             mu_ref = Sigma_ref @ (B * y)
             mu_pub, Sigma_pub = latent_function_posterior(K, B, y)
@@ -263,8 +264,7 @@ class TestFastCandidate:
             assert_rel(mu_pub, mu_ref)
             assert_rel(Sigma_pub, Sigma_ref)
             assert_rel(diag, np.diagonal(Sigma_ref))
-            quad = float(mu_ref @ np.linalg.solve(K, mu_ref))
-            assert_rel(0.5 * (quad + kl_core), prior_kl(mu_ref, Sigma_ref, K))
+            assert_rel(kl, prior_kl(mu_ref, Sigma_ref, K))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_updated_blocks_match_public_posteriors_with_more_components_than_points(self, p):
@@ -293,22 +293,21 @@ class TestFastCandidate:
             update_responsibilities(state, ctx)
 
     def test_rebuilt_caches_equal_the_updated_ones_bit_for_bit(self):
-        ctx = small_context(seed=2, n=8, n_components=3, mean_kernel=Ar1Kernel(phi=0.4, sigma0_sq=0.8))
-        state = _init_state(ctx)
-        for _ in range(3):
-            update_noise_processes(state, ctx)
-            update_latent_functions(state, ctx)
-            update_responsibilities(state, ctx)
-        names = ("s_diag", "inv_noise", "omega", "f_kl")
-        updated = {name: getattr(state, name).copy() for name in names}
-        chol, g_kl = state.noise_chol, state.g_kl.copy()
-        refresh_caches(state, ctx)
-        for name in names:
-            assert np.array_equal(getattr(state, name), updated[name]), name
-        for row, row_updated in zip(state.noise_chol, chol):
-            assert all(np.array_equal(a, b) for a, b in zip(row, row_updated))
-        # the rebuild takes the quadratic term as (m - m~)' Lam^-1 (m - m~), the update as t' Lam t
-        assert_allclose(state.g_kl, g_kl, rtol=1e-10)
+        for p in (1, 2):  # the scalar-input and the dense noise path
+            ctx = small_context(seed=2, n=8, n_components=3, mean_kernel=Ar1Kernel(phi=0.4, sigma0_sq=0.8), p=p)
+            state = _init_state(ctx)
+            for _ in range(3):
+                update_noise_processes(state, ctx)
+                update_latent_functions(state, ctx)
+                update_responsibilities(state, ctx)
+            names = ("m", "s_diag", "inv_noise", "omega", "g_kl", "f_kl")
+            updated = {name: getattr(state, name).copy() for name in names}
+            chol = state.noise_chol
+            refresh_caches(state, ctx)
+            for name in names:
+                assert np.array_equal(getattr(state, name), updated[name]), (p, name)
+            for row, row_updated in zip(state.noise_chol, chol):
+                assert all(np.array_equal(a, b) for a, b in zip(row, row_updated))
 
 
 def small_context(seed=0, n=6, n_components=2, mean_kernel=None, p=1):
@@ -327,6 +326,48 @@ def small_context(seed=0, n=6, n_components=2, mean_kernel=None, p=1):
         seed=seed,
     )
     return _make_context(X, Y, config)
+
+
+class TestNaturalMean:
+    """q(g) keeps its natural mean t as the primal array; m is derived and no prior is factorized."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("with_mean_kernel", [False, True])
+    def test_t_is_the_prior_solve_of_m_after_a_fit(self, p, with_mean_kernel):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((30, p))
+        Y = 0.05 * rng.standard_normal((30, 2)) * np.repeat([1.0, 3.0], 15)[:, None]
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=3),
+            mean_kernels=(Ar1Kernel(phi=0.5, sigma0_sq=0.4),) * 3 if with_mean_kernel else None,
+            max_iters=15,
+            seed=2,
+        )
+        model = fit(X, Y, config)
+        state, ctx = model.state, model._ctx
+        assert (ctx.ou is None) == (p > 1)
+        assert np.any(state.t != 0.0)
+        C, D, _ = state.t.shape
+        for c, d in np.ndindex(C, D):
+            assert_rel(state.t[c, d], np.linalg.solve(ctx.lam[c], state.m[c, d] - ctx.m_tilde[c, d]))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_only_bound_matrices_are_factorized(self, monkeypatch, p):
+        labels = []
+        factor = model_module.cholesky_factor
+
+        def counted(A, context=""):
+            labels.append(context)
+            return factor(A, context=context)
+
+        monkeypatch.setattr(model_module, "cholesky_factor", counted)
+        ctx = small_context(seed=3, n=8, mean_kernel=Ar1Kernel(phi=0.5, sigma0_sq=1.0), p=p)
+        assert labels == []
+        state = _init_state(ctx)
+        update_noise_processes(state, ctx)
+        update_latent_functions(state, ctx)
+        refresh_caches(state, ctx)
+        assert labels and set(labels) <= {"noise bound matrix", "mean bound matrix"}
 
 
 class TestPriorRecovery:
@@ -383,7 +424,7 @@ class TestFreeEnergy:
         for c in range(C):
             for d in range(D):
                 state.Q[c, d] = np.zeros(n)
-                state.m[c, d] = np.full(n, ctx.m_tilde[c, d])
+                state.t[c, d] = np.zeros(n)
                 state.mu[c, d] = np.zeros(n)
         state.innovation = InnovationPosterior(ctx.config.pyp.eta1, ctx.config.pyp.eta2)
         refresh_caches(state, ctx)
@@ -453,11 +494,11 @@ class TestMonotonicity:
         ctx = _make_context(X, np.zeros((6, 1)), config)
         assert (ctx.ou is None) == (p > 1)
         state = _init_state(ctx)
-        before = {k: np.copy(getattr(state, k)) for k in ("m", "S", "Q", "g_kl", "inv_noise")}
+        before = {k: np.copy(getattr(state, k)) for k in ("t", "m", "S", "Q", "g_kl", "inv_noise")}
         chol = [list(row) for row in state.noise_chol]
         for c in range(2):
             gentlest = (1.0 - model_module._BACKTRACK_STEPS[-1]) * state.Q[c, 0]
-            m, s_diag, _, _, _ = _noise_candidate(ctx.lam[c], gentlest, state.R[:, c], 0.0)
+            _, m, s_diag, _, _, _ = _noise_candidate(ctx.lam[c], gentlest, state.R[:, c], 0.0)
             assert np.max(0.5 * s_diag - m) > np.log(np.finfo(float).max)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -503,6 +544,20 @@ class TestScalarInputPath:
             assert_allclose(s_diag[row], diag_ref, rtol=1e-10, atol=0.0)
             # relative to the size of log|A| and Q . diag(S), whose difference kl_core is
             assert abs(kl_core[row] - kl_ref) <= 1e-10 * (abs(kl_ref) + float(Q[row] @ diag_ref))
+
+    def test_a_row_gets_the_same_bits_alone_as_in_a_batch(self):
+        # refresh_caches judges C * D rows at once, the noise update L * C * D
+        rng = np.random.default_rng(9)
+        kernels = (Ar1Kernel(0.6, 0.5), Ar1Kernel(0.3, 0.2))
+        for n in (2, 9, 40, 119):
+            ou = _ou_transitions(rng.standard_normal((n, 1)), kernels)
+            Q = rng.uniform(0.0, 3.0, size=(6, n))
+            comp = rng.integers(2, size=6)
+            s_diag, kl_core = _ou_moments(ou, comp, Q)
+            for row in range(6):
+                alone = _ou_moments(ou, comp[row : row + 1], Q[row : row + 1])
+                assert np.array_equal(alone[0][0], s_diag[row])
+                assert alone[1][0] == kl_core[row]
 
     def test_fit_matches_the_dense_evaluator(self, monkeypatch):
         rng = np.random.default_rng(12)

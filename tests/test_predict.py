@@ -19,7 +19,6 @@ from mgpch.model import (
     _make_context,
     fit,
     latent_function_posterior,
-    noise_posterior_given_q,
     predict,
     predict_batch,
     refresh_caches,
@@ -38,8 +37,7 @@ def manual_scalar_model():
     ctx = _make_context(X, Y, config)
     state = _init_state(ctx)
     state.Q = np.array([[[0.4]]])
-    m, _ = noise_posterior_given_q(ctx.lam[0], state.Q[0, 0], state.R[:, 0], -9.0)
-    state.m = m[None, None]
+    state.t = state.Q - 0.5 * state.R.T[:, None, :]
     refresh_caches(state, ctx)
     return MgpchModel(
         config=config,
