@@ -112,9 +112,18 @@ def _check_theta(family, theta):
 
 
 def _log1mexp(x):
-    """``log(1 - e^x)`` for x <= 0, accurate near 0 and for very negative x alike."""
+    """``log(1 - e^x)`` for x <= 0, accurate near 0 and for very negative x alike.
+
+    Each element evaluates only the branch it takes.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    near = x > -math.log(2.0)
     with np.errstate(divide="ignore"):  # x == 0 gives log 0 = -inf
-        return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+        out[near] = np.log(-np.expm1(x[near]))
+    far = ~near
+    out[far] = np.log1p(-np.exp(x[far]))
+    return out
 
 
 def _log_abs_expm1(y):
@@ -122,27 +131,33 @@ def _log_abs_expm1(y):
     return np.maximum(y, 0.0) + _log1mexp(-np.abs(y))
 
 
-def _frank_log_terms(th, u, v):
-    """``log|e^-th - 1|`` and ``log(1 + r)`` of the Frank ratio ``r = (e^-th u - 1)(e^-th v - 1) / (e^-th - 1)``.
+def _frank_log_terms(th, log_g1, u, v):
+    """``log(1 + r)`` of the Frank ratio ``r = (e^-th u - 1)(e^-th v - 1) / (e^-th - 1)``.
 
-    The cdf is ``-log(1 + r) / th``.  Forming r overflows once th u is
-    past about -709, and ``1 + r`` cancels for large positive th, where r
-    tends to -1.  So r is taken through ``log|r|``, a sum of
-    :func:`_log_abs_expm1` terms grouped so that both parts are <= 0 for
-    th > 0; there ``1 + r = 1 - e^log|r|``, and for th < 0, where r > 0,
-    ``1 + r = 1 + e^log|r|``.
+    ``log_g1`` is ``log|e^-th - 1|``, taken on th's own shape, so a single
+    th costs it once; th broadcasts against u and v.  The cdf is ``-log(1
+    + r) / th``.  Forming r overflows once th u is past about -709, and
+    ``1 + r`` cancels for large positive th, where r tends to -1.  So r is
+    taken through ``log|r|``, a sum of :func:`_log_abs_expm1` terms grouped
+    so that both parts are <= 0 for th > 0; there ``1 + r = 1 - e^log|r|``,
+    and for th < 0, where r > 0, ``1 + r = 1 + e^log|r|``.
     """
-    log_g1 = _log_abs_expm1(-th)
     log_r = (_log_abs_expm1(-th * u) - log_g1) + _log_abs_expm1(-th * v)
+    pos = np.broadcast_to(th > 0.0, log_r.shape)
     log1p_r = np.empty_like(log_r)
-    pos = th > 0.0
     log1p_r[pos] = _log1mexp(log_r[pos])
     log1p_r[~pos] = np.logaddexp(0.0, log_r[~pos])
-    return log_g1, log1p_r
+    return log1p_r
 
 
 def _interior_cdf(family, theta, U, V):
     """Family cdf on strictly interior arguments; theta may be an array."""
+    if isinstance(family, Frank):
+        # on theta's own shape, so one theta for every node (predictive_covariance) costs one log|e^-th - 1|
+        theta = np.asarray(theta, dtype=float)
+        live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
+        th = np.where(live, theta, FRANK_INDEPENDENCE_BAND)
+        return np.where(live, -_frank_log_terms(th, _log_abs_expm1(-th), U, V) / th, U * V)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), U.shape)
     if isinstance(family, Clayton):
         a = -theta * np.log(U)
@@ -150,13 +165,6 @@ def _interior_cdf(family, theta, U, V):
         M = np.maximum(a, b)
         inner = np.exp(a - M) + np.exp(b - M) - np.exp(-M)
         return np.exp(-(M + np.log(inner)) / theta)
-    if isinstance(family, Frank):
-        out = U * V
-        live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
-        if np.any(live):
-            th = theta[live]
-            out[live] = -_frank_log_terms(th, U[live], V[live])[1] / th
-        return out
     tu = -np.log(U)
     tv = -np.log(V)
     out = U * V
@@ -203,7 +211,8 @@ def _log_density_arrays(family, theta, U, V):
         if np.any(live):
             th, u, v = theta[live], U[live], V[live]
             # the density's denominator is (e^-th - 1)(1 + r)
-            log_g1, log1p_r = _frank_log_terms(th, u, v)
+            log_g1 = _log_abs_expm1(-th)
+            log1p_r = _frank_log_terms(th, log_g1, u, v)
             out[live] = np.log(np.abs(th)) - log_g1 - th * (u + v) - 2.0 * log1p_r
         return out
     out = np.zeros(U.shape)
@@ -391,7 +400,8 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     count is doubled once as a convergence check and a warning is
     attached when the two estimates disagree.  The rules are built once
     per process, so a call evaluates only the copula cdf at the nodes
-    and the weighted sum.
+    and the weighted sum.  The result is clipped to the Cauchy-Schwarz
+    bound ``+/- sqrt(v_i v_j)``.
     """
     i, j = pair
     mean = np.asarray(moments.mean, dtype=float)
@@ -413,12 +423,14 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
 
     coarse = estimate(QUADRATURE_NODES)
     fine = estimate(2 * QUADRATURE_NODES)
-    # judged on sqrt(v_i v_j), the largest covariance the marginals allow;
+    bound = math.sqrt(var[i] * var[j])  # Cauchy-Schwarz: the largest covariance the marginals allow
     # stable message so repeated triggers from one call site are deduplicated
-    if abs(fine - coarse) > 1e-6 * math.sqrt(var[i] * var[j]):
+    if abs(fine - coarse) > 1e-6 * bound:
         warnings.warn(
             "covariance quadrature still moving after doubling nodes",
             QuadratureWarning,
             stacklevel=2,
         )
-    return fine
+    # near the comonotone limit the integrand has a kink on the diagonal that
+    # the rule overshoots by a fraction of a percent
+    return min(max(fine, -bound), bound)

@@ -15,6 +15,7 @@ __all__ = [
     "cholesky_factor",
     "cholesky_solve",
     "solve_lower",
+    "solve_lower_transpose",
     "logdet_from_factor",
 ]
 
@@ -42,6 +43,11 @@ def cholesky_solve(L, b):
 def solve_lower(L, b):
     """Solve ``L x = b`` for a lower factor L from :func:`cholesky_factor`."""
     return solve_triangular(L, b, lower=True, check_finite=False)
+
+
+def solve_lower_transpose(L, b):
+    """Solve ``L' x = b`` for a lower factor L from :func:`cholesky_factor`."""
+    return solve_triangular(L, b, lower=True, trans="T", check_finite=False)
 
 
 def logdet_from_factor(L):

@@ -12,34 +12,46 @@ observation, all driven by a single free-energy objective.
 The posterior over each g keeps the conjugate form
 
     S = (Lam^-1 + Q)^-1,
-    m = m_tilde 1 + Lam t,  t = Q - diag(r_c) / 2 1,
+    m = m_tilde 1 + Lam t,
 
-where Q is a diagonal free parameter of the bound.  The expected
-noise precision is ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)``.  S is a
-function of Q alone, and the latent mean covariance Sigma of the
-effective precisions B of the last mean update, so the primal state is
-R, mu, the natural mean t, Q, B and the mixture factors; m is derived,
-and :func:`refresh_caches` rebuilds it and everything else with the
-fit's own expressions, so a model rebuilt from its primal state forecasts
-bit for bit like the one in memory.  No prior is ever factorized: t is
-``Lam^-1 (m - m_tilde)``, and ``K^-1 mu`` comes from the bound factor.
-Q itself is moved toward its stationary value
-``q_nc * omega_n * E[exp(-g_n)] / 2`` with a backtracking safeguard
-that only ever accepts free-energy improvements.
+where Q is a diagonal free parameter of the bound and t = Lam^-1 (m -
+m_tilde) the natural mean.  The expected noise precision is
+``E[exp(-g_n)] = exp(S_nn / 2 - m_n)``.  S is a function of Q alone, and
+the latent mean covariance Sigma of the effective precisions B of the
+last mean update, so the primal state is R, mu, t, Q, B and the mixture
+factors; m is derived, and :func:`refresh_caches` rebuilds it and
+everything else with the fit's own expressions, so a model rebuilt from
+its primal state forecasts bit for bit like the one in memory.  No prior
+is ever factorized: ``K^-1 mu`` comes from the bound factor.
+
+q(g) moves by a damped natural-gradient step (the conjugate-computation
+step of Khan and Lin, AISTATS 2017): Q toward the curvature ``Q_hat =
+q_nc * omega_n * E[exp(-g_n)] / 2`` of the expected log likelihood, and m
+by the gradient ``Q_hat - q_c / 2 - t`` preconditioned by the new S.
+Step 0 is the current state and step 1 a Newton step, and a backtracking
+safeguard only ever accepts free-energy improvements.  At a fixed point
+``t = Q - q_c / 2``, the form :func:`noise_posterior_given_q` evaluates.
 Each candidate costs one Cholesky factor La of ``A = I + sqrt(Q) Lam
 sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
-``diag(S) = diag(Lam) - colsum(W o W)`` and, by Woodbury,
-``trace(Lam^-1 S) = N - Q . diag(S)``.  The mean update uses the same
-algebra.  The fit, the free energy and forecasts need no full S or Sigma,
-so neither is stored (:attr:`VariationalState.S` rebuilds S on demand).
+``diag(S) = diag(Lam) - colsum(W o W)``, by Woodbury ``trace(Lam^-1 S) = N
+- Q . diag(S)``, and the step's ``Q S grad = sqrt(Q) La^-T (W grad)``
+comes from the same factor, which the block keeps if the step is accepted.
+The KL's core ``log|A| - Q . diag(S)`` is second order in Q near the
+prior, where it is summed from second-order terms
+(:func:`_diag_precision_posterior`).  The mean update uses the same
+algebra.  The fit, the free energy and forecasts need no full S or
+Sigma, so neither is stored (:attr:`VariationalState.S` rebuilds S on
+demand).
 
 For one-column inputs the noise prior ``s phi^|x - x'|`` is the
 covariance of an Ornstein-Uhlenbeck process, which is Markov in sorted
-input order, so diag(S) and the KL of every candidate of every block come
-from one batched Kalman filter and smoother pass instead
+input order, so diag(S), the KL and the step ``S grad`` of every block
+come from one batched Kalman filter and smoother pass instead
 (:func:`_ou_moments`, O(N log N) arithmetic in log2(N) vectorized steps);
-the dense factor is then built for accepted candidates only.  Inputs with
-more columns take the dense path.
+no candidate is factorized, and :func:`fit` builds the bound factors that
+forecasts reuse once, from the final Q.  Near the prior that pass, too,
+sums the KL's core from second-order terms.  Inputs with more columns take
+the dense path.
 """
 
 import math
@@ -56,7 +68,7 @@ from .errors import (
     NumericalDomainError,
 )
 from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, cross_vector, design_matrix, kernel_eval
-from .linalg import cholesky_factor, cholesky_solve, logdet_from_factor, solve_lower
+from .linalg import cholesky_factor, cholesky_solve, logdet_from_factor, solve_lower, solve_lower_transpose
 from .pyp import (
     InnovationPosterior,
     PypConfig,
@@ -91,7 +103,7 @@ __all__ = [
 
 LOG_2PI = np.log(2.0 * np.pi)
 
-# Damping ladder for the safeguarded Q step; 0 falls back to the current state.
+# Damping ladder of the noise step; a block that rejects every step keeps its state (s = 0).
 _BACKTRACK_STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125)
 _ACCEPT_SLACK = 1e-12
 
@@ -180,7 +192,9 @@ class VariationalState:
     f_kl: np.ndarray = None  # (C, D) KL of each q(f) from its prior
     # innovation and stick terms of the free energy, set with the mixture factors
     mixture_terms: tuple = None
-    # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q), reused by forecasts
+    # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q), reused by forecasts; on
+    # one-column inputs a noise update sets a moved block's to None, and fit
+    # rebuilds it from the final Q
     noise_chol: object = None
     noise_priors: object = None  # per component Lam the caches were built with (shared)
 
@@ -311,7 +325,10 @@ def noise_posterior_given_q(lam, Q, qz, m_tilde):
 
     Evaluates ``S = (Lam^-1 + Q)^-1`` and
     ``m = Lam (Q - diag(qz) / 2) 1 + m_tilde 1`` through the symmetric
-    root identity, which stays exact when entries of Q are zero.
+    root identity, which stays exact when entries of Q are zero.  This is
+    the posterior at a fixed point of :func:`update_noise_processes`, where
+    the natural mean t equals ``Q - qz / 2``; between fixed points the
+    fit's t is its own primal array.
 
     Parameters
     ----------
@@ -328,8 +345,8 @@ def noise_posterior_given_q(lam, Q, qz, m_tilde):
     -------
     (m, S) : posterior mean vector and covariance matrix.
     """
-    _, m, s_diag, _, _, W = _noise_candidate(lam, Q, qz, m_tilde)
-    return m, _posterior_cov(lam, W, s_diag)
+    _, W, s_diag, _ = _diag_precision_posterior(lam, Q, "noise bound matrix")
+    return m_tilde + lam @ (Q - 0.5 * qz), _posterior_cov(lam, W, s_diag)
 
 
 def latent_function_posterior(K, B, y):
@@ -371,11 +388,47 @@ def _diag_precision_posterior(prior, prec, label):
     diagonal ``diag(prior) - colsum(W o W)``; and ``log|A| - prec . diag``,
     which is ``trace(prior^-1 cov) - N + log|prior| - log|cov|`` by
     Woodbury, the KL from the prior without its mean term.
+
+    That KL core is ``sum f(lambda)`` over the eigenvalues lambda of ``B =
+    sqrt(P) prior sqrt(P)``, with ``f(x) = log1p(x) - x / (1 + x)``: second
+    order in B, while log|A| and ``prec . diag`` are first order.  Near the
+    prior, once ``trace(B) < 1``, it is therefore summed from second-order
+    terms: ``La_ii^2 = 1 + delta_i`` with ``delta_i = B_ii - off_i`` and
+    ``off_i = sum_{k<i} La_ik^2``, and ``prec . diag = trace(B) - prec .
+    colsum(W o W)``, so the core is ``sum (f(delta) - delta^2 / (1 +
+    delta)) + prec . colsum(W o W) - sum off``, each term of order B^2.
     """
     root, La = _bound_factor(prior, prec, label)
     W = solve_lower(La, root[:, None] * prior)
-    diag = np.diagonal(prior) - np.einsum("ij,ij->j", W, W)
-    return La, W, diag, logdet_from_factor(La) - float(prec @ diag)
+    lost = np.einsum("ij,ij->j", W, W)
+    diag = np.diagonal(prior) - lost
+    b = root * np.diagonal(prior) * root
+    if b.sum() >= 1.0:
+        return La, W, diag, logdet_from_factor(La) - float(prec @ diag)
+    sq = La * La  # La is zero above its diagonal
+    np.fill_diagonal(sq, 0.0)
+    off = sq.sum(axis=1)
+    delta = b - off
+    core = float(np.sum(_log1p_excess(delta) - delta * delta / (1.0 + delta)) + prec @ lost - off.sum())
+    return La, W, diag, core
+
+
+def _log1p_excess(x):
+    """``f(x) = log1p(x) - x / (1 + x) >= 0`` for x >= 0, to full relative accuracy.
+
+    Below 0.01, where the difference cancels, f is summed from its series
+    ``sum_{k>=2} (-1)^k (k - 1) / k x^k``, truncated past x^10 (2e-18 of f).
+    """
+    out = np.log1p(x) - x / (1.0 + x)
+    small = x < 0.01
+    xs = x[small]
+    acc = np.full_like(xs, 0.9)  # the x^10 coefficient
+    for k in range(9, 1, -1):
+        acc *= xs
+        acc += (-1) ** k * (k - 1) / k
+    acc *= xs * xs
+    out[small] = acc
+    return out
 
 
 def _posterior_cov(prior, W, diag):
@@ -386,8 +439,8 @@ def _posterior_cov(prior, W, diag):
     return cov
 
 
-def _ou_moments(ou, comp, Q):
-    """diag(S) and ``log|A| - Q . diag(S)`` for every row of Q, by Kalman filtering and smoothing.
+def _ou_moments(ou, comp, Q, grad=None):
+    """diag(S), ``log|A| - Q . diag(S)`` and optionally ``S grad`` for every row of Q, by Kalman filtering and smoothing.
 
     Row b of Q (B, N) holds the bound parameters of a block of component
     ``comp[b]``.  S = (Lam^-1 + diag(Q))^-1 is the posterior covariance of
@@ -399,13 +452,36 @@ def _ou_moments(ou, comp, Q):
     smoother gives the posterior variances P of h, and ``diag(S) = w^2 P +
     eps w`` with ``w = 1 / (1 + eps Q)``.  The prediction-error
     decomposition gives ``log|A| = sum log1p(eps Q) + sum log1p(rho pred)``.
+    Near the prior, where each log1p and ``Q . diag(S)`` are first order in
+    Q and the KL core second order, rows with ``trace(Q Lam) < 0.01`` sum
+    the core from non-negative second-order terms instead: as ``Q diag(S) =
+    u_e + w u_h - w rho (filt - smooth)`` with ``u_e = eps Q w`` and ``u_h =
+    rho filt``, it is the sum of ``f(eps Q) + f(rho pred) + u_e u_h + w rho
+    (filt - smooth)`` with ``f(x) = log1p(x) - x / (1 + x)``
+    (:func:`_log1p_excess`).  The smoother's affine map also carries
+    ``pred - smooth`` from ``pred - filt = pred u_h``, and ``filt - smooth``
+    is their difference: as ``rho pred < Q s < 1`` there, its rounding is
+    at most about eps times the ``f(rho pred)`` term.  (The dense
+    :func:`_diag_precision_posterior` switches at ``trace = 1``, since its
+    log|A| comes from the factor's diagonal, which carries an absolute
+    error of eps per point.)
 
-    Both recursions run as prefix scans of associative maps (Sarkka and
+    With ``grad`` (B, N), the same filter and smoother also run on the
+    means, and ``v = S grad`` is returned as a third array.  The
+    pseudo-observations then carry the information ``grad`` (``Q z =
+    grad``), which leaves h with information ``w grad``; the filter mean
+    follows ``fm[i+1] = a filt[i+1] / pred[i+1] fm[i] + filt[i+1] w grad``,
+    the smoother mean ``sm[i] = q / pred[i+1] fm[i] + G sm[i+1]`` with the
+    gain ``G = a filt[i] / pred[i+1]``, and ``v = w sm + eps w grad``.
+    This is exact for any Q >= 0, zeros included.
+
+    All recursions run as prefix scans of associative maps (Sarkka and
     Garcia-Fernandez, IEEE TAC 2021), in log2(N) vectorized steps instead
     of N interpreted ones: ``pred[i] -> pred[i+1]`` is the Moebius map of the
     non-negative matrix [[a^2 + q rho, q], [rho, 1]], and a smoother step is
-    an affine map with non-negative coefficients, so no product cancels.
-    Every operation is elementwise, so a row gets the same bits in any batch.
+    an affine map with non-negative coefficients, so no product cancels; the
+    mean steps are affine maps with non-negative gains.  Every operation is
+    elementwise, so a row gets the same bits in any batch.
     """
     Qs = Q[:, ou.order].T  # (N, B), sorted
     s, eps = ou.s[comp], ou.eps[comp]
@@ -433,35 +509,57 @@ def _ou_moments(ou, comp, Q):
     # G = a filt[i] / pred[i+1]; as pred[i+1] - a^2 filt[i] = q, that is
     # the affine map smooth[i] = filt[i] q / pred[i+1] + G^2 smooth[i+1]
     ratio = filt[:-1] / pred[1:]
-    gain2 = ratio * ratio * a2
-    offset = ratio * q
-    k = 1
-    while k < n - 1:
-        offset[:-k] += gain2[:-k] * offset[k:]
-        gain2[:-k] *= gain2[k:]
-        k *= 2
-    smooth = filt.copy()
-    smooth[:-1] = offset + gain2 * filt[-1]
+    gain = ratio * ratio * a2
+    smooth = _backward_affine_scan(ratio * q, gain.copy(), filt)
     diag = w * w * smooth + eps * w
     # summed along (B, N) rows, as numpy sums a lone (N, 1) column differently
     terms = np.log1p(eps * Qs) + np.log1p(rho * pred) - Qs * diag
+    kl_core = np.ascontiguousarray(terms.T).sum(axis=1)
+    # each log1p above is accurate to its last bit, so the cancellation costs
+    # about 2 eps / trace(Q Lam) of the core: 2e-13 at the threshold
+    near = np.flatnonzero((s + eps) * Q.sum(axis=1) < 1e-2)
+    if near.size:
+        Qn, rho_n, w_n, pred_n, filt_n = (a[:, near] for a in (Qs, rho, w, pred, filt))
+        x_e, x_h, u_h = eps[near] * Qn, rho_n * pred_n, rho_n * filt_n
+        f_e, f_h = _log1p_excess(np.stack((x_e, x_h)))
+        lift = pred_n * u_h  # pred - filt
+        gap = _backward_affine_scan(lift[:-1].copy(), gain[:, near], lift)  # pred - smooth
+        terms = f_e + f_h + x_e * w_n * u_h + w_n * rho_n * (gap - lift)
+        kl_core[near] = np.ascontiguousarray(terms.T).sum(axis=1)
     s_diag = np.empty_like(Q)
     s_diag[:, ou.order] = diag.T
-    return s_diag, np.ascontiguousarray(terms.T).sum(axis=1)
+    if grad is None:
+        return s_diag, kl_core
+    a = np.sqrt(a2)
+    info = w * grad[:, ou.order].T
+    # filter means fm[i+1] = a filt[i+1] / pred[i+1] fm[i] + filt[i+1] info[i+1],
+    # scanned backward over the reversed arrays from fm[0] = filt[0] info[0]
+    fm = filt * info
+    fm = _backward_affine_scan(fm[:0:-1].copy(), (a * filt[1:] / pred[1:])[::-1], fm[::-1])[::-1]
+    # smoother means sm[i] = fm[i] + G (sm[i+1] - a fm[i]), where 1 - G a = q / pred[i+1]
+    sm = _backward_affine_scan(q / pred[1:] * fm[:-1], a * ratio, fm)
+    v = np.empty_like(Q)
+    v[:, ou.order] = (w * sm + eps * info).T
+    return s_diag, kl_core, v
+
+
+def _backward_affine_scan(offset, gain, last):
+    """``x[i] = offset[i] + gain[i] x[i+1]`` for i < N - 1 from ``x[N-1] = last[N-1]``, as a prefix scan; consumes offset and gain."""
+    n = last.shape[0]
+    k = 1
+    while k < n - 1:
+        offset[:-k] += gain[:-k] * offset[k:]
+        gain[:-k] *= gain[k:]
+        k *= 2
+    x = last.copy()
+    x[:-1] = offset + gain * last[-1]
+    return x
 
 
 def _prior_mean_terms(lam, t):
     """``Lam t`` and ``t . Lam t`` of every row of t (..., N), a stacked product per row: the same bits in any batch."""
     lam_t = np.matmul(lam, t[..., None])[..., 0]
     return lam_t, np.matmul(t[..., None, :], lam_t[..., None])[..., 0, 0]
-
-
-def _noise_candidate(lam, Q, qz, m_tilde):
-    """Natural mean, mean, posterior variances, KL, bound factor and ``W`` of one noise block at bound parameter Q."""
-    La, W, s_diag, kl_core = _diag_precision_posterior(lam, Q, "noise bound matrix")
-    t = Q - 0.5 * qz
-    lam_t, quad = _prior_mean_terms(lam, t)
-    return t, m_tilde + lam_t, s_diag, 0.5 * (float(quad) + kl_core), La, W
 
 
 def _latent_gain(B, La, y):
@@ -679,70 +777,90 @@ def refresh_caches(state, ctx):
 
 
 def update_noise_processes(state, ctx):
-    """Safeguarded coordinate update of every log-variance posterior.
+    """Damped natural-parameter (CVI) update of every log-variance posterior.
 
-    For each (c, d) block the bound parameter Q is pulled toward its
-    stationary value ``q_nc * omega_n * E[exp(-g_n)] / 2`` and the
-    posterior is rebuilt from the closed forms.  Candidates are damped
-    geometrically until the block's free-energy contribution does not
-    decrease; if every candidate fails the block keeps its current
-    state, so the step never lowers the objective.  A candidate whose
-    objective is not finite (its precisions overflow) is rejected.  On
-    one-column inputs every candidate of every block is judged up front by
-    :func:`_ou_ladder`, and only an accepted candidate is factorized.
+    Per (c, d) block the step of Khan and Lin (AISTATS 2017) moves the
+    bound parameter to ``Q_s = (1 - s) Q + s Q_hat``, where ``Q_hat =
+    q_nc * omega_n * E[exp(-g_n)] / 2`` is the curvature of the expected
+    log likelihood, and the mean along the gradient ``grad = Q_hat - q_c / 2
+    - t`` of the block's free energy in m, preconditioned by the new
+    covariance: ``m_s = m + s S_s grad``.  In the stored natural mean that is
+    ``t_s = t + s (grad - Q_s S_s grad)``, since ``Lam^-1 S_s = I - Q_s S_s``,
+    taken as ``(1 - s) t + s (Q_hat - q_c / 2 - Q_s S_s grad)`` so that the
+    Newton step does not pass through ``t - t``.
+    Step 0 is the current state and s = 1 a Newton step; the ``t = Q -
+    q_c / 2`` of :func:`noise_posterior_given_q` holds only at a fixed point.
+
+    The ladder of steps is judged one step at a time, for the blocks still
+    pending, until the block's free-energy contribution does not decrease;
+    a block that rejects every step keeps its current state, so the update
+    never lowers the objective.  A candidate whose objective is not finite
+    (its precisions overflow) is rejected.  A step judges each pending
+    block with one factor, or all of them with one scan on one-column
+    inputs (:func:`_noise_steps`).  A moved block keeps its candidate's
+    bound factor; on one-column inputs, where no candidate is factorized, it
+    drops it, and :func:`fit` rebuilds it once from the final Q.
     """
-    C, D, _ = state.m.shape
-    steps = np.array(_BACKTRACK_STEPS)[:, None, None, None]
-    target = 0.5 * state.R.T[:, None, :] * state.omega * state.inv_noise
-    ladder = (1.0 - steps) * state.Q + steps * target  # (L, C, D, N) candidate Q
-    judged = None if ctx.ou is None else _ou_ladder(state, ctx, ladder)
-    for c in range(C):
-        qz = state.R[:, c]
-        for d in range(D):
-            omega = state.omega[c, d]
-            old_obj = -state.g_kl[c, d] - 0.5 * float(
-                qz @ (state.m[c, d] + omega * state.inv_noise[c, d])
-            )
-            for k, Q in enumerate(ladder[:, c, d]):
-                if judged is None:
-                    t, m, s_diag, kl, La, _ = _noise_candidate(ctx.lam[c], Q, qz, ctx.m_tilde[c, d])
-                else:
-                    t, m, s_diag, kl = (part[k, c, d] for part in judged)
-                    La = None
-                with np.errstate(over="ignore", invalid="ignore"):
-                    inv_noise = expected_noise_precision(m, s_diag)
-                    obj = -kl - 0.5 * float(qz @ (m + omega * inv_noise))
-                if math.isfinite(obj) and obj >= old_obj - _ACCEPT_SLACK * (1.0 + abs(old_obj)):
-                    if La is None:
-                        _, La = _bound_factor(ctx.lam[c], Q, "noise bound matrix")
-                    state.t[c, d] = t
-                    state.m[c, d] = m
-                    state.s_diag[c, d] = s_diag
-                    state.Q[c, d] = Q
-                    state.g_kl[c, d] = kl
-                    state.inv_noise[c, d] = inv_noise
-                    state.noise_chol[c][d] = La
-                    break
-            # every candidate rejected: keep the current block unchanged
+    qz = state.R.T[:, None, :]
+    target = 0.5 * qz * state.omega * state.inv_noise
+    base = target - 0.5 * qz
+    grad = base - state.t
+    pending = list(np.ndindex(state.t.shape[:2]))
+    old_obj = {b: _block_objective(state, b, state.g_kl[b], state.m[b], state.inv_noise[b]) for b in pending}
+    for step in _BACKTRACK_STEPS:
+        rows = tuple(np.array(pending).T)
+        Q = (1.0 - step) * state.Q[rows] + step * target[rows]
+        q_v, s_diag, kl_core, factors = _noise_steps(ctx, rows, Q, grad[rows])
+        t = (1.0 - step) * state.t[rows] + step * (base[rows] - q_v)
+        rejected = []
+        for i, (c, d) in enumerate(pending):
+            lam_t, quad = _prior_mean_terms(ctx.lam[c], t[i])
+            m = ctx.m_tilde[c, d] + lam_t
+            kl = 0.5 * (float(quad) + kl_core[i])
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv_noise = expected_noise_precision(m, s_diag[i])
+                obj = _block_objective(state, (c, d), kl, m, inv_noise)
+            old = old_obj[c, d]
+            if math.isfinite(obj) and obj >= old - _ACCEPT_SLACK * (1.0 + abs(old)):
+                state.t[c, d], state.m[c, d], state.s_diag[c, d] = t[i], m, s_diag[i]
+                state.Q[c, d], state.g_kl[c, d], state.inv_noise[c, d] = Q[i], kl, inv_noise
+                state.noise_chol[c][d] = factors[i]
+            else:
+                rejected.append((c, d))
+        pending = rejected
+        if not pending:
+            break
+    # blocks still pending rejected every step and keep their current state
 
 
-def _ou_ladder(state, ctx, ladder):
-    """Natural mean, mean, diag(S) and KL of every candidate in ``ladder`` (L, C, D, N).
+def _block_objective(state, block, kl, m, inv_noise):
+    """The free-energy terms of q(g) in one (c, d) block: its negated KL and its expected log likelihood."""
+    qz = state.R[:, block[0]]
+    return -kl - 0.5 * float(qz @ (m + state.omega[block] * inv_noise))
 
-    One :func:`_ou_moments` pass judges all L * C * D candidates, and
-    ``m = m_tilde + Lam t`` with ``t = Q - R_c / 2`` takes one stacked
-    product per component.
+
+def _noise_steps(ctx, rows, Q, grad):
+    """``Q S grad``, diag(S), ``log|A| - Q . diag(S)`` and bound factors of blocks ``rows``.
+
+    Row i of Q and grad (P, N) belongs to block ``(rows[0][i],
+    rows[1][i])``.  On one-column inputs one :func:`_ou_moments` scan gives
+    ``S grad`` for every row, and no factor (None).  The dense path factors
+    each row's ``A = I + sqrt(Q) Lam sqrt(Q)`` once for diag(S) and takes
+    ``Q S grad = sqrt(Q) La^-T (W grad)`` with ``W = La^-1 sqrt(Q) Lam`` from
+    the same factor.
     """
-    L, C, D, n = ladder.shape
-    comp = np.broadcast_to(np.arange(C)[None, :, None], (L, C, D)).ravel()
-    s_diag, kl_core = _ou_moments(ctx.ou, comp, ladder.reshape(-1, n))
-    t = ladder - 0.5 * state.R.T[None, :, None, :]
-    lam_t = np.empty_like(t)
-    quad = np.empty((L, C, D))
-    for c in range(C):
-        lam_t[:, c], quad[:, c] = _prior_mean_terms(ctx.lam[c], t[:, c])
-    kl = 0.5 * (quad + kl_core.reshape(L, C, D))
-    return t, ctx.m_tilde[None, :, :, None] + lam_t, s_diag.reshape(L, C, D, n), kl
+    if ctx.ou is not None:
+        s_diag, kl_core, v = _ou_moments(ctx.ou, rows[0], Q, grad)
+        return Q * v, s_diag, kl_core, [None] * len(Q)
+    s_diag = np.empty_like(Q)
+    kl_core = np.empty(Q.shape[0])
+    q_v = np.empty_like(Q)
+    factors = []
+    for i, c in enumerate(rows[0]):
+        La, W, s_diag[i], kl_core[i] = _diag_precision_posterior(ctx.lam[c], Q[i], "noise bound matrix")
+        q_v[i] = np.sqrt(Q[i]) * solve_lower_transpose(La, W @ grad[i])
+        factors.append(La)
+    return q_v, s_diag, kl_core, factors
 
 
 def update_latent_functions(state, ctx):
@@ -931,6 +1049,10 @@ def fit(X, Y, config=None):
         if abs(current - previous) <= config.tol * max(abs(previous), abs(current), 1.0):
             break
         previous = current
+    # on one-column inputs the sweeps drop the bound factor of every block they move
+    for c, d in np.ndindex(state.t.shape[:2]):
+        if state.noise_chol[c][d] is None:
+            state.noise_chol[c][d] = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")[1]
 
     model = MgpchModel(
         config=ctx.config,

@@ -4,7 +4,10 @@ One container file holds the mixture model and any conditional copulas
 trained on top of it.  Floats survive a round trip exactly (JSON text
 uses the shortest representation that reparses to the same double), and
 keys are emitted sorted, so the same model always produces the same
-bytes.
+bytes.  A container is written compact, on one line with no whitespace
+between tokens: indentation carries nothing and would be about a quarter
+of the file.  Reports and forecasts keep :func:`dump_json`'s indented
+layout, for reading by eye.
 
 Version 4 stores only the primal variational arrays, each O(C D N):
 responsibilities, the latent means mu, the natural means t of q(g), the
@@ -35,10 +38,11 @@ FORMAT_NAME = "mgpch-model"
 FORMAT_VERSION = 4
 
 
-def dump_json(obj, path):
-    """Write JSON with sorted keys and a stable layout."""
+def dump_json(obj, path, compact=False):
+    """Write JSON with sorted keys and a stable layout: indented, or with no whitespace between tokens if ``compact``."""
+    layout = {"separators": (",", ":")} if compact else {"indent": 1}
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, sort_keys=True, indent=1)
+        json.dump(obj, handle, sort_keys=True, **layout)
         handle.write("\n")
 
 
@@ -189,7 +193,7 @@ def save_model(path, model, pairwise=None):
             _copula_to_obj(pair, pm) for pair, pm in sorted((pairwise or {}).items())
         ],
     }
-    dump_json(payload, path)
+    dump_json(payload, path, compact=True)
 
 
 def load_model(path):

@@ -116,12 +116,19 @@ def test_every_update_matches_direct_summation_on_a_tiny_instance():
     tol = 1e-10
     checks = []
 
-    update_noise_processes(state, ctx)
+    # the damped natural-gradient step from the initial state: Q_hat = q omega E[exp(-g)] / 2,
+    # grad = Q_hat - q / 2 - Lam^-1 (m - m_tilde), and at s = 1 Q = Q_hat and m moves by
+    # (Lam^-1 + diag Q_hat)^-1 grad
     lam = ctx.lam[0]
     q = state.R[:, 0]
+    lam_inv = np.linalg.inv(lam)
+    Q_hat = 0.5 * q * state.omega[0, 0] / expected_noise_variance(state.m[0, 0], state.s_diag[0, 0])
+    grad = Q_hat - 0.5 * q - lam_inv @ (state.m[0, 0] - ctx.m_tilde[0, 0])
+    m_direct = state.m[0, 0] + np.linalg.solve(lam_inv + np.diag(Q_hat), grad)
+    update_noise_processes(state, ctx)
     Q = state.Q[0, 0]
-    m_direct = ctx.m_tilde[0, 0] + lam @ (Q - 0.5 * q)
-    S_direct = np.linalg.inv(np.linalg.inv(lam) + np.diag(Q))
+    S_direct = np.linalg.inv(lam_inv + np.diag(Q))
+    checks.append(("full noise step", np.allclose(Q, Q_hat, rtol=tol, atol=0.0)))
     checks.append(("noise mean", np.allclose(state.m[0, 0], m_direct, atol=tol)))
     checks.append(("noise covariance", np.allclose(state.S[0, 0], S_direct, atol=tol)))
 

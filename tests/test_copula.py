@@ -138,6 +138,22 @@ class TestCdf:
 FRANK_GRID = np.array([1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6])
 
 
+def per_node_frank_cdf(theta, U, V):
+    """The Frank cdf with log|e^-theta - 1| taken at every node and both branches of log(1 - e^x) formed."""
+
+    def log1mexp(x):
+        with np.errstate(divide="ignore"):
+            return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+
+    def log_abs_expm1(y):
+        return np.maximum(y, 0.0) + log1mexp(-np.abs(y))
+
+    th = np.full(U.shape, theta)
+    log_r = (log_abs_expm1(-th * U) - log_abs_expm1(-th)) + log_abs_expm1(-th * V)
+    log1p_r = log1mexp(log_r) if theta > 0.0 else np.logaddexp(0.0, log_r)
+    return -log1p_r / th
+
+
 class TestFrankLargeTheta:
     """The Frank cdf and density stay finite and accurate where the textbook formula overflows or cancels."""
 
@@ -154,12 +170,27 @@ class TestFrankLargeTheta:
     @pytest.mark.filterwarnings("ignore::mgpch.errors.QuadratureWarning")
     def test_covariance_is_finite_for_strong_dependence(self):
         mo = gaussian_moments([0.0, 0.0], [1e-4, 2.25e-4])
-        bound = math.sqrt(1e-4 * 2.25e-4)  # the comonotone covariance
+        bound = math.sqrt(1e-4 * 2.25e-4)  # Cauchy-Schwarz: the comonotone covariance
         for theta in (40.0, 700.0, -40.0, -700.0):
             cov = predictive_covariance(single_point_pair_model(Frank(), theta), mo, (0, 1), np.array([0.0]))
-            # near the comonotone limit the integrand has a kink on the diagonal,
-            # which the Gauss-Legendre rule resolves to a fraction of a percent
-            assert math.isfinite(cov) and abs(cov) <= 1.01 * bound
+            assert math.isfinite(cov) and abs(cov) <= bound
+
+    def test_covariance_near_the_comonotone_limit_is_clipped_with_a_warning(self):
+        # the integrand has a kink on the diagonal, which the Gauss-Legendre
+        # rule overshoots by a fraction of a percent; the doubling check says so
+        mo = gaussian_moments([0.0, 0.0], [1e-4, 2.25e-4])
+        bound = math.sqrt(1e-4 * 2.25e-4)
+        for theta in (700.0, -700.0):
+            with pytest.warns(QuadratureWarning):
+                cov = predictive_covariance(single_point_pair_model(Frank(), theta), mo, (0, 1), np.array([0.0]))
+            assert cov == math.copysign(bound, theta)
+
+    @pytest.mark.parametrize("theta", [0.5, -0.5, 20.0, -20.0, 700.0, -700.0])
+    def test_one_theta_for_every_node_keeps_the_bits_of_the_per_node_formula(self, theta):
+        _, U, V, _ = _quadrature_rule(2 * QUADRATURE_NODES)
+        assert U.shape == (128, 128)
+        got = copula_module._interior_cdf(Frank(), theta, U, V)
+        assert np.array_equal(got, per_node_frank_cdf(theta, U, V))
 
     @pytest.mark.parametrize("theta", [1e-5, 0.5, 3.0, 8.0, 20.0, -1e-5, -0.5, -3.0, -8.0, -20.0])
     def test_agrees_with_the_textbook_formula_where_it_is_accurate(self, theta):

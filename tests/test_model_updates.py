@@ -5,8 +5,11 @@ computations, and the free energy against a looped direct summation of
 every term using scipy's special functions.
 """
 
+import math
 import warnings
+from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,11 +25,11 @@ from mgpch.errors import InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
 from mgpch.model import (
     MgpchConfig,
+    _bound_factor,
     _diag_precision_posterior,
     _init_state,
     _latent_candidate,
     _make_context,
-    _noise_candidate,
     _ou_moments,
     _ou_transitions,
     _posterior_cov,
@@ -37,6 +40,7 @@ from mgpch.model import (
     noise_posterior_given_q,
     refresh_caches,
     update_latent_functions,
+    update_mixture_posteriors,
     update_noise_processes,
     update_responsibilities,
 )
@@ -224,6 +228,55 @@ def prior_kl(mean_diff, cov, prior):
     return 0.5 * (np.trace(cho_solve((L, True), cov)) + w @ w - cov.shape[0] + logdets)
 
 
+def mp_matrix(a):
+    """An mpmath matrix, or column vector for 1-d input, holding the doubles of ``a`` exactly."""
+    return mp.matrix(np.asarray(a, dtype=float).tolist())
+
+
+def exact_kl(prior, prec, alpha):
+    """KL of ``N(prior alpha, (prior^-1 + diag prec)^-1)`` from ``N(0, prior)`` in mpmath.
+
+    ``alpha`` is the natural mean, an mpmath vector.  The core ``log|A| -
+    trace(A^-1 B)``, with ``B = sqrt(P) prior sqrt(P)`` and ``A = I + B``, is
+    second order in B, so the working precision gains the digits of ``trace(B)^-2``.
+    """
+    n = len(prec)
+    trace = float(np.sum(prec * np.diagonal(prior)))
+    digits = 50 + (2 * int(-math.log10(trace)) if 0.0 < trace < 1.0 else 0)
+    with mp.workdps(digits):
+        root = mp.diag([mp.sqrt(mp.mpf(float(p))) for p in prec])
+        P = mp_matrix(prior)
+        B = root * P * root
+        A = mp.eye(n) + B
+        core = mp.log(mp.det(A)) - sum((mp.inverse(A) * B)[i, i] for i in range(n))
+        quad = (alpha.T * P * alpha)[0, 0]
+        return float(0.5 * (quad + core))
+
+
+def exact_natural_step(before, ctx, c, d, s, Q):
+    """Natural mean ``t + s (grad - Q S grad)`` of block (c, d) after step s to bound parameter Q, in mpmath.
+
+    ``grad = Q_hat - R_c / 2 - t`` is formed from the state ``before`` the
+    update, ``S = (Lam^-1 + diag Q)^-1`` from explicit inverses.
+    """
+    with mp.workdps(60):
+        qz, t = mp_matrix(before["R"][:, c]), mp_matrix(before["t"][c, d])
+        omega, inv_noise = mp_matrix(before["omega"][c, d]), mp_matrix(before["inv_noise"][c, d])
+        q_hat = mp.matrix([0.5 * qz[i] * omega[i] * inv_noise[i] for i in range(len(Q))])
+        grad = q_hat - 0.5 * qz - t
+        Qd = mp.diag([mp.mpf(float(q)) for q in Q])
+        S = mp.inverse(mp.inverse(mp_matrix(ctx.lam[c])) + Qd)
+        return t + mp.mpf(s) * (grad - Qd * S * grad)
+
+
+def exact_latent_gain(K, B, y):
+    """``K^-1 mu`` of the latent posterior mean ``mu = (K^-1 + diag B)^-1 (B y)``, in mpmath."""
+    with mp.workdps(60):
+        K_inv = mp.inverse(mp_matrix(K))
+        Bd = mp.diag([mp.mpf(float(b)) for b in B])
+        return K_inv * mp.inverse(K_inv + Bd) * (Bd * mp_matrix(y))
+
+
 class TestFastCandidate:
     """One factorization per candidate against explicit inverses and full-matrix KLs."""
 
@@ -236,17 +289,32 @@ class TestFastCandidate:
             Q[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = 0.0
             qz = rng.uniform(0.0, 1.0, size=n)
             m_tilde = rng.normal()
-            t, m, s_diag, kl, _, W = _noise_candidate(lam, Q, qz, m_tilde)
-            assert np.array_equal(t, Q - 0.5 * qz)
+            _, W, s_diag, kl_core = _diag_precision_posterior(lam, Q, "noise bound matrix")
             S_ref = np.linalg.inv(np.linalg.inv(lam) + np.diag(Q))
             m_ref = m_tilde + lam @ (Q - 0.5 * qz)
             m_pub, S_pub = noise_posterior_given_q(lam, Q, qz, m_tilde)
-            assert_rel(m, m_ref)
-            assert_rel(m, m_pub)
+            assert_rel(m_pub, m_ref)
             assert_rel(s_diag, np.diagonal(S_ref))
             assert_rel(_posterior_cov(lam, W, s_diag), S_ref)
             assert_rel(S_pub, S_ref)
-            assert_rel(kl, prior_kl(m_ref - m_tilde, S_ref, lam))
+            assert_rel(0.5 * kl_core, prior_kl(np.zeros(n), S_ref, lam))
+
+    @pytest.mark.parametrize("scale", [1e-80, 1e-20, 1e-6, 1e-2, 1.0, 1e2])
+    def test_kl_core_keeps_its_relative_accuracy_near_the_prior(self, scale):
+        # log|A| and Q . diag(S) are first order in Q and their difference second order
+        rng = np.random.default_rng(23)
+        kernel = Ar1Kernel(phi=0.7, sigma0_sq=0.5)
+        for n in (1, 2, 5, 9):
+            X = rng.standard_normal((n, 1))
+            lam = design_matrix(kernel, X) + ar1_jitter(kernel) * np.eye(n)
+            Q = scale * rng.uniform(0.0, 1.0, size=n)
+            Q[rng.random(n) < 0.3] = 0.0
+            ref = 2.0 * exact_kl(lam, Q, mp.zeros(n, 1))
+            dense = _diag_precision_posterior(lam, Q, "noise bound matrix")[3]
+            scan = _ou_moments(_ou_transitions(X, (kernel,)), np.zeros(1, dtype=int), Q[None, :])[1][0]
+            assert ref >= 0.0
+            for got in (dense, scan):
+                assert abs(got - ref) <= 1e-12 * ref
 
     def test_latent_candidate_matches_full_posterior(self):
         rng = np.random.default_rng(22)
@@ -272,6 +340,7 @@ class TestFastCandidate:
         assert (ctx.ou is None) == (p > 1)
         state = _init_state(ctx)
         for _ in range(3):
+            before = noise_snapshot(state)
             update_noise_processes(state, ctx)
             update_latent_functions(state, ctx)
             C, D, _ = state.m.shape
@@ -279,27 +348,27 @@ class TestFastCandidate:
             for c in range(C):
                 for d in range(D):
                     qz = state.R[:, c]
-                    m, S = noise_posterior_given_q(ctx.lam[c], state.Q[c, d], qz, ctx.m_tilde[c, d])
+                    s, m = accepted_step(before, ctx, state, c, d)
+                    S = noise_posterior_given_q(ctx.lam[c], state.Q[c, d], qz, ctx.m_tilde[c, d])[1]
                     assert_rel(state.m[c, d], m)
                     assert_rel(S_state[c, d], S)
                     assert np.array_equal(np.diagonal(S_state[c, d]), state.s_diag[c, d])
-                    assert_rel(state.g_kl[c, d], prior_kl(m - ctx.m_tilde[c, d], S, ctx.lam[c]))
-                    mu, Sigma = latent_function_posterior(
-                        ctx.K[c], qz * state.inv_noise[c, d], ctx.Y[:, d]
-                    )
+                    t = exact_natural_step(before, ctx, c, d, s, state.Q[c, d])
+                    assert_rel(state.g_kl[c, d], exact_kl(ctx.lam[c], state.Q[c, d], t))
+                    B = qz * state.inv_noise[c, d]
+                    mu, Sigma = latent_function_posterior(ctx.K[c], B, ctx.Y[:, d])
                     assert_rel(state.mu[c, d], mu)
                     assert_rel(state.omega[c, d], (ctx.Y[:, d] - mu) ** 2 + np.diagonal(Sigma))
-                    assert_rel(state.f_kl[c, d], prior_kl(mu, Sigma, ctx.K[c]))
+                    assert_rel(state.f_kl[c, d], exact_kl(ctx.K[c], B, exact_latent_gain(ctx.K[c], B, ctx.Y[:, d])))
             update_responsibilities(state, ctx)
 
     def test_rebuilt_caches_equal_the_updated_ones_bit_for_bit(self):
         for p in (1, 2):  # the scalar-input and the dense noise path
             ctx = small_context(seed=2, n=8, n_components=3, mean_kernel=Ar1Kernel(phi=0.4, sigma0_sq=0.8), p=p)
-            state = _init_state(ctx)
-            for _ in range(3):
-                update_noise_processes(state, ctx)
-                update_latent_functions(state, ctx)
-                update_responsibilities(state, ctx)
+            # on one-column inputs the sweeps drop the bound factors of moved blocks, and fit rebuilds them
+            model = fit(ctx.X, ctx.Y, replace(ctx.config, max_iters=3, tol=1e-300))
+            assert model.trace_labels.count("noise") == 3
+            state, ctx = model.state, model._ctx
             names = ("m", "s_diag", "inv_noise", "omega", "g_kl", "f_kl")
             updated = {name: getattr(state, name).copy() for name in names}
             chol = state.noise_chol
@@ -328,6 +397,38 @@ def small_context(seed=0, n=6, n_components=2, mean_kernel=None, p=1):
     return _make_context(X, Y, config)
 
 
+def noise_snapshot(state):
+    """Copies of the arrays a noise update reads."""
+    return {k: np.copy(getattr(state, k)) for k in ("R", "t", "m", "Q", "omega", "inv_noise")}
+
+
+def cvi_ladder(before, ctx, c, d):
+    """``(s, Q_s, m_s)`` of every damping step of block (c, d), in closed form with explicit inverses.
+
+    From the state ``before`` a noise update: ``Q_s = (1 - s) Q + s Q_hat`` with
+    ``Q_hat = R_c omega E[exp(-g)] / 2``, and ``m_s = m + s (Lam^-1 + diag Q_s)^-1 grad``
+    with ``grad = Q_hat - R_c / 2 - t``.
+    """
+    qz = before["R"][:, c]
+    q_hat = 0.5 * qz * before["omega"][c, d] * before["inv_noise"][c, d]
+    grad = q_hat - 0.5 * qz - before["t"][c, d]
+    lam_inv = np.linalg.inv(ctx.lam[c])
+    ladder = []
+    for s in model_module._BACKTRACK_STEPS:
+        Q = (1.0 - s) * before["Q"][c, d] + s * q_hat
+        ladder.append((s, Q, before["m"][c, d] + s * np.linalg.solve(lam_inv + np.diag(Q), grad)))
+    return ladder
+
+
+def accepted_step(before, ctx, state, c, d):
+    """``(s, m_s)`` of the step block (c, d) took in the update after ``before``; s = 0 for a kept block."""
+    for s, Q, m in cvi_ladder(before, ctx, c, d):
+        if np.array_equal(Q, state.Q[c, d]):
+            return s, m
+    assert np.array_equal(state.Q[c, d], before["Q"][c, d]) and np.array_equal(state.t[c, d], before["t"][c, d])
+    return 0.0, before["m"][c, d]
+
+
 class TestNaturalMean:
     """q(g) keeps its natural mean t as the primal array; m is derived and no prior is factorized."""
 
@@ -348,8 +449,17 @@ class TestNaturalMean:
         assert (ctx.ou is None) == (p > 1)
         assert np.any(state.t != 0.0)
         C, D, _ = state.t.shape
+        solved = 0
         for c, d in np.ndindex(C, D):
-            assert_rel(state.t[c, d], np.linalg.solve(ctx.lam[c], state.m[c, d] - ctx.m_tilde[c, d]))
+            diff = state.m[c, d] - ctx.m_tilde[c, d]
+            if np.any(diff != 0.0):
+                assert_rel(state.t[c, d], np.linalg.solve(ctx.lam[c], diff))
+                solved += 1
+            else:
+                # an emptied component: Lam t is below the resolution of m_tilde,
+                # so m holds no more than m_tilde + Lam t rounded
+                assert np.array_equal(ctx.m_tilde[c, d] + ctx.lam[c] @ state.t[c, d], state.m[c, d])
+        assert solved >= D
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_only_bound_matrices_are_factorized(self, monkeypatch, p):
@@ -481,8 +591,10 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_noise_update_keeps_blocks_whose_candidates_overflow(self, p):
-        # zero outputs pull Q to zero, and a prior variance of 1e6 then sends
-        # every candidate's mean so low that exp(S/2 - m) overflows
+        # zero outputs give Q_hat = 0, so with Q = 0 every step keeps S = Lam,
+        # a prior variance of 1e6; with m just above diag(Lam) / 2, a step of
+        # s pulls m down by about s diag(Lam) / 2, and exp(S/2 - m) overflows
+        # from the gentlest step on
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, p))
         config = MgpchConfig(
@@ -494,12 +606,17 @@ class TestMonotonicity:
         ctx = _make_context(X, np.zeros((6, 1)), config)
         assert (ctx.ou is None) == (p > 1)
         state = _init_state(ctx)
+        state.Q[:] = 0.0
+        for c in range(2):
+            state.t[c, 0] = np.linalg.solve(ctx.lam[c], 0.5 * np.diagonal(ctx.lam[c]) + 10.0)
+        refresh_caches(state, ctx)
+        assert np.all(np.isfinite(state.inv_noise))
         before = {k: np.copy(getattr(state, k)) for k in ("t", "m", "S", "Q", "g_kl", "inv_noise")}
         chol = [list(row) for row in state.noise_chol]
         for c in range(2):
-            gentlest = (1.0 - model_module._BACKTRACK_STEPS[-1]) * state.Q[c, 0]
-            _, m, s_diag, _, _, _ = _noise_candidate(ctx.lam[c], gentlest, state.R[:, c], 0.0)
-            assert np.max(0.5 * s_diag - m) > np.log(np.finfo(float).max)
+            s, Q, m = cvi_ladder(noise_snapshot(state), ctx, c, 0)[-1]
+            assert s == model_module._BACKTRACK_STEPS[-1] and np.all(Q == 0.0)
+            assert np.max(0.5 * np.diagonal(ctx.lam[c]) - m) > np.log(np.finfo(float).max)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             update_noise_processes(state, ctx)
@@ -528,6 +645,16 @@ def scalar_input_blocks(draw):
     return X, kernels, comp, Q
 
 
+@st.composite
+def scalar_input_gradients(draw):
+    """Blocks of :func:`scalar_input_blocks` with Q scaled to at most 1e3, and a gradient row per block."""
+    X, kernels, comp, Q = draw(scalar_input_blocks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    Q = Q * 10.0 ** draw(st.floats(-3.0, 2.3))
+    grad = rng.standard_normal(Q.shape) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return X, kernels, comp, Q, grad
+
+
 class TestScalarInputPath:
     """The Kalman-filter noise moments on one-column inputs against the dense factor."""
 
@@ -546,7 +673,7 @@ class TestScalarInputPath:
             assert abs(kl_core[row] - kl_ref) <= 1e-10 * (abs(kl_ref) + float(Q[row] @ diag_ref))
 
     def test_a_row_gets_the_same_bits_alone_as_in_a_batch(self):
-        # refresh_caches judges C * D rows at once, the noise update L * C * D
+        # refresh_caches judges C * D rows at once, a noise step the blocks still pending
         rng = np.random.default_rng(9)
         kernels = (Ar1Kernel(0.6, 0.5), Ar1Kernel(0.3, 0.2))
         for n in (2, 9, 40, 119):
@@ -572,3 +699,71 @@ class TestScalarInputPath:
         assert dense._ctx.ou is None
         assert len(markov.free_energy_trace) == len(dense.free_energy_trace)
         assert markov.free_energy_trace[-1] == pytest.approx(dense.free_energy_trace[-1], rel=1e-12, abs=0.0)
+
+
+class TestNaturalGradientStep:
+    """The noise update is a damped natural-gradient (CVI) step from the current state."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_block_with_a_gradient_moves_in_one_update(self, p):
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((30, p))
+        Y = 0.05 * rng.standard_normal((30, 1)) * np.repeat([1.0, 3.0], 15)[:, None]
+        model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=3), max_iters=10, seed=1))
+        state, ctx = model.state, model._ctx
+        # the responsibilities moved after the last noise update, so no block is stationary
+        before = noise_snapshot(state)
+        update_noise_processes(state, ctx)
+        C, D, _ = state.t.shape
+        for c, d in np.ndindex(C, D):
+            _, Q_hat, _ = cvi_ladder(before, ctx, c, d)[0]
+            grad = Q_hat - 0.5 * before["R"][:, c] - before["t"][c, d]
+            assert np.any(grad != 0.0)
+            assert np.any(state.Q[c, d] != before["Q"][c, d]), (c, d)
+            assert np.any(state.t[c, d] != before["t"][c, d]), (c, d)
+            # the dense path keeps the accepted candidate's factor; the scan factorizes none
+            if p > 1:
+                La = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")[1]
+                assert np.array_equal(state.noise_chol[c][d], La)
+            else:
+                assert state.noise_chol[c][d] is None
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_accepted_mean_is_the_damped_newton_step(self, p):
+        ctx = small_context(seed=7, n=10, n_components=3, mean_kernel=Ar1Kernel(phi=0.5, sigma0_sq=0.6), p=p)
+        state = _init_state(ctx)
+        steps = []
+        for _ in range(4):
+            before = noise_snapshot(state)
+            update_noise_processes(state, ctx)
+            for c, d in np.ndindex(state.t.shape[:2]):
+                s, m = accepted_step(before, ctx, state, c, d)
+                assert_rel(state.m[c, d], m)
+                steps.append(s)
+            update_latent_functions(state, ctx)
+            update_responsibilities(state, ctx)
+            update_mixture_posteriors(state, ctx)
+        assert min(steps) > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(scalar_input_gradients())
+    @example((np.zeros((3, 1)), (Ar1Kernel(1e-12, 1.0),) * 2, np.arange(2), np.array([[0.0, 1e3, 0.0]] * 2), np.ones((2, 3))))
+    @example((np.zeros((1, 1)), (Ar1Kernel(0.5, 0.75),), np.zeros(1, dtype=int), np.zeros((1, 1)), np.ones((1, 1))))
+    def test_scan_mean_matches_the_dense_solve(self, case):
+        X, kernels, comp, Q, grad = case
+        n = X.shape[0]
+        ou = _ou_transitions(X, kernels)
+        s_diag, kl_core, v = _ou_moments(ou, comp, Q, grad)
+        moments = _ou_moments(ou, comp, Q)
+        assert np.array_equal(s_diag, moments[0]) and np.array_equal(kl_core, moments[1])
+        for row, c in enumerate(comp):
+            lam = design_matrix(kernels[c], X) + ar1_jitter(kernels[c]) * np.eye(n)
+            # (Lam^-1 + diag Q)^-1 grad as the solve of (I + Lam Q) v = Lam grad, with no Lam^-1
+            ref = np.linalg.solve(np.eye(n) + lam * Q[row][None, :], lam @ grad[row])
+            # relative to max diag(Lam) |grad|_1, which bounds |v| since S <= Lam: with
+            # inputs 1e-9 apart Lam is near singular, and v relative to itself moves
+            # by 1e-10 between the two roundings of Lam
+            bound = float(np.max(np.diagonal(lam)) * np.sum(np.abs(grad[row])))
+            assert float(np.max(np.abs(v[row] - ref))) <= 1e-12 * bound
+            alone = _ou_moments(ou, comp[row : row + 1], Q[row : row + 1], grad[row : row + 1])[2]
+            assert np.array_equal(alone[0], v[row])

@@ -94,7 +94,7 @@ def explicit_moments(model, xstar):
         mk = model.mean_kernels[c]
         for d in range(D):
             Q = state.Q[c, d]
-            tau[c, d] = lam_cross @ (Q - 0.5) + model.m_tilde[c, d]
+            tau[c, d] = lam_cross @ np.linalg.inv(lam) @ (state.m[c, d] - model.m_tilde[c, d]) + model.m_tilde[c, d]
             phi[c, d] = lam_ss - lam_cross @ np.linalg.inv(lam + np.diag(1.0 / Q)) @ lam_cross
             if not isinstance(mk, ZeroKernel):
                 K = np.array(
