@@ -68,13 +68,17 @@ def garch_filter(params, returns, sigma2_init=None):
     fitted variance to continue the recursion).
     """
     r = np.asarray(returns, dtype=float)
-    T = r.size
-    sigma2 = np.empty(T)
+    sigma2 = np.empty(r.size)
     sigma2[0] = float(np.var(r)) if sigma2_init is None else float(sigma2_init)
     if sigma2[0] <= 0.0:
         raise InvalidArgumentError("initial variance must be positive")
-    for t in range(1, T):
-        sigma2[t] = params.omega + params.a * r[t - 1] ** 2 + params.b * sigma2[t - 1]
+    # imported on the first filter, not with the package: importing scipy.signal
+    # takes about half a second and loads scipy.stats, which nothing else needs
+    from scipy.signal import lfilter
+
+    # a first-order linear filter of the inputs omega + a r^2, started from b sigma2[0]
+    drive = params.omega + params.a * r[:-1] ** 2
+    sigma2[1:] = lfilter([1.0], [1.0, -params.b], drive, zi=[params.b * sigma2[0]])[0]
     return sigma2
 
 

@@ -1,6 +1,8 @@
 """End-to-end behavior of the coordinate-ascent fit and the sampler."""
 
 import copy
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,21 @@ from numpy.testing import assert_allclose
 
 from mgpch.errors import InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, RbfKernel, cross_vector, design_matrix
-from mgpch.model import MgpchConfig, _LazyGpPath, expected_noise_variance, fit, simulate
+import mgpch.model as model_module
+from mgpch.model import (
+    MgpchConfig,
+    _init_state,
+    _LazyGpPath,
+    _make_context,
+    expected_noise_variance,
+    fit,
+    free_energy,
+    simulate,
+    update_latent_functions,
+    update_mixture_posteriors,
+    update_noise_processes,
+    update_responsibilities,
+)
 from mgpch.pyp import PypConfig
 
 from test_model_updates import latent_covariances
@@ -45,7 +61,9 @@ class TestFit:
         assert frac >= 0.9, f"only {frac:.0%} of fitted variances near truth"
 
     def test_two_regime_pruning(self):
-        draw = two_regime_draw()
+        # 400 points: at 300 the draw holds 6.8 nats of evidence for a second
+        # regime, too little for the converged fit to keep one
+        draw = two_regime_draw(n_points=400)
         kern = smooth_kernel(draw.X, 3.0, 0.5)
         config = MgpchConfig(
             pyp=PypConfig(delta=0.5, eta1=1.0, eta2=1.0, truncation=5),
@@ -127,6 +145,126 @@ class TestFit:
         # the mean update needs an AR(1) or zero kernel; others fail here, not inside fit
         with pytest.raises(InvalidArgumentError, match="mean kernels"):
             MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=(RbfKernel(1.0),) * 2)
+
+
+SWEEP = ("noise", "mean", "responsibilities", "mixture")
+
+
+def plain_ascent(X, Y, config):
+    """Coordinate ascent with no extrapolation: the state and the trace of every update, with fit's stopping rule."""
+    ctx = _make_context(X, Y, config)
+    state = _init_state(ctx)
+    trace = [free_energy(state, ctx)]
+    for _ in range(config.max_iters):
+        previous = trace[-1]
+        for update in (update_noise_processes, update_latent_functions, update_responsibilities, update_mixture_posteriors):
+            update(state, ctx)
+            trace.append(free_energy(state, ctx))
+        if abs(trace[-1] - previous) <= config.tol * max(abs(previous), abs(trace[-1]), 1.0):
+            break
+    return state, trace
+
+
+def count_sweeps(monkeypatch):
+    """A list that grows by one entry per noise update, plain or in an extrapolation's sweep."""
+    calls = []
+    update = model_module.update_noise_processes
+    monkeypatch.setattr(model_module, "update_noise_processes", lambda state, ctx: calls.append(1) or update(state, ctx))
+    return calls
+
+
+def reject_every_extrapolation(monkeypatch):
+    """Every extrapolation builds and sweeps its candidates, and keeps none."""
+    step = model_module._extrapolated_sweep
+    monkeypatch.setattr(model_module, "_extrapolated_sweep", lambda points, floor, ctx, budget: step(points, math.inf, ctx, budget))
+
+
+def draining_fit_data(p):
+    """A two-regime series whose fit drains the mass of several components, with p input columns."""
+    draw = two_regime_draw(n_points=150, seed=4)
+    X = np.hstack([draw.X] * p) * np.arange(1, p + 1)
+    config = MgpchConfig(
+        pyp=PypConfig(delta=0.5, eta1=1.0, eta2=1.0, truncation=4),
+        mean_kernels=(Ar1Kernel(phi=0.5, sigma0_sq=1e-5),) * 4 if p > 1 else None,
+        seed=0,
+    )
+    return X, draw.Y, config
+
+
+def assert_same_state(a, b):
+    for name in ("R", "mu", "t", "Q", "B", "m", "s_diag", "omega", "inv_noise", "g_kl", "f_kl"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.sticks.beta1, b.sticks.beta1) and np.array_equal(a.sticks.beta2, b.sticks.beta2)
+    assert a.innovation == b.innovation
+
+
+class TestExtrapolation:
+    """The safeguarded SQUAREM step that fit takes after every two plain sweeps."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_trace_never_decreases_and_kept_steps_carry_their_label(self, p):
+        X, Y, config = draining_fit_data(p)
+        model = fit(X, Y, config)
+        trace, labels = model.free_energy_trace, model.trace_labels
+        assert len(trace) == len(labels) and labels[0] == "init"
+        kept = [i for i, label in enumerate(labels) if label == "extrapolation"]
+        assert kept
+        for i in kept:
+            # one entry per kept step, after the second plain sweep of its cycle, never below it
+            assert labels[i - 1] == "mixture" and trace[i] >= trace[i - 1]
+        plain = [label for label in labels[1:] if label != "extrapolation"]
+        assert plain == list(SWEEP) * (len(plain) // 4)
+        floor = -model_module._ACCEPT_SLACK * (1.0 + np.abs(trace[:-1]))
+        assert np.all(np.diff(trace) >= floor)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rejected_steps_leave_the_plain_coordinate_ascent_bit_for_bit(self, monkeypatch, p):
+        X, Y, config = draining_fit_data(p)
+        state, trace = plain_ascent(X, Y, config)
+        reject_every_extrapolation(monkeypatch)
+        calls = count_sweeps(monkeypatch)
+        model = fit(X, Y, config)
+        assert model.free_energy_trace == trace
+        assert model.trace_labels == ["init"] + list(SWEEP) * ((len(trace) - 1) // 4)
+        assert_same_state(model.state, state)
+        # the rejected candidates were swept
+        assert len(calls) > (len(trace) - 1) // 4
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12])
+    def test_max_iters_caps_sweeps_of_both_kinds(self, monkeypatch, k):
+        X, Y, config = draining_fit_data(1)
+        calls = count_sweeps(monkeypatch)
+        fit(X, Y, replace(config, max_iters=k, tol=1e-300))
+        assert len(calls) == k
+        calls.clear()
+        reject_every_extrapolation(monkeypatch)
+        fit(X, Y, replace(config, max_iters=k, tol=1e-300))
+        assert len(calls) == k
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_two_fits_are_bit_identical(self, p):
+        X, Y, config = draining_fit_data(p)
+        a, b = fit(X, Y, config), fit(X, Y, config)
+        assert a.free_energy_trace == b.free_energy_trace and a.trace_labels == b.trace_labels
+        assert_same_state(a.state, b.state)
+
+    def test_a_draining_fit_keeps_steps_and_needs_fewer_sweeps(self, monkeypatch):
+        draw = two_regime_draw()
+        config = MgpchConfig(
+            pyp=PypConfig(delta=0.5, eta1=1.0, eta2=1.0, truncation=5),
+            noise_kernels=(smooth_kernel(draw.X, 3.0, 0.5),) * 5,
+            seed=0,
+        )
+        calls = count_sweeps(monkeypatch)
+        model = fit(draw.X, draw.Y, config)
+        sweeps = len(calls)
+        assert model.trace_labels.count("extrapolation") >= 1
+        calls.clear()
+        reject_every_extrapolation(monkeypatch)
+        plain = fit(draw.X, draw.Y, config)
+        assert sweeps < plain.trace_labels.count("noise") <= len(calls)
+        # the same optimum, to the stopping tolerance
+        assert model.free_energy_trace[-1] >= plain.free_energy_trace[-1] - 10 * config.tol * abs(plain.free_energy_trace[-1])
 
 
 class _FixedNormals:
