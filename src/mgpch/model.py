@@ -63,8 +63,9 @@ extrapolated point, runs one plain sweep from it and keeps the result only
 if the free energy is at least that of the second sweep; a shorter step is
 tried otherwise, and after three tries the fit goes on from the second
 sweep's state, untouched.  A kept step enters the free-energy trace as one
-``"extrapolation"`` entry, so the trace stays non-decreasing; on the
-benchmark panels it halves the sweeps per fit and reaches the same optimum.
+``"extrapolation"`` entry, so the trace stays non-decreasing, and only a
+plain sweep's gain is tested for convergence; on the benchmark panels the
+step halves the sweeps per fit and reaches the same optimum.
 """
 
 import math
@@ -1046,8 +1047,8 @@ def fit(X, Y, config=None):
         Outputs; for return series, the next day's return vector.
     config : MgpchConfig, optional
         ``max_iters`` caps the sweeps of both kinds, an extrapolation's
-        tries included; ``tol`` is compared with the change between
-        consecutive values the fit keeps.
+        tries included; ``tol`` is compared with the change over each plain
+        sweep, so a kept extrapolation never ends the fit by itself.
 
     Returns
     -------
@@ -1102,10 +1103,9 @@ def fit(X, Y, config=None):
         sweeps += tries
         if candidate is not None:
             state = candidate
-            done = converged(trace[-1], value)
             trace.append(value)
             labels.append("extrapolation")
-        done = done or sweeps == config.max_iters
+        done = sweeps == config.max_iters
     _fill_bound_factors(state, ctx)
 
     model = MgpchModel(

@@ -16,6 +16,7 @@ from mgpch.model import (
     _init_state,
     _LazyGpPath,
     _make_context,
+    _state_at,
     expected_noise_variance,
     fit,
     free_energy,
@@ -27,7 +28,7 @@ from mgpch.model import (
 )
 from mgpch.pyp import PypConfig
 
-from test_model_updates import latent_covariances
+from test_model_updates import count_sweeps, latent_covariances
 
 
 def two_regime_draw(n_points=300, seed=9):
@@ -60,10 +61,10 @@ class TestFit:
         frac = np.mean((fitted >= 0.5) & (fitted <= 2.0))
         assert frac >= 0.9, f"only {frac:.0%} of fitted variances near truth"
 
-    def test_two_regime_pruning(self):
-        # 400 points: at 300 the draw holds 6.8 nats of evidence for a second
-        # regime, too little for the converged fit to keep one
-        draw = two_regime_draw(n_points=400)
+    @staticmethod
+    def pruned_fit(n_points):
+        """Fit a two-regime draw with five components; return the model and each component's mass."""
+        draw = two_regime_draw(n_points=n_points)
         kern = smooth_kernel(draw.X, 3.0, 0.5)
         config = MgpchConfig(
             pyp=PypConfig(delta=0.5, eta1=1.0, eta2=1.0, truncation=5),
@@ -72,7 +73,22 @@ class TestFit:
             seed=0,
         )
         model = fit(draw.X, draw.Y, config)
-        mass = model.state.R.sum(axis=0) / draw.X.shape[0]
+        return model, model.state.R.sum(axis=0) / n_points
+
+    def test_two_regime_pruning(self):
+        # 300 points hold 6.8 nats of likelihood evidence for the second regime
+        # (at the true labels), too little to keep it: the fit prunes to one
+        # component at F = 725.951, where a plain coordinate ascent run to
+        # convergence (264 sweeps) ends too; a fit started from the true labels
+        # ends lower, at F = 720.54
+        model, mass = self.pruned_fit(300)
+        live = int(np.sum(mass > 0.01))
+        assert live == 1, f"expected pruning to 1 component, got masses {mass}"
+        assert model.free_energy_trace[-1] == pytest.approx(725.951, abs=1e-3)
+
+    def test_two_regime_pruning_keeps_both_regimes_given_more_evidence(self):
+        # 400 points hold 34.2 nats of evidence for the second regime
+        model, mass = self.pruned_fit(400)
         live = int(np.sum(mass > 0.01))
         assert 2 <= live <= 3, f"expected pruning to 2-3 components, got masses {mass}"
 
@@ -165,14 +181,6 @@ def plain_ascent(X, Y, config):
     return state, trace
 
 
-def count_sweeps(monkeypatch):
-    """A list that grows by one entry per noise update, plain or in an extrapolation's sweep."""
-    calls = []
-    update = model_module.update_noise_processes
-    monkeypatch.setattr(model_module, "update_noise_processes", lambda state, ctx: calls.append(1) or update(state, ctx))
-    return calls
-
-
 def reject_every_extrapolation(monkeypatch):
     """Every extrapolation builds and sweeps its candidates, and keeps none."""
     step = model_module._extrapolated_sweep
@@ -229,6 +237,13 @@ class TestExtrapolation:
         assert_same_state(model.state, state)
         # the rejected candidates were swept
         assert len(calls) > (len(trace) - 1) // 4
+
+    def test_a_kept_step_never_ends_the_fit(self, monkeypatch):
+        # every step is kept with no gain: the state at x2, rebuilt, at F(x2)
+        monkeypatch.setattr(model_module, "_extrapolated_sweep", lambda points, floor, ctx, budget: (_state_at(points[2], ctx), floor, 1))
+        X, Y, config = draining_fit_data(1)
+        labels = fit(X, Y, config).trace_labels
+        assert labels.count("extrapolation") > 1 and labels[-1] == "mixture"
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12])
     def test_max_iters_caps_sweeps_of_both_kinds(self, monkeypatch, k):

@@ -364,9 +364,7 @@ class TestFastCandidate:
             update_responsibilities(state, ctx)
 
     def test_rebuilt_caches_equal_the_updated_ones_bit_for_bit(self, monkeypatch):
-        sweeps = []
-        update = model_module.update_noise_processes
-        monkeypatch.setattr(model_module, "update_noise_processes", lambda state, ctx: sweeps.append(1) or update(state, ctx))
+        sweeps = count_sweeps(monkeypatch)
         for p in (1, 2):  # the scalar-input and the dense noise path
             ctx = small_context(seed=2, n=8, n_components=3, mean_kernel=Ar1Kernel(phi=0.4, sigma0_sq=0.8), p=p)
             sweeps.clear()
@@ -383,6 +381,14 @@ class TestFastCandidate:
                 assert np.array_equal(getattr(state, name), updated[name]), (p, name)
             for row, row_updated in zip(state.noise_chol, chol):
                 assert all(np.array_equal(a, b) for a, b in zip(row, row_updated))
+
+
+def count_sweeps(monkeypatch):
+    """A list that grows by one entry per noise update, plain or in an extrapolation's sweep."""
+    calls = []
+    update = model_module.update_noise_processes
+    monkeypatch.setattr(model_module, "update_noise_processes", lambda state, ctx: calls.append(1) or update(state, ctx))
+    return calls
 
 
 def small_context(seed=0, n=6, n_components=2, mean_kernel=None, p=1):
