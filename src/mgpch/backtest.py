@@ -192,7 +192,7 @@ class _GarchForecaster:
 
     def advance(self, r_row):
         for d, p in enumerate(self.params):
-            self.sigma2[d] = p.omega + p.a * r_row[d] ** 2 + p.b * self.sigma2[d]
+            self.sigma2[d] = garch_forecast(p, r_row[d] ** 2, self.sigma2[d], 1)
 
 
 def _default_factory(config, family=None, pairs=None):

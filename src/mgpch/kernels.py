@@ -70,6 +70,11 @@ class RbfKernel:
             )
 
 
+def _check_kernel(kernel):
+    if not isinstance(kernel, (ZeroKernel, Ar1Kernel)):
+        raise InvalidArgumentError(f"process kernels are zero or autoregressive, got {kernel!r}")
+
+
 def _as_points(X):
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -96,12 +101,10 @@ def kernel_eval(kernel, x, x2):
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
     if x.shape != x2.shape:
         raise InvalidArgumentError(f"point dimensions differ: {x.shape} vs {x2.shape}")
+    _check_kernel(kernel)
     if isinstance(kernel, ZeroKernel):
         return 0.0
-    dist = float(np.linalg.norm(x - x2))
-    if isinstance(kernel, RbfKernel):
-        return float(np.exp(-0.5 * (dist / kernel.lengthscale) ** 2))
-    return kernel.marginal_variance * kernel.phi**dist
+    return kernel.marginal_variance * kernel.phi ** float(np.linalg.norm(x - x2))
 
 
 def design_matrix(kernel, X):
@@ -111,13 +114,11 @@ def design_matrix(kernel, X):
     diagonal before any factorization.
     """
     X = _as_points(X)
+    _check_kernel(kernel)
     n = X.shape[0]
     if isinstance(kernel, ZeroKernel):
         return np.zeros((n, n))
-    D = cdist(X, X)
-    if isinstance(kernel, RbfKernel):
-        return np.exp(-0.5 * (D / kernel.lengthscale) ** 2)
-    return kernel.marginal_variance * kernel.phi**D
+    return kernel.marginal_variance * kernel.phi ** cdist(X, X)
 
 
 def cross_vector(kernel, X, xstar):
@@ -128,12 +129,10 @@ def cross_vector(kernel, X, xstar):
         raise InvalidArgumentError(
             f"xstar must be a single point of dimension {X.shape[1]}, got shape {xstar.shape}"
         )
+    _check_kernel(kernel)
     if isinstance(kernel, ZeroKernel):
         return np.zeros(X.shape[0])
-    d = np.linalg.norm(X - xstar[None, :], axis=1)
-    if isinstance(kernel, RbfKernel):
-        return np.exp(-0.5 * (d / kernel.lengthscale) ** 2)
-    return kernel.marginal_variance * kernel.phi**d
+    return kernel.marginal_variance * kernel.phi ** np.linalg.norm(X - xstar[None, :], axis=1)
 
 
 def ar1_jitter(kernel):

@@ -20,8 +20,8 @@ m_tilde) the natural mean.  The expected noise precision is
 the latent mean covariance Sigma of the effective precisions B of the
 last mean update, so the primal state is R, t, Q, B and the mixture
 factors; m and mu are derived, and :func:`refresh_caches` rebuilds them and
-everything else with the fit's own expressions, so a model rebuilt from
-its primal state forecasts bit for bit like the one in memory.  No prior
+everything else with the updates' own block code, so a model rebuilt from
+its primal state scores bit for bit like the one in memory.  No prior
 is ever factorized: ``K^-1 mu`` comes from the bound factor.
 
 q(g) moves by a damped natural-gradient step (the conjugate-computation
@@ -35,7 +35,7 @@ Each candidate costs one Cholesky factor La of ``A = I + sqrt(Q) Lam
 sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
 ``diag(S) = diag(Lam) - colsum(W o W)``, by Woodbury ``trace(Lam^-1 S) = N
 - Q . diag(S)``, and the step's ``Q S grad = sqrt(Q) La^-T (W grad)``
-comes from the same factor, which the block keeps if the step is accepted.
+comes from the same factor.
 The KL's core ``log|A| - Q . diag(S)`` is second order in Q near the
 prior, where it is summed from second-order terms
 (:func:`_diag_precision_posterior`).  The mean update uses the same
@@ -47,11 +47,16 @@ For one-column inputs the noise prior ``s phi^|x - x'|`` is the
 covariance of an Ornstein-Uhlenbeck process, which is Markov in sorted
 input order, so diag(S), the KL and the step ``S grad`` of every block
 come from one batched Kalman filter and smoother pass instead
-(:func:`_ou_moments`, O(N log N) arithmetic in log2(N) vectorized steps);
-no candidate is factorized, and :func:`fit` builds the bound factors that
-forecasts reuse once, from the final Q.  Near the prior that pass, too,
-sums the KL's core from second-order terms.  Inputs with more columns take
-the dense path.
+(:func:`_ou_moments`, O(N log N) arithmetic in log2(N) vectorized steps),
+and no candidate is factorized.  Near the prior that pass, too, sums the
+KL's core from second-order terms.  Inputs with more columns take the dense
+path.  :func:`_noise_steps` is the one place that chooses between the two.
+
+A forecast reads only t, Q, B and the sticks, and one bound factor per
+block: :func:`_model_factors` builds them from the stored Q and B, on
+either path, once at the end of :func:`fit` or on a loaded model's first
+forecast, so a loaded model forecasts the same bits without rebuilding
+the caches; :func:`free_energy` rebuilds those when it needs them.
 
 Most sweeps of a fit drain responsibility mass between components at a
 nearly constant rate, a linearly converging fixed-point map.  So after
@@ -210,10 +215,6 @@ class VariationalState:
     f_kl: np.ndarray = None  # (C, D) KL of each q(f) from its prior
     # innovation and stick terms of the free energy, set with the mixture factors
     mixture_terms: tuple = None
-    # per (c, d) factor of I + sqrt(Q) Lam sqrt(Q), reused by forecasts; on
-    # one-column inputs a noise update sets a moved block's to None, as does
-    # refresh_caches every block's, and _fill_bound_factors builds it from the final Q
-    noise_chol: object = None
     noise_priors: object = None  # per component Lam the caches were built with (shared)
 
     @property
@@ -748,60 +749,29 @@ def _init_state(ctx):
 
 
 def refresh_caches(state, ctx):
-    """Rebuild every derived array from the primal ones with the fit's own expressions.
+    """Rebuild every derived array from the primal ones with the updates' own block code.
 
-    Per (c, d) block, m = m_tilde + Lam t, and one factor of ``I + sqrt(Q)
-    Lam sqrt(Q)`` gives diag(S), the expected noise precisions, the KL of
-    q(g) and the bound factor that forecasts reuse; on one-column inputs
-    diag(S) and the KL's core come from :func:`_ou_moments`, as in the fit,
-    and the bound factors are left to :func:`_fill_bound_factors`.  One
-    factor of ``I + sqrt(B) K sqrt(B)`` gives mu, diag(Sigma) for the
-    expected squared residuals, and the KL of q(f), as the mean update
-    computes them from B.  The innovation and stick terms of the free
-    energy come from the mixture factors.
+    :func:`_noise_steps` gives diag(S) and the KL's core of every (c, d)
+    block at its stored Q, and :func:`_noise_moments` m, the KL of q(g) and
+    the expected noise precisions from t, as in the noise update.
+    :func:`_mean_block` gives mu, the expected squared residuals and the KL
+    of q(f) of every block with a mean kernel from its stored B, as in the
+    mean update.  The innovation and stick terms of the free energy come from
+    the mixture factors.
     """
     C, D, n = state.t.shape
+    rows = (np.repeat(np.arange(C), D), np.tile(np.arange(D), C))
+    s_diag, kl_core = _noise_steps(ctx, rows, state.Q.reshape(C * D, n))
+    m, g_kl, inv_noise = _noise_moments(ctx, rows, state.t.reshape(C * D, n), s_diag, kl_core)
     state.noise_priors = ctx.lam
-    state.m = np.empty((C, D, n))
-    state.inv_noise = np.empty((C, D, n))
+    state.s_diag, state.m, state.inv_noise = (a.reshape(C, D, n) for a in (s_diag, m, inv_noise))
+    state.g_kl = g_kl.reshape(C, D)
     state.omega = (ctx.Y.T[None, :, :] - state.mu) ** 2
-    state.g_kl = np.empty((C, D))
     state.f_kl = np.zeros((C, D))
-    state.noise_chol = [[None] * D for _ in range(C)]
+    for c, d in np.ndindex(C, D):
+        if ctx.K[c] is not None:
+            _mean_block(state, ctx, c, d)
     state.mixture_terms = _mixture_terms(state, ctx.config.pyp)
-    if ctx.ou is None:
-        state.s_diag = np.empty((C, D, n))
-    else:
-        ou_diag, ou_kl = _ou_moments(ctx.ou, np.repeat(np.arange(C), D), state.Q.reshape(C * D, n))
-        state.s_diag = ou_diag.reshape(C, D, n)
-    for c in range(C):
-        lam_t, quad = _prior_mean_terms(ctx.lam[c], state.t[c])
-        for d in range(D):
-            if ctx.ou is None:
-                state.noise_chol[c][d], _, state.s_diag[c, d], kl_core = _diag_precision_posterior(
-                    ctx.lam[c], state.Q[c, d], "noise bound matrix"
-                )
-            else:
-                kl_core = ou_kl[c * D + d]
-            state.m[c, d] = ctx.m_tilde[c, d] + lam_t[d]
-            state.inv_noise[c, d] = expected_noise_precision(state.m[c, d], state.s_diag[c, d])
-            state.g_kl[c, d] = 0.5 * (float(quad[d]) + kl_core)
-            if ctx.K[c] is not None:
-                mu, diag, state.f_kl[c, d], _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
-                state.mu[c, d] = mu
-                state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
-
-
-def _fill_bound_factors(state, ctx):
-    """Factor ``I + sqrt(Q) Lam sqrt(Q)`` for forecasts in every block that has no factor.
-
-    On one-column inputs neither the sweeps nor :func:`refresh_caches`
-    factorize a block, so :func:`fit` builds the factors here once, from the
-    final Q, and a loaded model on its first forecast.
-    """
-    for c, d in np.ndindex(state.t.shape[:2]):
-        if state.noise_chol[c][d] is None:
-            state.noise_chol[c][d] = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +799,8 @@ def update_noise_processes(state, ctx):
     never lowers the objective.  A candidate whose objective is not finite
     (its precisions overflow) is rejected.  A step judges each pending
     block with one factor, or all of them with one scan on one-column
-    inputs (:func:`_noise_steps`).  A moved block keeps its candidate's
-    bound factor; on one-column inputs, where no candidate is factorized, it
-    drops it, and :func:`fit` rebuilds it once from the final Q.
+    inputs (:func:`_noise_steps`), and :func:`_noise_moments` gives their
+    m, KL and expected precisions.
     """
     qz = state.R.T[:, None, :]
     target = 0.5 * qz * state.omega * state.inv_noise
@@ -842,21 +811,17 @@ def update_noise_processes(state, ctx):
     for step in _BACKTRACK_STEPS:
         rows = tuple(np.array(pending).T)
         Q = (1.0 - step) * state.Q[rows] + step * target[rows]
-        q_v, s_diag, kl_core, factors = _noise_steps(ctx, rows, Q, grad[rows])
+        s_diag, kl_core, q_v = _noise_steps(ctx, rows, Q, grad[rows])
         t = (1.0 - step) * state.t[rows] + step * (base[rows] - q_v)
         rejected = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, kl, inv_noise = _noise_moments(ctx, rows, t, s_diag, kl_core)
+            objs = [_block_objective(state, b, kl[i], m[i], inv_noise[i]) for i, b in enumerate(pending)]
         for i, (c, d) in enumerate(pending):
-            lam_t, quad = _prior_mean_terms(ctx.lam[c], t[i])
-            m = ctx.m_tilde[c, d] + lam_t
-            kl = 0.5 * (float(quad) + kl_core[i])
-            with np.errstate(over="ignore", invalid="ignore"):
-                inv_noise = expected_noise_precision(m, s_diag[i])
-                obj = _block_objective(state, (c, d), kl, m, inv_noise)
-            old = old_obj[c, d]
+            obj, old = objs[i], old_obj[c, d]
             if math.isfinite(obj) and obj >= old - _ACCEPT_SLACK * (1.0 + abs(old)):
-                state.t[c, d], state.m[c, d], state.s_diag[c, d] = t[i], m, s_diag[i]
-                state.Q[c, d], state.g_kl[c, d], state.inv_noise[c, d] = Q[i], kl, inv_noise
-                state.noise_chol[c][d] = factors[i]
+                state.t[c, d], state.m[c, d], state.s_diag[c, d] = t[i], m[i], s_diag[i]
+                state.Q[c, d], state.g_kl[c, d], state.inv_noise[c, d] = Q[i], kl[i], inv_noise[i]
             else:
                 rejected.append((c, d))
         pending = rejected
@@ -871,28 +836,40 @@ def _block_objective(state, block, kl, m, inv_noise):
     return -kl - 0.5 * float(qz @ (m + state.omega[block] * inv_noise))
 
 
-def _noise_steps(ctx, rows, Q, grad):
-    """``Q S grad``, diag(S), ``log|A| - Q . diag(S)`` and bound factors of blocks ``rows``.
+def _noise_steps(ctx, rows, Q, grad=None):
+    """diag(S), ``log|A| - Q . diag(S)`` and, given ``grad``, ``Q S grad`` of blocks ``rows``.
 
     Row i of Q and grad (P, N) belongs to block ``(rows[0][i],
-    rows[1][i])``.  On one-column inputs one :func:`_ou_moments` scan gives
-    ``S grad`` for every row, and no factor (None).  The dense path factors
-    each row's ``A = I + sqrt(Q) Lam sqrt(Q)`` once for diag(S) and takes
-    ``Q S grad = sqrt(Q) La^-T (W grad)`` with ``W = La^-1 sqrt(Q) Lam`` from
-    the same factor.
+    rows[1][i])``.  On one-column inputs one :func:`_ou_moments` scan serves
+    every row.  The dense path factors each row's ``A = I + sqrt(Q) Lam
+    sqrt(Q)`` once for diag(S) and takes ``Q S grad = sqrt(Q) La^-T (W
+    grad)`` with ``W = La^-1 sqrt(Q) Lam`` from the same factor.  This is
+    the only code that reads which path the inputs take.
     """
     if ctx.ou is not None:
+        if grad is None:
+            return _ou_moments(ctx.ou, rows[0], Q)
         s_diag, kl_core, v = _ou_moments(ctx.ou, rows[0], Q, grad)
-        return Q * v, s_diag, kl_core, [None] * len(Q)
+        return s_diag, kl_core, Q * v
     s_diag = np.empty_like(Q)
     kl_core = np.empty(Q.shape[0])
     q_v = np.empty_like(Q)
-    factors = []
     for i, c in enumerate(rows[0]):
         La, W, s_diag[i], kl_core[i] = _diag_precision_posterior(ctx.lam[c], Q[i], "noise bound matrix")
-        q_v[i] = np.sqrt(Q[i]) * solve_lower_transpose(La, W @ grad[i])
-        factors.append(La)
-    return q_v, s_diag, kl_core, factors
+        if grad is not None:
+            q_v[i] = np.sqrt(Q[i]) * solve_lower_transpose(La, W @ grad[i])
+    return (s_diag, kl_core) if grad is None else (s_diag, kl_core, q_v)
+
+
+def _noise_moments(ctx, rows, t, s_diag, kl_core):
+    """m = m_tilde + Lam t, the KL of q(g) and the expected noise precisions of blocks ``rows``."""
+    m = np.empty_like(t)
+    kl = np.empty(t.shape[0])
+    for i, (c, d) in enumerate(zip(*rows)):
+        lam_t, quad = _prior_mean_terms(ctx.lam[c], t[i])
+        m[i] = ctx.m_tilde[c, d] + lam_t
+        kl[i] = 0.5 * (float(quad) + kl_core[i])
+    return m, kl, expected_noise_precision(m, s_diag)
 
 
 def update_latent_functions(state, ctx):
@@ -901,16 +878,17 @@ def update_latent_functions(state, ctx):
     Components with the zero kernel are left untouched: their mean is
     identically zero and carries no free-energy terms.
     """
-    C, D, _ = state.m.shape
-    for c in range(C):
-        if ctx.K[c] is None:
-            continue
-        qz = state.R[:, c]
-        for d in range(D):
-            state.B[c, d] = qz * state.inv_noise[c, d]
-            mu, diag, state.f_kl[c, d], _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
-            state.mu[c, d] = mu
-            state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
+    for c, d in np.ndindex(state.m.shape[:2]):
+        if ctx.K[c] is not None:
+            state.B[c, d] = state.R[:, c] * state.inv_noise[c, d]
+            _mean_block(state, ctx, c, d)
+
+
+def _mean_block(state, ctx, c, d):
+    """mu, the expected squared residuals and the KL of q(f) of block (c, d) from its stored B."""
+    mu, diag, state.f_kl[c, d], _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+    state.mu[c, d] = mu
+    state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
 
 
 def _responsibility_logits(state, ctx):
@@ -1106,7 +1084,6 @@ def fit(X, Y, config=None):
             trace.append(value)
             labels.append("extrapolation")
         done = sweeps == config.max_iters
-    _fill_bound_factors(state, ctx)
 
     model = MgpchModel(
         config=ctx.config,
@@ -1120,6 +1097,7 @@ def fit(X, Y, config=None):
         trace_labels=labels,
     )
     model._ctx = ctx
+    _model_factors(model, ctx)
     return model
 
 
@@ -1225,8 +1203,6 @@ def _model_context(model):
             m_tilde=model.m_tilde,
         )
         model._ctx = _make_context(model.X, model.Y, config)
-        if model.state is not None and model.state.g_kl is None:
-            refresh_caches(model.state, model._ctx)
     return model._ctx
 
 
@@ -1235,28 +1211,27 @@ def _model_context(model):
 
 
 def _model_factors(model, ctx):
-    """Per-model mean factors, built from the stored state on first use.
+    """Per-model forecast factors, built from the stored primal state once.
 
-    Per (c, d) with a mean kernel: ``sqrt(B)``, the factor of ``I +
-    sqrt(B) K sqrt(B)`` and ``K^-1 mu``, with the stored B of the mean
-    update that produced mu and Sigma, so a component's forecast is the
-    q(f) predictive ``k*' K^-1 mu``.  The noise side uses the stored t and
-    the state's bound factors: the fit keeps the accepted candidate's, and
-    :func:`refresh_caches` or :func:`_fill_bound_factors` builds the same one
-    from the stored Q, so a loaded model forecasts the same bits as after
-    :func:`fit`.
+    Per (c, d) block: ``sqrt(Q)`` and the factor of ``I + sqrt(Q) Lam
+    sqrt(Q)``, from which the noise forecast takes its variance, and, with a
+    mean kernel, ``sqrt(B)``, the factor of ``I + sqrt(B) K sqrt(B)`` and
+    ``K^-1 mu``, with the stored B of the mean update that produced mu and
+    Sigma, so a component's forecast is the q(f) predictive ``k*' K^-1 mu``.
+    :func:`fit` builds them at its end and a loaded model on its first
+    forecast, from the same Q and B, so both forecast the same bits.
     """
     if model._factors is None:
         state = model.state
-        _fill_bound_factors(state, ctx)
         C, D, _ = state.t.shape
+        noise = [[None] * D for _ in range(C)]
         mean = [[None] * D for _ in range(C)]
-        for c in range(C):
-            for d in range(D):
-                if ctx.K[c] is not None:
-                    root, La = _bound_factor(ctx.K[c], state.B[c, d], "mean bound matrix")
-                    mean[c][d] = (root, La, _latent_gain(state.B[c, d], La, ctx.Y[:, d]))
-        model._factors = mean
+        for c, d in np.ndindex(C, D):
+            noise[c][d] = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")
+            if ctx.K[c] is not None:
+                root, La = _bound_factor(ctx.K[c], state.B[c, d], "mean bound matrix")
+                mean[c][d] = (root, La, _latent_gain(state.B[c, d], La, ctx.Y[:, d]))
+        model._factors = noise, mean
     return model._factors
 
 
@@ -1291,9 +1266,9 @@ def predict_batch(model, Xstar):
     GP conditional of the log-variance posterior at each new input,
     ``m_tilde + k*' Lam^-1 (m - m_tilde) = m_tilde + k*' t``; the mixture blends
     components with the posterior mean weights (squared for the
-    variance).  Factorizations are built once per model, on the first
-    call; a call computes one input-distance matrix and one triangular
-    solve per (c, d) block against all M inputs.
+    variance).  Factorizations are built once per model
+    (:func:`_model_factors`); a call computes one input-distance matrix
+    and one triangular solve per (c, d) block against all M inputs.
 
     Returns
     -------
@@ -1311,7 +1286,7 @@ def predict_batch(model, Xstar):
         raise InvalidArgumentError(f"inputs must be an (M, {p}) array with M >= 1, got shape {Xstar.shape}")
     if not np.all(np.isfinite(Xstar)):
         raise InvalidArgumentError("inputs must be finite")
-    mean_factors = _model_factors(model, ctx)
+    noise_factors, mean_factors = _model_factors(model, ctx)
     C, D, _ = state.t.shape
     M = Xstar.shape[0]
     weights = expected_weights(state.sticks)
@@ -1333,7 +1308,8 @@ def predict_batch(model, Xstar):
         lam_cross = cross_cov(nk)
         for d in range(D):
             tau[:, c, d] = ctx.m_tilde[c, d] + _row_dots(lam_cross, state.t[c, d][None, :])
-            w = solve_lower(state.noise_chol[c][d], (lam_cross * np.sqrt(state.Q[c, d])).T).T
+            root, La = noise_factors[c][d]
+            w = solve_lower(La, (lam_cross * root).T).T
             phi_star[:, c, d] = np.maximum(nk.marginal_variance - _row_dots(w, w), 0.0)
             if mean_factors[c][d] is not None:
                 k_cross = cross_cov(mk)

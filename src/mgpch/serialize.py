@@ -12,14 +12,15 @@ layout, for reading by eye.
 Version 4 stores only the primal variational arrays, each O(C D N):
 responsibilities, the latent means mu, the natural means t of q(g), the
 bound parameters Q, the effective precisions B of the last mean update,
-the sticks and the innovation.  Every derived array, the means m = m_tilde
-+ Lam t included, is rebuilt on load by the fit's own expressions, so a
-loaded model forecasts the same bits as the fitted one; it holds no N x N
-posterior covariance.  A primal array with a non-finite entry is rejected
-with a FormatError that names the field.  Kernels are zero or
-autoregressive, fixed for the whole fit.  Files of earlier versions (1
-stored S and Sigma, 2 a hyperparameter-step cadence, 3 the means m) are
-not read; refit the model to write version 4.
+the sticks and the innovation.  A forecast factors the same Q and B as
+the fit, so a loaded model forecasts the same bits as the fitted one, and
+every other derived array, the means m = m_tilde + Lam t included, is
+rebuilt by the updates' own code when the free energy first needs it; a
+model holds no N x N posterior covariance.  A primal array with a
+non-finite entry is rejected with a FormatError that names the field.
+Kernels are zero or autoregressive, fixed for the whole fit.  Files of
+earlier versions (1 stored S and Sigma, 2 a hyperparameter-step cadence,
+3 the means m) are not read; refit the model to write version 4.
 """
 
 import json

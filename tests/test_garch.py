@@ -1,9 +1,14 @@
 """GARCH(1,1) filter, fit and forecasts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import mgpch
 from mgpch.errors import InvalidArgumentError
 from mgpch.garch import (
     GarchParams,
@@ -128,3 +133,13 @@ class TestFit:
             garch_fit(np.concatenate([0.01 * np.ones(40), [np.nan]]))
         with pytest.raises(InvalidArgumentError):
             garch_fit(0.01 * np.ones((2, 40)))
+
+
+def test_importing_the_package_loads_neither_scipy_signal_nor_scipy_stats():
+    # garch_filter imports scipy.signal on its first call; at module level it
+    # would load scipy.stats with it and double the package's import time
+    src = os.path.dirname(os.path.dirname(mgpch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, mgpch; print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

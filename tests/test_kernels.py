@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from mgpch.errors import InvalidArgumentError
 from mgpch.kernels import (
     Ar1Kernel,
+    RbfKernel,
     ZeroKernel,
     ar1_jitter,
     cross_vector,
@@ -100,3 +101,18 @@ def test_jitter_scales_with_marginal_variance():
     k = Ar1Kernel(phi=0.5, sigma0_sq=0.75)
     assert_allclose(ar1_jitter(k), 1e-8 * 1.0, rtol=1e-12)
     assert ar1_jitter(ZeroKernel()) == 0.0
+
+
+@pytest.mark.parametrize("kernel", [RbfKernel(1.0), None, 0.5])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda k: kernel_eval(k, 0.0, 1.0),
+        lambda k: design_matrix(k, np.zeros((3, 1))),
+        lambda k: cross_vector(k, np.zeros((3, 1)), np.zeros(1)),
+    ],
+    ids=["kernel_eval", "design_matrix", "cross_vector"],
+)
+def test_process_kernels_are_zero_or_autoregressive(kernel, evaluate):
+    with pytest.raises(InvalidArgumentError, match="zero or autoregressive"):
+        evaluate(kernel)

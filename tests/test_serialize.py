@@ -10,10 +10,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import mgpch.model as model_module
 from mgpch.copula import family_from_name, train_pairwise
 from mgpch.errors import FormatError, InvalidArgumentError
-from mgpch.kernels import Ar1Kernel
-from mgpch.model import MgpchConfig, MgpchModel, _model_context, fit, free_energy, predict
+from mgpch.kernels import Ar1Kernel, ZeroKernel
+from mgpch.model import MgpchConfig, MgpchModel, _model_context, fit, free_energy, predict, predict_batch
 from mgpch.pyp import PypConfig
 from mgpch.serialize import load_model, save_model
 
@@ -49,7 +50,7 @@ class TestRoundTrip:
         xstar = np.array([0.3])
         a = predict(model, xstar)
         b = predict(loaded, xstar)
-        # caches rebuilt on load use the fit's own expressions, so the bits agree
+        # a load factors the same stored Q and B as the fit, so the bits agree
         assert b.mean.tolist() == a.mean.tolist()
         assert b.variance.tolist() == a.variance.tolist()
         assert b.noise_log_mean.tolist() == a.noise_log_mean.tolist()
@@ -110,13 +111,45 @@ class TestRoundTrip:
         model = fit(X, Y, config)
         save_model(tmp_path / "model.json", model)
         loaded, _ = load_model(tmp_path / "model.json")
-        predict(loaded, X[0])  # builds the derived caches
+        free_energy(loaded.state, _model_context(loaded))  # builds the derived caches
         for m in (model, loaded):
             shapes = {k: v.shape for k, v in vars(m.state).items() if isinstance(v, np.ndarray)}
             assert all(len(shape) < 4 for shape in shapes.values()), shapes
         # S is rebuilt on demand, with the same bits after a load
         assert model.state.S.shape == (2, 2, 12, 12)
         assert np.array_equal(loaded.state.S, model.state.S)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_first_forecast_after_a_load_factors_each_block_once(self, p, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(15, p))
+        Y = 0.02 * rng.standard_normal((15, 2))
+        kernels = [Ar1Kernel(0.5, 0.4), ZeroKernel(), ZeroKernel()]
+        config = MgpchConfig(pyp=PypConfig(truncation=3), mean_kernels=kernels, max_iters=4)
+        model = fit(X, Y, config)
+        save_model(tmp_path / "model.json", model)
+        loaded, _ = load_model(tmp_path / "model.json")
+        factored = []
+        cholesky = model_module.cholesky_factor
+
+        def count(A, context):
+            factored.append(context)
+            return cholesky(A, context)
+
+        monkeypatch.setattr(model_module, "cholesky_factor", count)
+
+        def refresh(state, ctx):
+            raise AssertionError("a forecast rebuilt the caches")
+
+        monkeypatch.setattr(model_module, "refresh_caches", refresh)
+        Xstar = rng.normal(size=(4, p))
+        got = predict_batch(loaded, Xstar)
+        # one factor per noise block (C D = 6) and per block with a mean kernel (D = 2)
+        assert sorted(factored) == ["mean bound matrix"] * 2 + ["noise bound matrix"] * 6
+        assert loaded.state.g_kl is None
+        want = predict_batch(model, Xstar)
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
 
 
 class TestSchema:
