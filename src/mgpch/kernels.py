@@ -140,6 +140,7 @@ def ar1_jitter(kernel):
 
     Scaled to the kernel's marginal variance; zero for the zero kernel.
     """
+    _check_kernel(kernel)
     if isinstance(kernel, ZeroKernel):
         return 0.0
     return JITTER_SCALE * kernel.marginal_variance

@@ -63,11 +63,14 @@ nearly constant rate, a linearly converging fixed-point map.  So after
 every two plain sweeps :func:`fit` extrapolates the whole sweep map along
 the path of the primal state (log R, t, log Q, log B and the logs of the
 mixture factors' parameters) with the squared step of SQUAREM (Varadhan and
-Roland, Scand. J. Statist. 2008): it rebuilds the caches at the
-extrapolated point, runs one plain sweep from it and keeps the result only
-if the free energy is at least that of the second sweep; a shorter step is
-tried otherwise, and after three tries the fit goes on from the second
-sweep's state, untouched.  A kept step enters the free-energy trace as one
+Roland, Scand. J. Statist. 2008).  The caches a sweep reads, log omega and
+log diag(S), move along the same path, so a try factorizes nothing before
+its sweep.  The try starts with infinite KLs of q(g), so that sweep takes
+each block's finite Newton noise step, which reads neither Q nor a KL, and
+leaves every cache exact.  The result is kept only if its free energy is
+finite and at least that of the second sweep; a shorter step is tried
+otherwise, and after three tries the fit goes on from the second sweep's
+state, untouched.  A kept step enters the free-energy trace as one
 ``"extrapolation"`` entry, so the trace stays non-decreasing, and only a
 plain sweep's gain is tested for convergence; on the benchmark panels the
 step halves the sweeps per fit and reaches the same optimum.
@@ -396,7 +399,9 @@ def _bound_factor(prior, prec, label):
     if np.any(prec < 0.0):
         raise InvalidArgumentError(f"diagonal precisions of the {label} must be non-negative")
     root = np.sqrt(prec)
-    A = root[:, None] * prior * root[None, :] + np.eye(prior.shape[0])
+    A = root[:, None] * prior
+    A *= root
+    A.flat[:: A.shape[0] + 1] += 1.0
     return root, cholesky_factor(A, context=label)
 
 
@@ -760,7 +765,7 @@ def refresh_caches(state, ctx):
     the mixture factors.
     """
     C, D, n = state.t.shape
-    rows = (np.repeat(np.arange(C), D), np.tile(np.arange(D), C))
+    rows = _block_rows(C, D)
     s_diag, kl_core = _noise_steps(ctx, rows, state.Q.reshape(C * D, n))
     m, g_kl, inv_noise = _noise_moments(ctx, rows, state.t.reshape(C * D, n), s_diag, kl_core)
     state.noise_priors = ctx.lam
@@ -772,6 +777,11 @@ def refresh_caches(state, ctx):
         if ctx.K[c] is not None:
             _mean_block(state, ctx, c, d)
     state.mixture_terms = _mixture_terms(state, ctx.config.pyp)
+
+
+def _block_rows(C, D):
+    """Component and output index of every (c, d) block, in row order of a (C * D, N) reshape."""
+    return np.repeat(np.arange(C), D), np.tile(np.arange(D), C)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,10 +1021,10 @@ def fit(X, Y, config=None):
     responsibilities and the mixture factors in turn.  After every two plain
     sweeps x0 -> x1 -> x2, a safeguarded SQUAREM step (Varadhan and Roland,
     Scand. J. Statist. 2008) extrapolates the whole sweep map
-    (:func:`_extrapolated_sweep`): it runs one sweep from a point far along
-    the sweeps' path and keeps the result only if its free energy is at
-    least that of x2; otherwise the fit goes on from x2, bit for bit as
-    without the step.
+    (:func:`_extrapolated_sweep`): it runs one sweep, with the Newton noise
+    step, from a point far along the sweeps' path and keeps the result only
+    if its free energy is finite and at least that of x2; otherwise the fit
+    goes on from x2, bit for bit as without the step.
 
     Parameters
     ----------
@@ -1115,14 +1125,18 @@ def _sweep(state, ctx, record=None):
 
 
 def _primal_coordinates(state):
-    """The primal state as unconstrained arrays: log R, t, log Q, log B, and the logs of the stick and innovation parameters.
+    """The state as two groups of unconstrained arrays, extrapolated by :func:`_extrapolated_sweep`.
 
-    Only these are extrapolated; every other array is rebuilt from them.  A
-    zero (a vanished responsibility, or the B of a block no mean update
-    reached) maps to -inf, which :func:`_extrapolated_sweep` leaves in place.
+    The first group is the primal state, log R, t, log Q, log B and the logs
+    of the stick and innovation parameters, and alone sets the step length.
+    The second holds log omega and log diag(S): these caches move along the
+    same path, so that a try's sweep reads them at the extrapolated point
+    without a factorization (:func:`_state_at`).  A zero (a vanished
+    responsibility, or the B of a block no mean update reached) maps to
+    -inf, which :func:`_extrapolated_sweep` leaves in place.
     """
     with np.errstate(divide="ignore"):
-        return (
+        primal = (
             np.log(state.R),
             state.t.copy(),
             np.log(state.Q),
@@ -1131,11 +1145,25 @@ def _primal_coordinates(state):
             np.log(state.sticks.beta2),
             np.log([state.innovation.eta1_hat, state.innovation.eta2_hat]),
         )
+        return primal, (np.log(state.omega), np.log(state.s_diag))
 
 
 def _state_at(coords, ctx):
-    """A new state at primal coordinates, its caches rebuilt, or None outside the factors' domains."""
-    log_R, t, log_Q, log_B, log_beta1, log_beta2, log_eta = coords
+    """The state an extrapolation try sweeps from, or None outside the mixture factors' domains.
+
+    It holds what the try's sweep reads at the coordinates ``coords`` of
+    :func:`_primal_coordinates`: R, t, the mixture factors, diag(S) and,
+    where a mean kernel moves it, omega, with m and the expected precisions
+    from t.  Nothing is factorized.  The KLs of q(g) are +inf, so every
+    block's objective is -inf and the sweep's noise update accepts each
+    finite Newton step ``Q_1 = Q_hat``, ``t_1 = Q_hat - q_c / 2 - Q_1 S_1
+    grad``, which reads neither Q nor a KL; Q is a zero placeholder, so a
+    damped step s of a block whose Newton step is not finite reads ``Q_s =
+    s Q_hat``.  The mean update then sets B, mu, omega and the KL of q(f),
+    so after the sweep every cache is exact.  A block that rejects every
+    step keeps its +inf KL, and the try's free energy is -inf.
+    """
+    (log_R, t, _, log_B, log_beta1, log_beta2, log_eta), (log_omega, log_s_diag) = coords
     R = np.exp(log_R - log_R.max(axis=1, keepdims=True))
     R /= R.sum(axis=1, keepdims=True)
     mixture = [np.exp(a) for a in (log_beta1, log_beta2, log_eta)]
@@ -1144,35 +1172,50 @@ def _state_at(coords, ctx):
     beta1, beta2, eta = mixture
     sticks = StickPosterior(beta1, beta2)
     innovation = InnovationPosterior(float(eta[0]), float(eta[1]))
-    # mu is rebuilt from B with the other caches
-    state = VariationalState(R, np.zeros_like(t), t, np.exp(log_Q), np.exp(log_B), sticks, innovation)
-    refresh_caches(state, ctx)
-    return state
+    C, D, n = t.shape
+    s_diag = np.exp(log_s_diag)
+    rows = _block_rows(C, D)
+    m, _, inv_noise = _noise_moments(ctx, rows, t.reshape(C * D, n), s_diag.reshape(C * D, n), np.zeros(C * D))
+    mu = np.zeros_like(t)
+    omega = (ctx.Y.T[None, :, :] - mu) ** 2  # exact where no mean kernel moves mu
+    fitted = [c for c in range(C) if ctx.K[c] is not None]
+    omega[fitted] = np.exp(log_omega[fitted])
+    return VariationalState(
+        R, mu, t, np.zeros_like(t), np.exp(log_B), sticks, innovation,
+        m=m.reshape(C, D, n), s_diag=s_diag, omega=omega, inv_noise=inv_noise.reshape(C, D, n),
+        g_kl=np.full((C, D), np.inf), f_kl=np.zeros((C, D)), noise_priors=ctx.lam,
+    )
 
 
 def _extrapolated_sweep(points, floor, ctx, budget):
-    """One safeguarded SQUAREM step from the primal coordinates of three consecutive sweeps.
+    """One safeguarded SQUAREM step from the coordinates of three consecutive sweeps.
 
     With the differences ``r = x1 - x0`` and ``v = x2 - 2 x1 + x0`` over
     every coordinate that is finite in all three points, and the step length
-    ``a = |r| / |v|``, the candidate ``x0 + 2 a r + a^2 v`` lies on the
-    parabola through the sweeps' path that reaches x2 at a = 1 (the SqS3
-    scheme).  A new state is built there, one plain sweep runs from it
-    without recording, and the result is kept if its free energy is at least
-    ``floor``, that of x2.  Otherwise a moves halfway to 1, at most
-    ``_EXTRAPOLATION_TRIES`` times and within ``budget`` sweeps; a candidate
-    whose caches or sweep leave their domains is rejected alike.  The live
-    state is never touched, so a rejected step leaves x2 as it was.
+    ``a = |r| / |v|`` over the primal coordinates, the candidate ``x0 + 2 a
+    r + a^2 v`` lies on the parabola through the sweeps' path that reaches
+    x2 at a = 1 (the SqS3 scheme).  The try's state is built there
+    (:func:`_state_at`), one sweep runs from it without recording, taking
+    the Newton noise step, and the result is kept if its free energy is
+    finite and at least ``floor``, that of x2.  Otherwise a moves halfway
+    to 1, at most ``_EXTRAPOLATION_TRIES`` times and within ``budget``
+    sweeps; a candidate outside the mixture factors' domains, or whose
+    sweep leaves its domains (a non-finite bound matrix), is rejected
+    alike.  The live state is never touched, so a rejected step leaves x2
+    as it was.
 
     Returns the kept state and its free energy, or (None, None), and the
     number of sweeps tried.
     """
+    n_primal = len(points[0][0])
+    points = [[*primal, *caches] for primal, caches in points]
     finite = [np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2) for x0, x1, x2 in zip(*points)]
     with np.errstate(invalid="ignore"):
         r = [np.where(f, x1 - x0, 0.0) for f, x0, x1 in zip(finite, points[0], points[1])]
         v = [np.where(f, x2 - 2.0 * x1 + x0, 0.0) for f, x0, x1, x2 in zip(finite, *points)]
-    norm_v = math.sqrt(sum(float(np.sum(a * a)) for a in v))
-    step = math.sqrt(sum(float(np.sum(a * a)) for a in r)) / norm_v if norm_v > 0.0 else 1.0
+    norm_v = math.sqrt(sum(float(np.sum(a * a)) for a in v[:n_primal]))
+    norm_r = math.sqrt(sum(float(np.sum(a * a)) for a in r[:n_primal]))
+    step = norm_r / norm_v if norm_v > 0.0 else 1.0
     tries = 0
     while step > 1.0 and tries < min(budget, _EXTRAPOLATION_TRIES):
         tries += 1
@@ -1182,11 +1225,11 @@ def _extrapolated_sweep(points, floor, ctx, budget):
         ]
         try:
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                candidate = _state_at(coords, ctx)
-                if candidate is not None and math.isfinite(free_energy(candidate, ctx)):
+                candidate = _state_at((coords[:n_primal], coords[n_primal:]), ctx)
+                if candidate is not None:
                     _sweep(candidate, ctx)
                     value = free_energy(candidate, ctx)
-                    if value >= floor:
+                    if math.isfinite(value) and value >= floor:
                         return candidate, value, tries
         except (IllConditionedError, NumericalDomainError):
             pass

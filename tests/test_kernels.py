@@ -110,8 +110,9 @@ def test_jitter_scales_with_marginal_variance():
         lambda k: kernel_eval(k, 0.0, 1.0),
         lambda k: design_matrix(k, np.zeros((3, 1))),
         lambda k: cross_vector(k, np.zeros((3, 1)), np.zeros(1)),
+        ar1_jitter,
     ],
-    ids=["kernel_eval", "design_matrix", "cross_vector"],
+    ids=["kernel_eval", "design_matrix", "cross_vector", "ar1_jitter"],
 )
 def test_process_kernels_are_zero_or_autoregressive(kernel, evaluate):
     with pytest.raises(InvalidArgumentError, match="zero or autoregressive"):

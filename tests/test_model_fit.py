@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mgpch.errors import InvalidArgumentError
+from mgpch.errors import IllConditionedError, InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, RbfKernel, cross_vector, design_matrix
 import mgpch.model as model_module
 from mgpch.model import (
     MgpchConfig,
+    _extrapolated_sweep,
     _init_state,
     _LazyGpPath,
     _make_context,
-    _state_at,
+    _primal_coordinates,
+    _sweep,
     expected_noise_variance,
     fit,
     free_energy,
+    refresh_caches,
     simulate,
     update_latent_functions,
     update_mixture_posteriors,
@@ -239,11 +242,94 @@ class TestExtrapolation:
         assert len(calls) > (len(trace) - 1) // 4
 
     def test_a_kept_step_never_ends_the_fit(self, monkeypatch):
-        # every step is kept with no gain: the state at x2, rebuilt, at F(x2)
-        monkeypatch.setattr(model_module, "_extrapolated_sweep", lambda points, floor, ctx, budget: (_state_at(points[2], ctx), floor, 1))
+        # every step is kept with no gain: a copy of the state at x2, at F(x2)
+        seen = []
+        coordinates = model_module._primal_coordinates
+        monkeypatch.setattr(model_module, "_primal_coordinates", lambda state: seen.append(state) or coordinates(state))
+        monkeypatch.setattr(model_module, "_extrapolated_sweep", lambda points, floor, ctx, budget: (copy.deepcopy(seen[-1]), floor, 1))
         X, Y, config = draining_fit_data(1)
         labels = fit(X, Y, config).trace_labels
         assert labels.count("extrapolation") > 1 and labels[-1] == "mixture"
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_a_try_builds_no_caches_and_its_sweep_leaves_them_exact(self, monkeypatch, p):
+        X, Y, config = draining_fit_data(p)  # p = 2: the dense noise path, a mean kernel on every component
+        ctx = _make_context(X, Y, config)
+        state = _init_state(ctx)
+        C, D = state.t.shape[:2]
+        # a kept try factors each noise and mean block once, in its sweep; the
+        # scalar noise path without mean kernels factors nothing
+        per_try = 2 * C * D if p == 2 else 0
+        factors, at_state = [], []
+        factor, build = model_module.cholesky_factor, model_module._state_at
+        monkeypatch.setattr(model_module, "cholesky_factor", lambda *a, **k: factors.append(1) or factor(*a, **k))
+
+        def counted_build(coords, ctx):
+            before = len(factors)
+            built = build(coords, ctx)
+            at_state.append(len(factors) - before)
+            return built
+
+        monkeypatch.setattr(model_module, "_state_at", counted_build)
+        names = ("m", "mu", "s_diag", "inv_noise", "omega", "g_kl", "f_kl", "mixture_terms")
+        kept = 0
+        for _ in range(8):
+            points = [_primal_coordinates(state)]
+            for _ in range(2):
+                _sweep(state, ctx)
+                points.append(_primal_coordinates(state))
+            factors.clear()
+            candidate, value, tries = _extrapolated_sweep(points, free_energy(state, ctx), ctx, 3)
+            if candidate is not None and tries == 1:
+                assert len(factors) == per_try
+                swept = {name: copy.deepcopy(getattr(candidate, name)) for name in names}
+                refresh_caches(candidate, ctx)
+                for name in names:
+                    assert np.array_equal(getattr(candidate, name), swept[name]), name
+                assert free_energy(candidate, ctx) == value
+                kept += 1
+                state = candidate
+        assert kept and len(at_state) >= kept and not any(at_state)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_try_is_kept_only_at_a_finite_free_energy(self, monkeypatch, value):
+        X, Y, config = draining_fit_data(1)
+        state, trace = plain_ascent(X, Y, config)
+        step = model_module._extrapolated_sweep
+
+        def scored(points, floor, ctx, budget):
+            # every try's sweep ends at a free energy of `value`
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "free_energy", lambda state, ctx: value)
+                return step(points, floor, ctx, budget)
+
+        monkeypatch.setattr(model_module, "_extrapolated_sweep", scored)
+        model = fit(X, Y, config)
+        assert model.free_energy_trace == trace
+        assert_same_state(model.state, state)
+
+    def test_a_try_whose_bound_matrices_overflow_is_rejected(self, monkeypatch):
+        X, Y, config = draining_fit_data(2)
+        state, trace = plain_ascent(X, Y, config)
+        build = model_module._state_at
+        # diag(S) overflows at every try, and with it the expected precisions
+        # and the bound matrices of the Newton step
+        monkeypatch.setattr(model_module, "_state_at", lambda coords, ctx: build((coords[0], (coords[1][0], coords[1][1] + 1e3)), ctx))
+        failures = []
+        factor = model_module.cholesky_factor
+
+        def recorded(A, context=""):
+            try:
+                return factor(A, context)
+            except IllConditionedError as exc:
+                failures.append(str(exc))
+                raise
+
+        monkeypatch.setattr(model_module, "cholesky_factor", recorded)
+        model = fit(X, Y, config)
+        assert failures and all("noise bound matrix" in f and "non-finite" in f for f in failures)
+        assert model.free_energy_trace == trace
+        assert_same_state(model.state, state)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12])
     def test_max_iters_caps_sweeps_of_both_kinds(self, monkeypatch, k):
