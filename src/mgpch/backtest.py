@@ -9,7 +9,7 @@ maximal; ``forecast_only_at_retrain`` restores the sparser cadence.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
 import numpy as np
@@ -25,11 +25,22 @@ __all__ = [
     "CovarianceForecast",
     "VolatilityForecast",
     "historical_volatility",
+    "horizon_set",
     "run_covariance_backtest",
     "run_volatility_backtest",
 ]
 
 GARCH = "garch"
+
+
+def horizon_set(horizons):
+    """Forecast horizons as a sorted tuple of distinct integers, each at least 1."""
+    horizons = tuple(sorted({int(h) for h in horizons}))
+    if not horizons:
+        raise InvalidArgumentError("horizons must be non-empty")
+    if horizons[0] < 1:
+        raise InvalidArgumentError(f"horizons must be >= 1, got {horizons[0]}")
+    return horizons
 
 
 @dataclass(frozen=True)
@@ -50,12 +61,7 @@ class BacktestConfig:
     forecast_only_at_retrain: bool = False
 
     def __post_init__(self):
-        horizons = tuple(sorted({int(h) for h in self.horizons}))
-        object.__setattr__(self, "horizons", horizons)
-        if not horizons:
-            raise InvalidArgumentError("horizons must be non-empty")
-        if horizons[0] < 1:
-            raise InvalidArgumentError(f"horizons must be >= 1, got {horizons[0]}")
+        object.__setattr__(self, "horizons", horizon_set(self.horizons))
         if self.retrain_every < 1:
             raise InvalidArgumentError(
                 f"retrain_every must be >= 1, got {self.retrain_every}"
@@ -132,12 +138,16 @@ def historical_volatility(returns, window):
 class _MgpchForecaster:
     """One fitted mixture serving all horizons from a single input.
 
-    The moments at an origin serve every horizon, so they are computed
-    once per input and kept until the next one.
+    Each output pair in ``pairs`` gets a conditional copula trained on
+    the same window; with no pairs none is trained.  The moments at an
+    origin serve every horizon and pair, so they are computed once per
+    input and kept until the next one.
     """
 
-    def __init__(self, window_returns, config):
-        self.model = fit(window_returns[:-1], window_returns[1:], config)
+    def __init__(self, window_returns, config, family=None, pairs=()):
+        data = (window_returns[:-1], window_returns[1:])
+        self.model = fit(*data, config)
+        self.pair_models = {pair: train_pairwise(pair, self.model, data, family) for pair in pairs}
         self._origin = None  # (input bytes, moments, {pair: covariance})
 
     def _at(self, x_star):
@@ -149,23 +159,14 @@ class _MgpchForecaster:
     def predict_variance(self, x_star, h):
         return self._at(x_star)[1].variance
 
-    def advance(self, r_row):
-        pass
-
-
-class _MgpchCovarianceForecaster(_MgpchForecaster):
-    def __init__(self, window_returns, config, family, pairs):
-        super().__init__(window_returns, config)
-        data = (window_returns[:-1], window_returns[1:])
-        self.pair_models = {
-            pair: train_pairwise(pair, self.model, data, family) for pair in pairs
-        }
-
     def predict_covariance(self, x_star, h, pair):
         _, moments, covariances = self._at(x_star)
         if pair not in covariances:
             covariances[pair] = predictive_covariance(self.pair_models[pair], moments, pair, x_star)
         return covariances[pair]
+
+    def advance(self, r_row):
+        pass
 
 
 class _GarchForecaster:
@@ -195,14 +196,10 @@ class _GarchForecaster:
             self.sigma2[d] = garch_forecast(p, r_row[d] ** 2, self.sigma2[d], 1)
 
 
-def _default_factory(config, family=None, pairs=None):
+def _default_factory(config, family=None, pairs=()):
     if config.model == GARCH:
         return lambda window_returns, origin: _GarchForecaster(window_returns)
-    if pairs is None:
-        return lambda window_returns, origin: _MgpchForecaster(window_returns, config.model)
-    return lambda window_returns, origin: _MgpchCovarianceForecaster(
-        window_returns, config.model, family, pairs
-    )
+    return lambda window_returns, origin: _MgpchForecaster(window_returns, config.model, family, pairs)
 
 
 def _schedule(T, config):
@@ -227,27 +224,59 @@ def _schedule(T, config):
     return segments
 
 
-def _fit_segments(returns, config, factory, max_workers):
-    segments = _schedule(returns.shape[0], config)
-
-    def fit_one(seg):
-        t, _ = seg
-        return factory(returns[t - config.window + 1 : t + 1], t)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            forecasters = list(pool.map(fit_one, segments))
-    else:
-        forecasters = [fit_one(seg) for seg in segments]
-    return segments, forecasters
-
-
 def _grouped_mse(log, key, error):
     """Mean of ``error(rec)`` per ``key(rec)``, in one pass over the log (log order within a group)."""
     groups = {}
     for rec in log:
         groups.setdefault(key(rec), []).append(error(rec))
     return {k: float(np.mean(v)) for k, v in groups.items()}
+
+
+def _backtest(series, config, factory, max_workers, scorer, mse):
+    """The rolling protocol of both kinds: fit, advance, walk the horizons, score, report.
+
+    One forecaster is fitted per retrain day; its ``advance(r[origin-1])``
+    runs once per day as the origin moves on, and each origin walks the
+    ascending horizons until the target passes the series end.
+    ``scorer(r)``, called once the series is long enough, returns
+    ``score(forecaster, fit_day, origin, h)`` -> that forecast's records;
+    ``mse(log)`` gives the report's MSE fields of its kind, and the
+    other kind's stay empty.
+    """
+    r = np.asarray(series.returns, dtype=float)
+    T = r.shape[0]
+    segments = _schedule(T, config)
+
+    def fit_one(segment):
+        t, _ = segment
+        return factory(r[t - config.window + 1 : t + 1], t)
+
+    if max_workers is not None and max_workers > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            forecasters = list(pool.map(fit_one, segments))
+    else:
+        forecasters = [fit_one(segment) for segment in segments]
+
+    score = scorer(r)
+    log = []
+    for (fit_day, origins), forecaster in zip(segments, forecasters):
+        for origin in origins:
+            if origin > fit_day:
+                forecaster.advance(r[origin - 1])
+            for h in config.horizons:
+                if origin + h > T - 1:
+                    break
+                log.extend(score(forecaster, fit_day, origin, h))
+
+    by_kind = {f.name: {} for f in fields(BacktestReport) if "mse" in f.name}
+    by_kind.update(mse(log))
+    return BacktestReport(
+        asset_names=tuple(series.asset_names),
+        horizons=config.horizons,
+        forecast_log=tuple(log),
+        refit_days=tuple(t for t, _ in segments),
+        **by_kind,
+    )
 
 
 def run_volatility_backtest(series, config, forecaster_factory=None, max_workers=None):
@@ -258,68 +287,50 @@ def run_volatility_backtest(series, config, forecaster_factory=None, max_workers
     h) -> (D,)`` and ``advance(r_row)``, called once per day as the
     origin moves between retrains.
     """
-    r = np.asarray(series.returns, dtype=float)
-    T, D = r.shape
     if forecaster_factory is None:
         forecaster_factory = _default_factory(config)
-    segments, forecasters = _fit_segments(r, config, forecaster_factory, max_workers)
+    w = config.hist_vol_window
 
-    hv = np.stack(
-        [historical_volatility(r[:, d], config.hist_vol_window) for d in range(D)],
-        axis=1,
-    )  # hv[k] covers returns k .. k+w-1, so day tau sits at row tau-w+1
+    def scorer(r):
+        D = r.shape[1]
+        # hv[k] covers returns k .. k+w-1, so day tau sits at row tau-w+1
+        hv = np.stack([historical_volatility(r[:, d], w) for d in range(D)], axis=1)
 
-    log = []
-    for (fit_day, origins), forecaster in zip(segments, forecasters):
-        for origin in origins:
-            if origin > fit_day:
-                forecaster.advance(r[origin - 1])
-            for h in config.horizons:
-                target = origin + h
-                if target > T - 1:
-                    break
-                values = np.asarray(forecaster.predict_variance(r[origin], h), dtype=float)
-                if values.shape != (D,):
-                    raise InvalidArgumentError(
-                        f"forecaster returned shape {values.shape}, expected ({D},)"
-                    )
-                row_hv = hv[target - config.hist_vol_window + 1]
-                for d in range(D):
-                    log.append(
-                        VolatilityForecast(
-                            origin=origin,
-                            horizon=h,
-                            fit_day=fit_day,
-                            asset=d,
-                            value=float(values[d]),
-                            realized_sq=float(r[target, d] ** 2),
-                            realized_hist_vol=float(row_hv[d]),
-                        )
-                    )
+        def score(forecaster, fit_day, origin, h):
+            values = np.asarray(forecaster.predict_variance(r[origin], h), dtype=float)
+            if values.shape != (D,):
+                raise InvalidArgumentError(f"forecaster returned shape {values.shape}, expected ({D},)")
+            target = origin + h
+            return [
+                VolatilityForecast(
+                    origin=origin,
+                    horizon=h,
+                    fit_day=fit_day,
+                    asset=d,
+                    value=float(values[d]),
+                    realized_sq=float(r[target, d] ** 2),
+                    realized_hist_vol=float(hv[target - w + 1, d]),
+                )
+                for d in range(D)
+            ]
 
-    by_asset = attrgetter("horizon", "asset")
-    sq_by = _grouped_mse(log, by_asset, lambda rec: (rec.value - rec.realized_sq) ** 2)
-    hv_by = _grouped_mse(log, by_asset, lambda rec: (rec.value - rec.realized_hist_vol) ** 2)
-    mse_sq, mse_hv, avg_sq, avg_hv = {}, {}, {}, {}
-    for h in config.horizons:
-        sq = np.array([sq_by.get((h, d), np.nan) for d in range(D)])
-        hvm = np.array([hv_by.get((h, d), np.nan) for d in range(D)])
-        mse_sq[h], mse_hv[h] = sq, hvm
-        avg_sq[h] = float(np.mean(sq))
-        avg_hv[h] = float(np.mean(hvm))
+        return score
 
-    return BacktestReport(
-        asset_names=tuple(series.asset_names),
-        horizons=config.horizons,
-        mse_sq_returns=mse_sq,
-        mse_hist_vol=mse_hv,
-        mse_pair_products={},
-        avg_mse_sq_returns=avg_sq,
-        avg_mse_hist_vol=avg_hv,
-        avg_mse_pair_products={},
-        forecast_log=tuple(log),
-        refit_days=tuple(t for t, _ in segments),
-    )
+    def mse(log):
+        D = len(series.asset_names)
+        by_asset = attrgetter("horizon", "asset")
+        sq_by = _grouped_mse(log, by_asset, lambda rec: (rec.value - rec.realized_sq) ** 2)
+        hv_by = _grouped_mse(log, by_asset, lambda rec: (rec.value - rec.realized_hist_vol) ** 2)
+        sq = {h: np.array([sq_by.get((h, d), np.nan) for d in range(D)]) for h in config.horizons}
+        hvm = {h: np.array([hv_by.get((h, d), np.nan) for d in range(D)]) for h in config.horizons}
+        return {
+            "mse_sq_returns": sq,
+            "mse_hist_vol": hvm,
+            "avg_mse_sq_returns": {h: float(np.mean(v)) for h, v in sq.items()},
+            "avg_mse_hist_vol": {h: float(np.mean(v)) for h, v in hvm.items()},
+        }
+
+    return _backtest(series, config, forecaster_factory, max_workers, scorer, mse)
 
 
 def run_covariance_backtest(
@@ -330,8 +341,7 @@ def run_covariance_backtest(
     Requires at least two assets and an MGPCH model configuration; each
     refit trains one conditional copula per output pair on the window.
     """
-    r = np.asarray(series.returns, dtype=float)
-    T, D = r.shape
+    D = np.asarray(series.returns).shape[1]
     if D < 2:
         raise InvalidArgumentError(f"covariance backtest needs D >= 2 assets, got {D}")
     if isinstance(family, str):
@@ -343,46 +353,33 @@ def run_covariance_backtest(
                 "covariance backtest requires the mixture model, not the baseline"
             )
         forecaster_factory = _default_factory(config, family=family, pairs=pairs)
-    segments, forecasters = _fit_segments(r, config, forecaster_factory, max_workers)
 
-    log = []
-    for (fit_day, origins), forecaster in zip(segments, forecasters):
-        for origin in origins:
-            if origin > fit_day:
-                forecaster.advance(r[origin - 1])
-            for h in config.horizons:
-                target = origin + h
-                if target > T - 1:
-                    break
-                for pair in pairs:
-                    value = float(forecaster.predict_covariance(r[origin], h, pair))
-                    log.append(
-                        CovarianceForecast(
-                            origin=origin,
-                            horizon=h,
-                            fit_day=fit_day,
-                            pair=pair,
-                            value=value,
-                            realized_product=float(r[target, pair[0]] * r[target, pair[1]]),
-                        )
-                    )
+    def scorer(r):
+        def score(forecaster, fit_day, origin, h):
+            row = r[origin + h]
+            return [
+                CovarianceForecast(
+                    origin=origin,
+                    horizon=h,
+                    fit_day=fit_day,
+                    pair=pair,
+                    value=float(forecaster.predict_covariance(r[origin], h, pair)),
+                    realized_product=float(row[pair[0]] * row[pair[1]]),
+                )
+                for pair in pairs
+            ]
 
-    mse_by = _grouped_mse(log, attrgetter("horizon", "pair"), lambda rec: (rec.value - rec.realized_product) ** 2)
-    mse_pairs, avg_pairs = {}, {}
-    for h in config.horizons:
-        per_pair = {pair: mse_by[h, pair] for pair in pairs if (h, pair) in mse_by}
-        mse_pairs[h] = per_pair
-        avg_pairs[h] = float(np.mean(list(per_pair.values()))) if per_pair else np.nan
+        return score
 
-    return BacktestReport(
-        asset_names=tuple(series.asset_names),
-        horizons=config.horizons,
-        mse_sq_returns={},
-        mse_hist_vol={},
-        mse_pair_products=mse_pairs,
-        avg_mse_sq_returns={},
-        avg_mse_hist_vol={},
-        avg_mse_pair_products=avg_pairs,
-        forecast_log=tuple(log),
-        refit_days=tuple(t for t, _ in segments),
-    )
+    def mse(log):
+        mse_by = _grouped_mse(log, attrgetter("horizon", "pair"), lambda rec: (rec.value - rec.realized_product) ** 2)
+        mse_pairs = {h: {pair: mse_by[h, pair] for pair in pairs if (h, pair) in mse_by} for h in config.horizons}
+        return {
+            "mse_pair_products": mse_pairs,
+            "avg_mse_pair_products": {
+                h: float(np.mean(list(per_pair.values()))) if per_pair else np.nan
+                for h, per_pair in mse_pairs.items()
+            },
+        }
+
+    return _backtest(series, config, forecaster_factory, max_workers, scorer, mse)

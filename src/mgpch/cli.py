@@ -20,7 +20,7 @@ import numpy as np
 
 from .backtest import (
     BacktestConfig,
-    CovarianceForecast,
+    horizon_set,
     run_covariance_backtest,
     run_volatility_backtest,
 )
@@ -235,11 +235,11 @@ def cmd_fit(run):
 
 
 def cmd_predict(run):
+    horizons = horizon_set(run.get("horizons") or (1, 7, 30))
     model, pairwise = load_model(run.require("model", "predict"))
     returns = _load_returns(run, "predict")
     xstar = returns.returns[-1]
     moments = predict(model, xstar)
-    horizons = tuple(run.get("horizons") or (1, 7, 30))
     # the conditional one-step map is evaluated at the forecast origin;
     # its moments serve every horizon, as in the rolling evaluation
     entry = {
@@ -308,11 +308,10 @@ def _report_payload(report, config, kind):
     return payload
 
 
-def _write_plot_data(path, report):
+def _write_plot_data(path, report, kind):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        covariance = report.forecast_log and isinstance(report.forecast_log[0], CovarianceForecast)
-        if covariance:
+        if kind == "covariance":
             writer.writerow(
                 ["origin", "horizon", "fit_day", "asset_i", "asset_j", "value", "realized_product"]
             )
@@ -333,28 +332,21 @@ def _write_plot_data(path, report):
 
 
 def cmd_backtest(run):
-    returns = _load_returns(run, "backtest")
+    """``backtest`` and ``cov-backtest``: one rolling evaluation, keyed by the report kind."""
+    command = run.args.command
+    out = run.require("out", command)
+    returns = _load_returns(run, command)
     config = run.backtest_config()
-    report = run_volatility_backtest(returns, config, max_workers=run.get("threads"))
-    out = run.require("out", "backtest")
-    dump_json(_report_payload(report, config, "volatility"), out)
+    threads = run.get("threads")
+    if command == "backtest":
+        kind, report = "volatility", run_volatility_backtest(returns, config, max_workers=threads)
+    else:
+        family = run.get("family") or "clayton"
+        kind, report = "covariance", run_covariance_backtest(returns, config, family, max_workers=threads)
+    dump_json(_report_payload(report, config, kind), out)
     plot = run.get("plot_data")
     if plot:
-        _write_plot_data(plot, report)
-    print(f"wrote report to {out}")
-    return 0
-
-
-def cmd_cov_backtest(run):
-    returns = _load_returns(run, "cov-backtest")
-    config = run.backtest_config()
-    family = run.get("family") or "clayton"
-    report = run_covariance_backtest(returns, config, family, max_workers=run.get("threads"))
-    out = run.require("out", "cov-backtest")
-    dump_json(_report_payload(report, config, "covariance"), out)
-    plot = run.get("plot_data")
-    if plot:
-        _write_plot_data(plot, report)
+        _write_plot_data(plot, report, kind)
     print(f"wrote report to {out}")
     return 0
 
@@ -388,7 +380,7 @@ _COMMANDS = {
     "fit": cmd_fit,
     "predict": cmd_predict,
     "backtest": cmd_backtest,
-    "cov-backtest": cmd_cov_backtest,
+    "cov-backtest": cmd_backtest,
     "simulate": cmd_simulate,
 }
 

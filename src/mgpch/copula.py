@@ -52,6 +52,9 @@ QUADRATURE_SPAN = 8.0
 # parameter near its neutral value unless the data insist otherwise
 WEIGHT_PENALTY = 30.0
 
+# share of the training inputs taken as basis points
+BASIS_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class Clayton:
@@ -311,7 +314,7 @@ def _basis_lengthscale(basis):
     return float(np.median(d)) if d.size else 1.0
 
 
-def train_pairwise(pair, mgpch, data, family, basis_fraction=0.1):
+def train_pairwise(pair, mgpch, data, family):
     """Fit the conditional copula parameter for one output pair.
 
     Transforms the pair's outputs through their in-sample predictive
@@ -328,12 +331,10 @@ def train_pairwise(pair, mgpch, data, family, basis_fraction=0.1):
         raise InvalidArgumentError("data must be matching (X, Y) matrices")
     if not 0 <= i < Y.shape[1] or not 0 <= j < Y.shape[1] or i == j:
         raise InvalidArgumentError(f"pair {pair!r} is not a distinct output pair")
-    if not 0.0 < basis_fraction <= 1.0:
-        raise InvalidArgumentError(f"basis_fraction must lie in (0, 1], got {basis_fraction}")
     _check_theta(family, link_parameter(family, 0.0))
 
     N = X.shape[0]
-    n_basis = math.ceil(basis_fraction * N)
+    n_basis = math.ceil(BASIS_FRACTION * N)
     idx = np.round(np.linspace(0, N - 1, n_basis)).astype(int)
     basis = X[idx]
     kernel = RbfKernel(_basis_lengthscale(basis))

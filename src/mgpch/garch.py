@@ -23,6 +23,10 @@ _PERSISTENCE_CAP = 1.0 - 1e-6
 
 MIN_FIT_LENGTH = 30
 
+# L-BFGS starts per fit: three fixed ones, the rest drawn from a fixed seed
+N_STARTS = 5
+START_SEED = 0
+
 
 @dataclass(frozen=True)
 class GarchParams:
@@ -97,16 +101,17 @@ def _params_from_raw(raw, var_scale):
     return GarchParams(omega=omega, a=float(persistence * share), b=float(persistence * (1.0 - share)))
 
 
-def garch_fit(returns, n_starts=5, seed=0):
+def garch_fit(returns):
     """Maximum-likelihood GARCH(1,1) fit.
 
-    Runs L-BFGS from several deterministic starting points plus a
-    variance-targeting one.  The no-dynamics point (a = b = 0 at the
-    sample variance) is always evaluated and is returned unless the
-    dynamic fit beats it by more than log(T) nats; on returns with no
-    volatility clustering the (a, b) direction is a flat likelihood
-    ridge, and without that comparison the optimizer parks at an
-    arbitrary, spuriously persistent point on it.
+    Runs L-BFGS from ``N_STARTS`` starting points, three fixed and the
+    rest drawn from ``START_SEED``, so a fit is deterministic.  The
+    no-dynamics point (a = b = 0 at the sample variance) is always
+    evaluated and is returned unless the dynamic fit beats it by more
+    than log(T) nats; on returns with no volatility clustering the
+    (a, b) direction is a flat likelihood ridge, and without that
+    comparison the optimizer parks at an arbitrary, spuriously
+    persistent point on it.
 
     Raises
     ------
@@ -116,7 +121,7 @@ def garch_fit(returns, n_starts=5, seed=0):
     """
     r = _validate_returns(returns)
     var_scale = float(np.var(r))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(START_SEED)
 
     def negative(raw):
         try:
@@ -130,7 +135,7 @@ def garch_fit(returns, n_starts=5, seed=0):
         np.array([np.log(0.2), 0.0, -1.0]),
         np.array([np.log(1.0), -6.0, 0.0]),  # nearly constant variance
     ]
-    for _ in range(max(0, n_starts - len(starts))):
+    for _ in range(N_STARTS - len(starts)):
         starts.append(np.array([rng.normal(-2.0, 1.0), rng.normal(0.0, 2.0), rng.normal(0.0, 1.0)]))
 
     best_raw, best_val = None, np.inf

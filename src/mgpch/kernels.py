@@ -21,9 +21,7 @@ __all__ = [
     "ZeroKernel",
     "Ar1Kernel",
     "RbfKernel",
-    "kernel_eval",
     "design_matrix",
-    "cross_vector",
     "ar1_jitter",
 ]
 
@@ -84,55 +82,20 @@ def _as_points(X):
     return X
 
 
-def kernel_eval(kernel, x, x2):
-    """Evaluate the kernel between two input points.
-
-    Parameters
-    ----------
-    kernel : ZeroKernel or Ar1Kernel
-    x, x2 : array_like
-        Input points of equal dimension.
-
-    Returns
-    -------
-    float
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape:
-        raise InvalidArgumentError(f"point dimensions differ: {x.shape} vs {x2.shape}")
-    _check_kernel(kernel)
-    if isinstance(kernel, ZeroKernel):
-        return 0.0
-    return kernel.marginal_variance * kernel.phi ** float(np.linalg.norm(x - x2))
-
-
-def design_matrix(kernel, X):
-    """Kernel matrix over a set of inputs.
+def design_matrix(kernel, X, X2=None):
+    """Kernel matrix between the rows of ``X`` and those of ``X2`` (default ``X``).
 
     The raw matrix is returned; callers add :func:`ar1_jitter` to the
     diagonal before any factorization.
     """
     X = _as_points(X)
-    _check_kernel(kernel)
-    n = X.shape[0]
-    if isinstance(kernel, ZeroKernel):
-        return np.zeros((n, n))
-    return kernel.marginal_variance * kernel.phi ** cdist(X, X)
-
-
-def cross_vector(kernel, X, xstar):
-    """Kernel evaluations between each row of ``X`` and a single point ``xstar``."""
-    X = _as_points(X)
-    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-    if xstar.ndim != 1 or xstar.shape[0] != X.shape[1]:
-        raise InvalidArgumentError(
-            f"xstar must be a single point of dimension {X.shape[1]}, got shape {xstar.shape}"
-        )
+    X2 = X if X2 is None else _as_points(X2)
+    if X2.shape[1] != X.shape[1]:
+        raise InvalidArgumentError(f"point dimensions differ: {X.shape[1]} vs {X2.shape[1]}")
     _check_kernel(kernel)
     if isinstance(kernel, ZeroKernel):
-        return np.zeros(X.shape[0])
-    return kernel.marginal_variance * kernel.phi ** np.linalg.norm(X - xstar[None, :], axis=1)
+        return np.zeros((X.shape[0], X2.shape[0]))
+    return kernel.marginal_variance * kernel.phi ** cdist(X, X2)
 
 
 def ar1_jitter(kernel):

@@ -80,7 +80,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 from scipy.special import betaln, gammaln
 
 from .errors import (
@@ -90,7 +90,7 @@ from .errors import (
     ModelStateError,
     NumericalDomainError,
 )
-from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, cross_vector, design_matrix, kernel_eval
+from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
 from .linalg import cholesky_factor, cholesky_solve, logdet_from_factor, solve_lower, solve_lower_transpose
 from .pyp import (
     InnovationPosterior,
@@ -1334,12 +1334,11 @@ def predict_batch(model, Xstar):
     M = Xstar.shape[0]
     weights = expected_weights(state.sticks)
 
-    dist = cdist(Xstar, ctx.X)  # (M, N)
     cross = {}  # (M, N) cross covariances per distinct kernel
 
     def cross_cov(kernel):
         if kernel not in cross:
-            cross[kernel] = kernel.marginal_variance * kernel.phi**dist
+            cross[kernel] = design_matrix(kernel, Xstar, ctx.X)
         return cross[kernel]
 
     a = np.zeros((M, C, D))
@@ -1400,12 +1399,12 @@ class _LazyGpPath:
         if isinstance(self.kernel, ZeroKernel):
             return 0.0
         k = self.k
-        k_self = kernel_eval(self.kernel, x, x) + self.jitter
+        k_self = self.kernel.marginal_variance + self.jitter
         if k == 0:
             mean, var = self.mean, k_self
             w = np.empty(0)
         else:
-            k_cross = cross_vector(self.kernel, self.points[:k], x)
+            k_cross = design_matrix(self.kernel, self.points[:k], x[None, :])[:, 0]
             w = solve_lower(self.L[:k, :k], k_cross)
             mean = self.mean + float(w @ self.u[:k])
             var = max(k_self - float(w @ w), self.jitter)

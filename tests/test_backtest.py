@@ -55,6 +55,120 @@ class ForesightCovariance:
         self.origin += 1
 
 
+class Recording:
+    """Forecaster stub that records, in order, every call the protocol makes to it."""
+
+    def __init__(self, window_returns, origin, calls):
+        self.fit_day = origin
+        self.calls = calls
+        calls.append(("fit", origin))
+        self.window = window_returns.copy()
+
+    def predict_variance(self, x_star, h):
+        self.calls.append(("forecast", self.fit_day, tuple(x_star), h))
+        return np.asarray(x_star) ** 2
+
+    def predict_covariance(self, x_star, h, pair):
+        self.calls.append(("forecast", self.fit_day, tuple(x_star), h))
+        return x_star[pair[0]] * x_star[pair[1]]
+
+    def advance(self, r_row):
+        self.calls.append(("advance", self.fit_day, tuple(r_row)))
+
+
+def expected_calls(r, window, every, horizons, only_at_retrain=False):
+    """The protocol's calls written out: all fits, then per origin one advance (after the fit day) and its horizons."""
+    T = r.shape[0]
+    days = range(window - 1, T - horizons[0], every)
+    calls = [("fit", t) for t in days]
+    for t in days:
+        last = t if only_at_retrain else min(t + every - 1, T - 1 - horizons[0])
+        for origin in range(t, last + 1):
+            if origin > t:
+                calls.append(("advance", t, tuple(r[origin - 1])))
+            calls += [("forecast", t, tuple(r[origin]), h) for h in horizons if origin + h <= T - 1]
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["volatility", "covariance"])
+class TestProtocol:
+    """The rolling protocol both runners share, pinned once per kind on two assets (one pair)."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(42)
+        self.r = 0.01 * rng.standard_normal((71, 2))
+        self.config = BacktestConfig(window=40, retrain_every=7, horizons=(30, 1, 7))
+
+    def run(self, kind, config=None, returns=None, max_workers=None):
+        r = self.r if returns is None else returns
+        forecasters, calls = [], []
+
+        def factory(window_returns, origin):
+            forecasters.append(Recording(window_returns, origin, calls))
+            return forecasters[-1]
+
+        args = (make_series(r), config or self.config)
+        if kind == "covariance":
+            args += ("frank",)
+        runner = run_volatility_backtest if kind == "volatility" else run_covariance_backtest
+        report = runner(*args, forecaster_factory=factory, max_workers=max_workers)
+        return report, forecasters, calls
+
+    def test_call_sequence(self, kind):
+        _, _, calls = self.run(kind)
+        assert calls == expected_calls(self.r, 40, 7, (1, 7, 30))
+
+    def test_factory_calls_in_refit_order_on_trailing_windows(self, kind):
+        # 31 forecast origins served in steps of 7 need ceil(31 / 7) fits
+        report, forecasters, _ = self.run(kind)
+        assert report.refit_days == (39, 46, 53, 60, 67)
+        assert [f.fit_day for f in forecasters] == list(report.refit_days)
+        for f in forecasters:
+            assert np.array_equal(f.window, self.r[f.fit_day - 39 : f.fit_day + 1])
+
+    def test_advance_once_per_day_after_a_refit(self, kind):
+        _, _, calls = self.run(kind)
+        for t in (39, 46, 53, 60, 67):
+            rows = [c[2] for c in calls if c[0] == "advance" and c[1] == t]
+            last = min(t + 6, 69)
+            assert rows == [tuple(self.r[o]) for o in range(t, last)]
+
+    def test_horizons_ascend_and_stop_at_the_series_end(self, kind):
+        report, _, calls = self.run(kind)
+        by_origin = {}
+        for c in calls:
+            if c[0] == "forecast":
+                by_origin.setdefault(c[2], []).append(c[3])
+        assert len(by_origin) == 31  # origins 39 .. 69 all receive forecasts
+        for origin in range(39, 70):
+            expected = [h for h in (1, 7, 30) if origin + h <= 70]
+            assert by_origin[tuple(self.r[origin])] == expected
+        assert {rec.origin for rec in report.forecast_log} == set(range(39, 70))
+        assert all(rec.origin + rec.horizon <= 70 for rec in report.forecast_log)
+
+    def test_forecast_only_at_retrain(self, kind):
+        config = BacktestConfig(window=40, retrain_every=7, horizons=(1, 7, 30), forecast_only_at_retrain=True)
+        report, _, calls = self.run(kind, config=config)
+        assert calls == expected_calls(self.r, 40, 7, (1, 7, 30), only_at_retrain=True)
+        assert not any(c[0] == "advance" for c in calls)
+        assert {rec.origin for rec in report.forecast_log} == set(report.refit_days)
+
+    @pytest.mark.parametrize("length", [70, 5])
+    def test_series_too_short_names_required_minimum(self, kind, length):
+        # also below hist_vol_window, where no realized measure can be formed
+        with pytest.raises(InvalidArgumentError, match="need at least 71 returns, got"):
+            self.run(kind, returns=self.r[:length])
+
+    def test_thread_count_leaves_the_report_unchanged(self, kind):
+        serial, _, serial_calls = self.run(kind)
+        threaded, _, threaded_calls = self.run(kind, max_workers=3)
+        assert threaded.forecast_log == serial.forecast_log
+        assert threaded.refit_days == serial.refit_days
+        # fits may finish in any order; the scoring that follows them may not
+        assert sorted(c for c in threaded_calls if c[0] == "fit") == [c for c in serial_calls if c[0] == "fit"]
+        assert [c for c in threaded_calls if c[0] != "fit"] == [c for c in serial_calls if c[0] != "fit"]
+
+
 class TestHistoricalVolatility:
     def test_constant_returns_give_zeros(self):
         assert_allclose(historical_volatility(np.full(9, 0.3), 4), np.zeros(6))
@@ -124,11 +238,6 @@ class TestVolatilityProtocol:
             forecaster_factory=lambda window, origin: ForesightVolatility(r, origin),
         )
 
-    def test_refit_count_matches_index_arithmetic(self):
-        # 31 forecast origins served in steps of 7 need ceil(31 / 7) fits
-        report = self.run_with_stub()
-        assert report.refit_days == (39, 46, 53, 60, 67)
-
     def test_perfect_foresight_has_zero_squared_return_mse(self):
         report = self.run_with_stub()
         for h in (1, 7, 30):
@@ -144,18 +253,6 @@ class TestVolatilityProtocol:
             assert rec.fit_day in report.refit_days
             # the serving fit is the newest one at or before the origin
             assert rec.fit_day == max(t for t in report.refit_days if t <= rec.origin)
-
-    def test_between_retrain_days_receive_forecasts(self):
-        report = self.run_with_stub()
-        origins = {rec.origin for rec in report.forecast_log}
-        assert origins == set(range(39, 70))
-
-    def test_retrain_only_cadence(self):
-        config = BacktestConfig(
-            window=40, retrain_every=7, horizons=(1, 7, 30), forecast_only_at_retrain=True
-        )
-        report = self.run_with_stub(config=config)
-        assert {rec.origin for rec in report.forecast_log} == set(report.refit_days)
 
     def test_hist_vol_alignment_uses_window_ending_at_target(self):
         report = self.run_with_stub()
@@ -174,10 +271,6 @@ class TestVolatilityProtocol:
             assert report.avg_mse_hist_vol[h] == float(np.mean(report.mse_hist_vol[h]))
             assert np.all(report.mse_sq_returns[h] >= 0.0)
             assert np.all(report.mse_hist_vol[h] >= 0.0)
-
-    def test_series_too_short_names_required_minimum(self):
-        with pytest.raises(InvalidArgumentError, match="need at least 71"):
-            self.run_with_stub(returns=self.r[:70])
 
 
 class TestGarchBacktest:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mgpch import cli
 from mgpch.cli import run_command
 
 ALL_FLAGS = (
@@ -129,6 +130,19 @@ class TestPipeline:
         assert set(payload["horizons"]) == {"1", "7", "30"}
         assert all(v > 0 for v in payload["horizons"]["1"]["variance"])
 
+    def test_predict_rejects_horizons_below_one(self, prices, tmp_path, capsys):
+        _, csv_path = prices
+        model = tmp_path / "model.json"
+        forecast = tmp_path / "forecast.json"
+        assert run_command(self.fit_args(prices, model)) == 0
+        argv = ["predict", "--model", str(model), "--data", str(csv_path), "--out", str(forecast)]
+        assert run_command(argv + ["--horizons", "0,-3"]) == 1
+        assert "horizons must be >= 1, got -3" in capsys.readouterr().err
+        config = write_config(tmp_path, {"horizons": [7, 0]}, name="horizons.json")
+        assert run_command(argv + ["--config", config]) == 1
+        assert "horizons must be >= 1, got 0" in capsys.readouterr().err
+        assert not forecast.exists()
+
     def test_fit_twice_same_seed_is_byte_identical(self, prices, tmp_path):
         first = tmp_path / "m1.json"
         second = tmp_path / "m2.json"
@@ -182,6 +196,17 @@ class TestBacktestCommands:
         assert run_command(args[:6] + [str(threaded), "--threads", "3"]) == 0
         assert threaded.read_bytes() == out.read_bytes()
 
+    @pytest.mark.parametrize("command", ["backtest", "cov-backtest"])
+    def test_missing_out_is_a_usage_error_before_any_refit(self, prices, monkeypatch, capsys, command):
+        def refit(*args, **kwargs):
+            raise AssertionError("the backtest ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_volatility_backtest", refit)
+        monkeypatch.setattr(cli, "run_covariance_backtest", refit)
+        _, csv_path = prices
+        assert run_command([command, "--data", str(csv_path), "--window", "35"]) == 2
+        assert f"{command} requires --out" in capsys.readouterr().err
+
     def test_window_larger_than_data_names_required_minimum(self, prices, capsys):
         tmp_path, csv_path = prices
         code = run_command(
@@ -212,6 +237,7 @@ class TestBacktestCommands:
             name="cov.json",
         )
         out = tmp_path / "cov.json.out"
+        plot = tmp_path / "cov-plot.csv"
         code = run_command(
             [
                 "cov-backtest",
@@ -225,12 +251,17 @@ class TestBacktestCommands:
                 "frank",
                 "--truncation",
                 "1",
+                "--plot-data",
+                str(plot),
             ]
         )
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["kind"] == "covariance"
         assert list(payload["mse_pair_products"]["1"]) == ["0-1"]
+        rows = plot.read_text().splitlines()
+        assert rows[0] == "origin,horizon,fit_day,asset_i,asset_j,value,realized_product"
+        assert len(rows) == 1 + payload["n_forecasts"]
 
 
 class TestRunConfig:

@@ -294,7 +294,7 @@ class TestTraining:
             Y = rng.standard_normal((N, 2))
             X = grid_inputs(N)
             model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=1), max_iters=40, seed=0))
-            pm = train_pairwise((0, 1), model, (X, Y), Frank(), 0.1)
+            pm = train_pairwise((0, 1), model, (X, Y), Frank())
             thetas = np.array([conditional_theta(pm, x) for x in X])
             assert np.all(np.abs(thetas) < 0.5), f"seed {seed}: max {np.abs(thetas).max()}"
 
@@ -312,16 +312,18 @@ class TestTraining:
             X, Y,
             MgpchConfig(pyp=PypConfig(truncation=1), noise_kernels=(kern,), max_iters=60, seed=0),
         )
-        pm = train_pairwise((0, 1), model, (X, Y), Clayton(), 0.1)
+        pm = train_pairwise((0, 1), model, (X, Y), Clayton())
         thetas = np.array([conditional_theta(pm, x) for x in X])
         assert 1.5 <= thetas.mean() <= 6.0
 
-    def test_full_basis_reproduces_design_rows(self):
+    def test_full_basis_reproduces_design_rows(self, monkeypatch):
+        # every training input becomes a basis point
+        monkeypatch.setattr(copula_module, "BASIS_FRACTION", 1.0)
         rng = np.random.default_rng(5)
         X = rng.standard_normal((12, 2))
         Y = rng.standard_normal((12, 2))
         model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=1), max_iters=0))
-        pm = train_pairwise((0, 1), model, (X, Y), Clayton(), 1.0)
+        pm = train_pairwise((0, 1), model, (X, Y), Clayton())
         assert np.array_equal(pm.basis_points, X)
         for n in (0, 5, 11):
             gauss = np.exp(-0.5 * np.sum((X - X[n]) ** 2, axis=1) / pm.basis_kernel.lengthscale**2)
@@ -332,7 +334,7 @@ class TestTraining:
         X = rng.standard_normal((30, 1))
         Y = rng.standard_normal((30, 2))
         model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=1), max_iters=0))
-        pm = train_pairwise((0, 1), model, (X, Y), Gumbel(), 0.1)
+        pm = train_pairwise((0, 1), model, (X, Y), Gumbel())
         assert pm.basis_points.shape == (3, 1)
         assert np.array_equal(pm.basis_points, X[[0, 14, 29]])
 
@@ -345,10 +347,6 @@ class TestTraining:
             train_pairwise((0, 0), model, (X, Y), Frank())
         with pytest.raises(InvalidArgumentError):
             train_pairwise((0, 2), model, (X, Y), Frank())
-        with pytest.raises(InvalidArgumentError):
-            train_pairwise((0, 1), model, (X, Y), Frank(), basis_fraction=0.0)
-        with pytest.raises(InvalidArgumentError):
-            train_pairwise((0, 1), model, (X, Y), Frank(), basis_fraction=1.2)
         bad = Y.copy()
         bad[3, 1] = np.nan
         with pytest.raises(DegenerateMarginalsError):

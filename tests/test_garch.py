@@ -114,7 +114,7 @@ class TestFit:
     def test_recovers_simulated_dynamics(self):
         truth = GarchParams(omega=2e-6, a=0.12, b=0.82)
         r = simulate_garch(truth, 4000, seed=3)
-        params = garch_fit(r, seed=3)
+        params = garch_fit(r)
         assert abs(params.a - truth.a) < 0.08
         assert abs(params.b - truth.b) < 0.10
         assert 0.3 < params.unconditional_variance / truth.unconditional_variance < 3.0
@@ -122,7 +122,7 @@ class TestFit:
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         r = 0.02 * rng.standard_normal(200)
-        assert garch_fit(r, seed=7) == garch_fit(r, seed=7)
+        assert garch_fit(r) == garch_fit(r)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

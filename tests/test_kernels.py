@@ -8,33 +8,39 @@ from mgpch.kernels import (
     RbfKernel,
     ZeroKernel,
     ar1_jitter,
-    cross_vector,
     design_matrix,
-    kernel_eval,
 )
 
 
-class TestKernelEval:
+def at(kernel, x, x2):
+    """The kernel between two single points, as a 1 x 1 design matrix."""
+    return design_matrix(kernel, np.atleast_1d(x)[None, :], np.atleast_1d(x2)[None, :])[0, 0]
+
+
+class TestPointPairs:
     def test_ar1_marginal_variance_at_zero_distance(self):
         k = Ar1Kernel(phi=0.5, sigma0_sq=1.0)
-        assert_allclose(kernel_eval(k, 0.0, 0.0), 1.0 / (1.0 - 0.25), rtol=1e-12)
+        assert_allclose(at(k, 0.0, 0.0), 1.0 / (1.0 - 0.25), rtol=1e-12)
+        assert at(k, 0.7, 0.7) == k.marginal_variance
 
     def test_zero_kernel_is_zero_everywhere(self):
-        assert kernel_eval(ZeroKernel(), 3.0, -1.0) == 0.0
+        assert at(ZeroKernel(), 3.0, -1.0) == 0.0
 
     def test_ar1_at_distance_two(self):
         k = Ar1Kernel(phi=0.5, sigma0_sq=0.75)
-        assert_allclose(kernel_eval(k, 0.0, 2.0), 0.25, rtol=1e-12)
+        assert_allclose(at(k, 0.0, 2.0), 0.25, rtol=1e-12)
 
     def test_multivariate_distance_is_euclidean(self):
         k = Ar1Kernel(phi=0.5, sigma0_sq=0.75)
         # distance sqrt(3^2 + 4^2) = 5
-        val = kernel_eval(k, np.array([0.0, 0.0]), np.array([3.0, 4.0]))
+        val = at(k, np.array([0.0, 0.0]), np.array([3.0, 4.0]))
         assert_allclose(val, 1.0 * 0.5**5, rtol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            kernel_eval(Ar1Kernel(0.5, 1.0), np.zeros(2), np.zeros(3))
+        with pytest.raises(InvalidArgumentError, match="dimensions differ"):
+            at(Ar1Kernel(0.5, 1.0), np.zeros(2), np.zeros(3))
+        with pytest.raises(InvalidArgumentError, match="dimensions differ"):
+            design_matrix(Ar1Kernel(0.5, 1.0), np.zeros((4, 2)), np.zeros((1, 3)))
 
 
 class TestParameterValidation:
@@ -82,19 +88,30 @@ class TestDesignMatrix:
         assert_allclose(K, np.zeros((4, 4)), atol=0.0)
 
 
-class TestCrossVector:
+class TestCrossMatrix:
     def test_midpoint_example(self):
         k = Ar1Kernel(phi=0.5, sigma0_sq=1.0)
-        ks = cross_vector(k, np.array([[0.0], [2.0]]), np.array([1.0]))
-        assert_allclose(ks, [2.0 / 3.0, 2.0 / 3.0], rtol=1e-9)
+        ks = design_matrix(k, np.array([[0.0], [2.0]]), np.array([[1.0]]))
+        assert ks.shape == (2, 1)
+        assert_allclose(ks[:, 0], [2.0 / 3.0, 2.0 / 3.0], rtol=1e-9)
 
     def test_matches_pointwise_eval(self):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 3))
-        xs = rng.normal(size=3)
+        xs = rng.normal(size=(2, 3))
         k = Ar1Kernel(0.7, 0.9)
-        expected = [kernel_eval(k, row, xs) for row in X]
-        assert_allclose(cross_vector(k, X, xs), expected, rtol=1e-12)
+        expected = [[at(k, row, x) for x in xs] for row in X]
+        assert_allclose(design_matrix(k, X, xs), expected, rtol=1e-12)
+
+    def test_second_set_defaults_to_the_first(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(6, 2))
+        k = Ar1Kernel(0.4, 1.3)
+        assert np.array_equal(design_matrix(k, X), design_matrix(k, X, X))
+
+    def test_zero_kernel_cross_is_zero(self):
+        K = design_matrix(ZeroKernel(), np.zeros((4, 1)), np.ones((3, 1)))
+        assert_allclose(K, np.zeros((4, 3)), atol=0.0)
 
 
 def test_jitter_scales_with_marginal_variance():
@@ -107,12 +124,12 @@ def test_jitter_scales_with_marginal_variance():
 @pytest.mark.parametrize(
     "evaluate",
     [
-        lambda k: kernel_eval(k, 0.0, 1.0),
+        lambda k: at(k, 0.0, 1.0),
         lambda k: design_matrix(k, np.zeros((3, 1))),
-        lambda k: cross_vector(k, np.zeros((3, 1)), np.zeros(1)),
+        lambda k: design_matrix(k, np.zeros((3, 1)), np.zeros((1, 1))),
         ar1_jitter,
     ],
-    ids=["kernel_eval", "design_matrix", "cross_vector", "ar1_jitter"],
+    ids=["point_pair", "design_matrix", "cross_matrix", "ar1_jitter"],
 )
 def test_process_kernels_are_zero_or_autoregressive(kernel, evaluate):
     with pytest.raises(InvalidArgumentError, match="zero or autoregressive"):

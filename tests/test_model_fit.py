@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mgpch.errors import IllConditionedError, InvalidArgumentError
-from mgpch.kernels import Ar1Kernel, RbfKernel, cross_vector, design_matrix
+from mgpch.kernels import Ar1Kernel, RbfKernel, design_matrix
 import mgpch.model as model_module
 from mgpch.model import (
     MgpchConfig,
@@ -390,7 +390,7 @@ class TestSimulate:
         at_mean = copy.deepcopy(path).sample(xs[k], _FixedNormals([0.0]))
         at_one_sd = copy.deepcopy(path).sample(xs[k], _FixedNormals([1.0]))
         K = design_matrix(kernel, xs[:k]) + path.jitter * np.eye(k)
-        k_star = cross_vector(kernel, xs[:k], xs[k])
+        k_star = design_matrix(kernel, xs[:k], xs[k : k + 1])[:, 0]
         mean = prior_mean + k_star @ np.linalg.solve(K, values - prior_mean)
         var = kernel.marginal_variance + path.jitter - k_star @ np.linalg.solve(K, k_star)
         assert_allclose(at_mean, mean, rtol=1e-10)

@@ -11,7 +11,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from mgpch.errors import InvalidArgumentError, ModelStateError
-from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, cross_vector, kernel_eval
+from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
 from mgpch.model import (
     MgpchConfig,
     MgpchModel,
@@ -84,27 +84,24 @@ def explicit_moments(model, xstar):
     phi = np.empty((C, D))
     a = np.zeros((C, D))
     svar = np.zeros((C, D))
+    xs = xstar[None, :]
     for c in range(C):
         nk = model.noise_kernels[c]
-        lam = np.array(
-            [[kernel_eval(nk, X[i], X[j]) for j in range(n)] for i in range(n)]
-        ) + ar1_jitter(nk) * np.eye(n)
-        lam_cross = cross_vector(nk, X, xstar)
-        lam_ss = kernel_eval(nk, xstar, xstar)
+        lam = design_matrix(nk, X) + ar1_jitter(nk) * np.eye(n)
+        lam_cross = design_matrix(nk, X, xs)[:, 0]
+        lam_ss = design_matrix(nk, xs)[0, 0]
         mk = model.mean_kernels[c]
         for d in range(D):
             Q = state.Q[c, d]
             tau[c, d] = lam_cross @ np.linalg.inv(lam) @ (state.m[c, d] - model.m_tilde[c, d]) + model.m_tilde[c, d]
             phi[c, d] = lam_ss - lam_cross @ np.linalg.inv(lam + np.diag(1.0 / Q)) @ lam_cross
             if not isinstance(mk, ZeroKernel):
-                K = np.array(
-                    [[kernel_eval(mk, X[i], X[j]) for j in range(n)] for i in range(n)]
-                ) + ar1_jitter(mk) * np.eye(n)
-                k_cross = cross_vector(mk, X, xstar)
+                K = design_matrix(mk, X) + ar1_jitter(mk) * np.eye(n)
+                k_cross = design_matrix(mk, X, xs)[:, 0]
                 B = state.R[:, c] * state.inv_noise[c, d]
                 gain = np.linalg.inv(K + np.diag(1.0 / B))
                 a[c, d] = k_cross @ gain @ Y[:, d]
-                svar[c, d] = kernel_eval(mk, xstar, xstar) - k_cross @ gain @ k_cross
+                svar[c, d] = design_matrix(mk, xs)[0, 0] - k_cross @ gain @ k_cross
     psi = np.exp(tau + 0.5 * phi)
     weights = np.asarray(predict(model, xstar).weights)
     return weights @ a, (weights**2) @ (svar + psi), tau, phi, a, svar
