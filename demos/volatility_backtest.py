@@ -56,8 +56,8 @@ mixture = BacktestConfig(
 )
 garch = BacktestConfig(window=120, retrain_every=7, horizons=(1, 7, 30), model="garch")
 
-report_m = run_volatility_backtest(series, mixture, max_workers=4)
-report_g = run_volatility_backtest(series, garch, max_workers=4)
+report_m = run_volatility_backtest(series, mixture)
+report_g = run_volatility_backtest(series, garch)
 print(f"refits: {len(report_m.refit_days)}, forecasts logged: {len(report_m.forecast_log)}")
 
 ###############################################################################

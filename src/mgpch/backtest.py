@@ -8,7 +8,6 @@ reuse the latest fitted model by default, so the MSE denominators are
 maximal; ``forecast_only_at_retrain`` restores the sparser cadence.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 
@@ -232,10 +231,12 @@ def _grouped_mse(log, key, error):
     return {k: float(np.mean(v)) for k, v in groups.items()}
 
 
-def _backtest(series, config, factory, max_workers, scorer, mse):
+def _backtest(series, config, factory, scorer, mse):
     """The rolling protocol of both kinds: fit, advance, walk the horizons, score, report.
 
-    One forecaster is fitted per retrain day; its ``advance(r[origin-1])``
+    Refits run one at a time.  Each retrain day's forecaster is fitted,
+    serves that day's origins and is dropped before the next refit, so
+    at most one fitted model is alive.  Its ``advance(r[origin-1])``
     runs once per day as the origin moves on, and each origin walks the
     ascending horizons until the target passes the series end.
     ``scorer(r)``, called once the series is long enough, returns
@@ -246,20 +247,10 @@ def _backtest(series, config, factory, max_workers, scorer, mse):
     r = np.asarray(series.returns, dtype=float)
     T = r.shape[0]
     segments = _schedule(T, config)
-
-    def fit_one(segment):
-        t, _ = segment
-        return factory(r[t - config.window + 1 : t + 1], t)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            forecasters = list(pool.map(fit_one, segments))
-    else:
-        forecasters = [fit_one(segment) for segment in segments]
-
     score = scorer(r)
     log = []
-    for (fit_day, origins), forecaster in zip(segments, forecasters):
+    for fit_day, origins in segments:
+        forecaster = factory(r[fit_day - config.window + 1 : fit_day + 1], fit_day)
         for origin in origins:
             if origin > fit_day:
                 forecaster.advance(r[origin - 1])
@@ -267,6 +258,7 @@ def _backtest(series, config, factory, max_workers, scorer, mse):
                 if origin + h > T - 1:
                     break
                 log.extend(score(forecaster, fit_day, origin, h))
+        del forecaster  # released before the next refit is built
 
     by_kind = {f.name: {} for f in fields(BacktestReport) if "mse" in f.name}
     by_kind.update(mse(log))
@@ -279,7 +271,7 @@ def _backtest(series, config, factory, max_workers, scorer, mse):
     )
 
 
-def run_volatility_backtest(series, config, forecaster_factory=None, max_workers=None):
+def run_volatility_backtest(series, config, forecaster_factory=None):
     """Score rolling variance forecasts against realized measures.
 
     ``forecaster_factory(window_returns, origin) -> forecaster`` can be
@@ -330,12 +322,10 @@ def run_volatility_backtest(series, config, forecaster_factory=None, max_workers
             "avg_mse_hist_vol": {h: float(np.mean(v)) for h, v in hvm.items()},
         }
 
-    return _backtest(series, config, forecaster_factory, max_workers, scorer, mse)
+    return _backtest(series, config, forecaster_factory, scorer, mse)
 
 
-def run_covariance_backtest(
-    series, config, family, forecaster_factory=None, max_workers=None
-):
+def run_covariance_backtest(series, config, family, forecaster_factory=None):
     """Score rolling pairwise covariance forecasts against return products.
 
     Requires at least two assets and an MGPCH model configuration; each
@@ -382,4 +372,4 @@ def run_covariance_backtest(
             },
         }
 
-    return _backtest(series, config, forecaster_factory, max_workers, scorer, mse)
+    return _backtest(series, config, forecaster_factory, scorer, mse)

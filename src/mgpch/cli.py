@@ -42,39 +42,79 @@ REPORT_FORMAT = "mgpch-backtest-report"
 FORECAST_FORMAT = "mgpch-forecast"
 TRUTH_FORMAT = "mgpch-simulation-truth"
 
-_TOP_KEYS = {
-    "data",
-    "model",
-    "out",
-    "seed",
-    "threads",
-    "family",
-    "horizons",
-    "plot_data",
-    "mgpch",
-    "backtest",
-    "simulate",
+# Each table maps a key to what its value must hold: a type, ``[kind]``
+# for a list of that kind, a tuple of alternatives, or a nested table for
+# a section.  An int is never a bool, and a float is any number.
+_MGPCH_KEYS = {
+    "truncation": int,
+    "delta": float,
+    "eta1": float,
+    "eta2": float,
+    "m_tilde": (type(None), float, [float], [[float]]),
+    "max_iters": int,
+    "tol": float,
 }
-_MGPCH_KEYS = {"truncation", "delta", "eta1", "eta2", "m_tilde", "max_iters", "tol"}
 _BACKTEST_KEYS = {
-    "window",
-    "retrain_every",
-    "horizons",
-    "hist_vol_window",
-    "model",
-    "forecast_only_at_retrain",
+    "window": int,
+    "retrain_every": int,
+    "horizons": [int],
+    "hist_vol_window": int,
+    "model": str,
+    "forecast_only_at_retrain": bool,
 }
-_SIMULATE_KEYS = {"n_points", "n_dims"}
+_SIMULATE_KEYS = {"n_points": int, "n_dims": int}
+_TOP_KEYS = {
+    "data": str,
+    "model": str,
+    "out": str,
+    "seed": int,
+    "family": str,
+    "horizons": [int],
+    "plot_data": str,
+    "mgpch": _MGPCH_KEYS,
+    "backtest": _BACKTEST_KEYS,
+    "simulate": _SIMULATE_KEYS,
+}
+_KIND_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean", type(None): "null"}
 
 
-def _check_keys(mapping, allowed, where):
-    unknown = sorted(set(mapping) - allowed)
+def _holds(value, kind):
+    if isinstance(kind, tuple):
+        return any(_holds(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_holds(v, kind[0]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _kind_name(kind):
+    if isinstance(kind, tuple):
+        return " or ".join(_kind_name(k) for k in kind)
+    if isinstance(kind, list):
+        return "list of " + _kind_name(kind[0])
+    return _KIND_NAMES[kind]
+
+
+def _check_table(mapping, table, section=None):
+    unknown = sorted(set(mapping) - set(table))
     if unknown:
-        raise FormatError(f"unknown {where} key(s): {', '.join(unknown)}")
+        raise FormatError(f"unknown {section or 'config'} key(s): {', '.join(unknown)}")
+    for key, value in mapping.items():
+        kind = table[key]
+        if isinstance(kind, dict):
+            if not isinstance(value, dict):
+                raise FormatError(f"config section {key!r} must be an object")
+            _check_table(value, kind, section=key)
+        elif not _holds(value, kind):
+            name = f"{section}.{key}" if section else key
+            raise FormatError(f"config key {name!r} must be of type {_kind_name(kind)}, got {value!r}")
 
 
 def load_run_config(path):
-    """Read and schema-check a JSON run configuration."""
+    """Read a JSON run configuration and check its keys and value types."""
     with open(path, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -82,16 +122,7 @@ def load_run_config(path):
             raise FormatError(f"config is not valid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(raw, dict):
         raise FormatError("config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config")
-    for section, allowed in (
-        ("mgpch", _MGPCH_KEYS),
-        ("backtest", _BACKTEST_KEYS),
-        ("simulate", _SIMULATE_KEYS),
-    ):
-        value = raw.get(section, {})
-        if not isinstance(value, dict):
-            raise FormatError(f"config section {section!r} must be an object")
-        _check_keys(value, allowed, section)
+    _check_table(raw, _TOP_KEYS)
     return raw
 
 
@@ -118,7 +149,6 @@ def build_parser():
     common.add_argument("--model", help="model file path (input for predict, output hint for fit)")
     common.add_argument("--out", help="output artifact path")
     common.add_argument("--seed", type=int, help="seed for full-run determinism")
-    common.add_argument("--threads", type=int, help="worker cap for parallel window fits")
     common.add_argument(
         "--horizons", type=_parse_horizons, help="comma-separated forecast horizons, e.g. 1,7,30"
     )
@@ -179,7 +209,7 @@ class _Run:
         }
         if section.get("m_tilde") is not None:
             kwargs["m_tilde"] = np.asarray(section["m_tilde"], dtype=float)
-        return MgpchConfig(pyp=PypConfig(**pyp_kwargs), seed=int(self.get("seed", 0)), **kwargs)
+        return MgpchConfig(pyp=PypConfig(**pyp_kwargs), seed=self.get("seed", 0), **kwargs)
 
     def backtest_config(self):
         section = dict(self.section("backtest"))
@@ -337,12 +367,11 @@ def cmd_backtest(run):
     out = run.require("out", command)
     returns = _load_returns(run, command)
     config = run.backtest_config()
-    threads = run.get("threads")
     if command == "backtest":
-        kind, report = "volatility", run_volatility_backtest(returns, config, max_workers=threads)
+        kind, report = "volatility", run_volatility_backtest(returns, config)
     else:
         family = run.get("family") or "clayton"
-        kind, report = "covariance", run_covariance_backtest(returns, config, family, max_workers=threads)
+        kind, report = "covariance", run_covariance_backtest(returns, config, family)
     dump_json(_report_payload(report, config, kind), out)
     plot = run.get("plot_data")
     if plot:
@@ -353,9 +382,9 @@ def cmd_backtest(run):
 
 def cmd_simulate(run):
     section = run.section("simulate")
-    n_points = int(section.get("n_points", 500))
-    n_dims = int(section.get("n_dims", 1))
-    seed = int(run.get("seed", 0))
+    n_points = section.get("n_points", 500)
+    n_dims = section.get("n_dims", 1)
+    seed = run.get("seed", 0)
     draw = simulate(run.mgpch_config(), n_points, n_dims, seed=seed)
     out = run.require("out", "simulate")
     series = prices_from_returns(draw.Y)

@@ -22,7 +22,6 @@ from scipy.spatial.distance import cdist, pdist
 from scipy.special import ndtr
 
 from .errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
-from .kernels import RbfKernel
 
 __all__ = [
     "Clayton",
@@ -272,23 +271,27 @@ class PairwiseCopulaModel:
     """Trained conditional copula for one output pair.
 
     The parameter at input x is ``link(w @ h(x))`` where h collects the
-    radial basis features against the stored basis points.
+    Gaussian radial basis features
+    ``exp(-||x - b||^2 / (2 lengthscale^2))`` against the stored basis
+    points b.
     """
 
     family: object
     basis_points: np.ndarray  # (I, p)
     w: np.ndarray  # (I,)
-    basis_kernel: RbfKernel
+    lengthscale: float
 
     def __post_init__(self):
+        if not self.lengthscale > 0.0:
+            raise InvalidArgumentError(f"lengthscale must be positive, got {self.lengthscale}")
         if self.basis_points.ndim != 2 or self.basis_points.shape[0] < 1:
             raise InvalidArgumentError("at least one basis point is required")
         if self.w.shape != (self.basis_points.shape[0],) or not np.all(np.isfinite(self.w)):
             raise InvalidArgumentError("w must hold one finite weight per basis point")
 
 
-def _feature_matrix(kernel, X, basis):
-    return np.exp(-0.5 * cdist(X, basis, "sqeuclidean") / kernel.lengthscale**2)
+def _feature_matrix(lengthscale, X, basis):
+    return np.exp(-0.5 * cdist(X, basis, "sqeuclidean") / lengthscale**2)
 
 
 def basis_features(pairmodel, x):
@@ -298,7 +301,7 @@ def basis_features(pairmodel, x):
         raise InvalidArgumentError(
             f"x must have dimension {pairmodel.basis_points.shape[1]}, got shape {x.shape}"
         )
-    return _feature_matrix(pairmodel.basis_kernel, x[None, :], pairmodel.basis_points)[0]
+    return _feature_matrix(pairmodel.lengthscale, x[None, :], pairmodel.basis_points)[0]
 
 
 def conditional_theta(pairmodel, x):
@@ -337,8 +340,8 @@ def train_pairwise(pair, mgpch, data, family):
     n_basis = math.ceil(BASIS_FRACTION * N)
     idx = np.round(np.linspace(0, N - 1, n_basis)).astype(int)
     basis = X[idx]
-    kernel = RbfKernel(_basis_lengthscale(basis))
-    H = _feature_matrix(kernel, X, basis)
+    lengthscale = _basis_lengthscale(basis)
+    H = _feature_matrix(lengthscale, X, basis)
 
     # one batched forecast at every training input; u and v are marginal_cdf per row
     moments = mgpch.predict_batch(X)
@@ -374,7 +377,7 @@ def train_pairwise(pair, mgpch, data, family):
         options={"maxiter": 200, "eps": 1e-4},
     )
     w = result.x if negative_likelihood(result.x) <= base else w0
-    return PairwiseCopulaModel(family=family, basis_points=basis, w=w, basis_kernel=kernel)
+    return PairwiseCopulaModel(family=family, basis_points=basis, w=w, lengthscale=lengthscale)
 
 
 @functools.cache

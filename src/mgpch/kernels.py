@@ -20,7 +20,6 @@ from .errors import InvalidArgumentError
 __all__ = [
     "ZeroKernel",
     "Ar1Kernel",
-    "RbfKernel",
     "design_matrix",
     "ar1_jitter",
 ]
@@ -49,23 +48,6 @@ class Ar1Kernel:
     @property
     def marginal_variance(self):
         return self.sigma0_sq / (1.0 - self.phi**2)
-
-
-@dataclass(frozen=True)
-class RbfKernel:
-    """Gaussian radial kernel ``exp(-||x - x'||^2 / (2 lengthscale^2))``.
-
-    Used for basis features rather than process covariances, so it has
-    unit marginal and no jitter convention.
-    """
-
-    lengthscale: float
-
-    def __post_init__(self):
-        if not self.lengthscale > 0.0:
-            raise InvalidArgumentError(
-                f"lengthscale must be positive, got {self.lengthscale}"
-            )
 
 
 def _check_kernel(kernel):

@@ -81,7 +81,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.spatial.distance import pdist
-from scipy.special import betaln, gammaln
+from scipy.special import betaln, digamma, gammaln
 
 from .errors import (
     DivergedFitError,
@@ -96,7 +96,6 @@ from .pyp import (
     InnovationPosterior,
     PypConfig,
     StickPosterior,
-    digamma,
     expected_log_weights,
     expected_weights,
     stick_log_moments,

@@ -23,7 +23,6 @@ __all__ = [
     "PypConfig",
     "StickPosterior",
     "InnovationPosterior",
-    "digamma",
     "update_stick_posteriors",
     "update_innovation_posterior",
     "stick_log_moments",
@@ -104,20 +103,7 @@ class InnovationPosterior:
     @property
     def log_mean(self):
         """Expected log innovation under the Gamma posterior."""
-        return float(digamma(self.eta1_hat)) - np.log(self.eta2_hat)
-
-
-def digamma(x):
-    """Digamma function for positive arguments.
-
-    Accepts scalars or arrays and preserves the input shape; a scalar
-    gives a float.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise InvalidArgumentError("digamma requires positive arguments")
-    out = special.digamma(x)
-    return float(out) if out.ndim == 0 else out
+        return float(special.digamma(self.eta1_hat)) - np.log(self.eta2_hat)
 
 
 def _check_responsibilities(R, truncation):
@@ -201,8 +187,8 @@ def stick_log_moments(sticks):
     (ndarray, ndarray)
         ``E[log v_c]`` and ``E[log(1 - v_c)]`` for the C - 1 free sticks.
     """
-    total = digamma(sticks.beta1 + sticks.beta2)
-    return digamma(sticks.beta1) - total, digamma(sticks.beta2) - total
+    total = special.digamma(sticks.beta1 + sticks.beta2)
+    return special.digamma(sticks.beta1) - total, special.digamma(sticks.beta2) - total
 
 
 def expected_log_weights(sticks):

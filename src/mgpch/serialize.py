@@ -29,7 +29,7 @@ import numpy as np
 
 from .copula import PairwiseCopulaModel, family_from_name
 from .errors import FormatError, InvalidArgumentError
-from .kernels import Ar1Kernel, RbfKernel, ZeroKernel
+from .kernels import Ar1Kernel, ZeroKernel
 from .model import MgpchConfig, MgpchModel, VariationalState
 from .pyp import InnovationPosterior, PypConfig, StickPosterior
 
@@ -154,7 +154,7 @@ def _copula_to_obj(pair, pairmodel):
         "family": type(pairmodel.family).__name__.lower(),
         "basis_points": _array(pairmodel.basis_points),
         "w": _array(pairmodel.w),
-        "lengthscale": pairmodel.basis_kernel.lengthscale,
+        "lengthscale": pairmodel.lengthscale,
     }
 
 
@@ -164,7 +164,7 @@ def _copula_from_obj(obj):
         family=family_from_name(obj["family"]),
         basis_points=np.asarray(obj["basis_points"]),
         w=np.asarray(obj["w"]),
-        basis_kernel=RbfKernel(lengthscale=obj["lengthscale"]),
+        lengthscale=obj["lengthscale"],
     )
     return pair, model
 

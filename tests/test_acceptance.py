@@ -33,7 +33,7 @@ from mgpch.backtest import BacktestConfig, historical_volatility, run_volatility
 from mgpch.data_io import ReturnSeries
 from mgpch.errors import QuadratureWarning
 from mgpch.garch import garch_filter, garch_fit
-from mgpch.kernels import Ar1Kernel, RbfKernel
+from mgpch.kernels import Ar1Kernel
 from mgpch.model import (
     MgpchConfig,
     MgpchModel,
@@ -236,7 +236,7 @@ def singleton_pair_model(family, score):
         family=family,
         basis_points=np.zeros((1, 1)),
         w=np.array([float(score)]),
-        basis_kernel=RbfKernel(1.0),
+        lengthscale=1.0,
     )
 
 

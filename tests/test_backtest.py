@@ -1,5 +1,6 @@
 """Rolling-window evaluation protocol."""
 
+import weakref
 from datetime import date, timedelta
 
 import numpy as np
@@ -77,11 +78,11 @@ class Recording:
 
 
 def expected_calls(r, window, every, horizons, only_at_retrain=False):
-    """The protocol's calls written out: all fits, then per origin one advance (after the fit day) and its horizons."""
+    """The protocol's calls written out: per fit day t, the fit, then per origin one advance (after t) and its horizons."""
     T = r.shape[0]
-    days = range(window - 1, T - horizons[0], every)
-    calls = [("fit", t) for t in days]
-    for t in days:
+    calls = []
+    for t in range(window - 1, T - horizons[0], every):
+        calls.append(("fit", t))
         last = t if only_at_retrain else min(t + every - 1, T - 1 - horizons[0])
         for origin in range(t, last + 1):
             if origin > t:
@@ -99,11 +100,11 @@ class TestProtocol:
         self.r = 0.01 * rng.standard_normal((71, 2))
         self.config = BacktestConfig(window=40, retrain_every=7, horizons=(30, 1, 7))
 
-    def run(self, kind, config=None, returns=None, max_workers=None):
+    def run(self, kind, config=None, returns=None, factory=None):
         r = self.r if returns is None else returns
         forecasters, calls = [], []
 
-        def factory(window_returns, origin):
+        def recording(window_returns, origin):
             forecasters.append(Recording(window_returns, origin, calls))
             return forecasters[-1]
 
@@ -111,7 +112,7 @@ class TestProtocol:
         if kind == "covariance":
             args += ("frank",)
         runner = run_volatility_backtest if kind == "volatility" else run_covariance_backtest
-        report = runner(*args, forecaster_factory=factory, max_workers=max_workers)
+        report = runner(*args, forecaster_factory=factory or recording)
         return report, forecasters, calls
 
     def test_call_sequence(self, kind):
@@ -159,14 +160,21 @@ class TestProtocol:
         with pytest.raises(InvalidArgumentError, match="need at least 71 returns, got"):
             self.run(kind, returns=self.r[:length])
 
-    def test_thread_count_leaves_the_report_unchanged(self, kind):
-        serial, _, serial_calls = self.run(kind)
-        threaded, _, threaded_calls = self.run(kind, max_workers=3)
-        assert threaded.forecast_log == serial.forecast_log
-        assert threaded.refit_days == serial.refit_days
-        # fits may finish in any order; the scoring that follows them may not
-        assert sorted(c for c in threaded_calls if c[0] == "fit") == [c for c in serial_calls if c[0] == "fit"]
-        assert [c for c in threaded_calls if c[0] != "fit"] == [c for c in serial_calls if c[0] != "fit"]
+    def test_each_forecaster_is_released_before_the_next_refit(self, kind):
+        # the protocol keeps no fitted forecaster once its origins are served,
+        # so a refit never runs next to an earlier one the protocol still holds
+        refs, alive_at_refit = [], []
+
+        def factory(window_returns, origin):
+            alive_at_refit.append([ref() is not None for ref in refs])
+            forecaster = Recording(window_returns, origin, [])
+            refs.append(weakref.ref(forecaster))
+            return forecaster
+
+        report, _, _ = self.run(kind, factory=factory)
+        assert len(alive_at_refit) == len(report.refit_days) == 5
+        assert alive_at_refit == [[False] * k for k in range(5)]
+        assert all(ref() is None for ref in refs)
 
 
 class TestHistoricalVolatility:
@@ -314,16 +322,15 @@ class TestGarchBacktest:
                 expected = params.omega + params.a * r[origin, 0] ** 2 + params.b * s2
                 assert_allclose(by_origin[origin], expected, rtol=1e-12)
 
-    def test_deterministic_and_thread_count_invariant(self):
+    def test_deterministic(self):
         rng = np.random.default_rng(2)
         r = 0.01 * rng.standard_normal((66, 2))
         series = make_series(r)
         config = BacktestConfig(window=35, retrain_every=7, horizons=(1, 7), model="garch")
         a = run_volatility_backtest(series, config)
         b = run_volatility_backtest(series, config)
-        c = run_volatility_backtest(series, config, max_workers=3)
-        assert a.forecast_log == b.forecast_log == c.forecast_log
-        assert a.refit_days == b.refit_days == c.refit_days
+        assert a.forecast_log == b.forecast_log
+        assert a.refit_days == b.refit_days
 
 
 class TestMgpchBacktest:

@@ -15,7 +15,6 @@ ALL_FLAGS = (
     "--model",
     "--out",
     "--seed",
-    "--threads",
     "--horizons",
     "--family",
     "--truncation",
@@ -54,6 +53,8 @@ class TestUsage:
         assert run_command(["fit", "--bogus"]) == 2
         assert run_command([]) == 2
         assert run_command(["fit", "--horizons", "1,x"]) == 2
+        # backtests run one refit at a time; there is no worker count to set
+        assert run_command(["backtest", "--threads", "2"]) == 2
 
     def test_missing_required_value_is_usage_error(self, tmp_path, capsys):
         assert run_command(["predict", "--out", str(tmp_path / "f.json")]) == 2
@@ -191,11 +192,6 @@ class TestBacktestCommands:
         assert payload["refit_days"]
         assert plot.read_text().startswith("origin,horizon,fit_day,asset,value")
 
-        # thread cap must not change the artifact
-        threaded = tmp_path / "report2.json"
-        assert run_command(args[:6] + [str(threaded), "--threads", "3"]) == 0
-        assert threaded.read_bytes() == out.read_bytes()
-
     @pytest.mark.parametrize("command", ["backtest", "cov-backtest"])
     def test_missing_out_is_a_usage_error_before_any_refit(self, prices, monkeypatch, capsys, command):
         def refit(*args, **kwargs):
@@ -275,6 +271,35 @@ class TestRunConfig:
         config = write_config(tmp_path, {"mgpch": {"hyperopt_every": 5}}, name="r3.json")
         assert run_command(["simulate", "--config", config, "--out", str(tmp_path / "x.csv")]) == 1
         assert "unknown mgpch key" in capsys.readouterr().err
+
+    def test_threads_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"threads": 2})
+        assert run_command(["backtest", "--config", config, "--out", str(tmp_path / "r.json")]) == 1
+        assert "unknown config key(s): threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("predict", {"horizons": ["x"]}, "'horizons'"),
+            ("backtest", {"backtest": {"window": "120"}}, "'backtest.window'"),
+            ("fit", {"mgpch": {"truncation": "2"}}, "'mgpch.truncation'"),
+            ("simulate", {"simulate": {"n_points": "x"}}, "'simulate.n_points'"),
+            ("simulate", {"seed": True}, "'seed'"),
+            ("backtest", {"backtest": {"horizons": [1, False]}}, "'backtest.horizons'"),
+            ("fit", {"mgpch": {"tol": "1e-6"}}, "'mgpch.tol'"),
+            ("backtest", {"backtest": {"forecast_only_at_retrain": 1}}, "'backtest.forecast_only_at_retrain'"),
+        ],
+    )
+    def test_wrong_typed_value_is_a_format_error_naming_the_key(self, tmp_path, capsys, command, payload, key):
+        config = write_config(tmp_path, payload)
+        assert run_command([command, "--config", config, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key} must be of type")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_numbers_may_be_integers_and_m_tilde_nested_lists(self, tmp_path):
+        payload = {"mgpch": {"tol": 0, "delta": 0, "m_tilde": [[-9, -8]], "max_iters": 1}}
+        assert cli.load_run_config(write_config(tmp_path, payload)) == payload
 
     def test_flags_override_config_file(self, tmp_path):
         config = write_config(tmp_path, {"seed": 1, "simulate": {"n_points": 60}})

@@ -26,7 +26,7 @@ from mgpch.copula import (
     train_pairwise,
 )
 from mgpch.copula import QUADRATURE_NODES, QUADRATURE_SPAN, _cdf_arrays, _log_density_arrays, _quadrature_rule
-from mgpch.kernels import Ar1Kernel, RbfKernel
+from mgpch.kernels import Ar1Kernel
 from mgpch.model import MgpchConfig, PredictiveMoments, fit
 from mgpch.pyp import PypConfig
 
@@ -57,7 +57,7 @@ def single_point_pair_model(family, theta_score):
         family=family,
         basis_points=np.zeros((1, 1)),
         w=np.array([float(theta_score)]),
-        basis_kernel=RbfKernel(1.0),
+        lengthscale=1.0,
     )
 
 
@@ -326,7 +326,7 @@ class TestTraining:
         pm = train_pairwise((0, 1), model, (X, Y), Clayton())
         assert np.array_equal(pm.basis_points, X)
         for n in (0, 5, 11):
-            gauss = np.exp(-0.5 * np.sum((X - X[n]) ** 2, axis=1) / pm.basis_kernel.lengthscale**2)
+            gauss = np.exp(-0.5 * np.sum((X - X[n]) ** 2, axis=1) / pm.lengthscale**2)
             assert_allclose(basis_features(pm, X[n]), gauss, rtol=1e-12)
 
     def test_basis_subsampling(self):
@@ -358,8 +358,16 @@ class TestTraining:
                 family=Frank(),
                 basis_points=np.zeros((2, 1)),
                 w=np.array([1.0, np.inf]),
-                basis_kernel=RbfKernel(1.0),
+                lengthscale=1.0,
             )
+        for lengthscale in (0.0, -1.0, np.nan):
+            with pytest.raises(InvalidArgumentError, match="lengthscale must be positive"):
+                PairwiseCopulaModel(
+                    family=Frank(),
+                    basis_points=np.zeros((1, 1)),
+                    w=np.array([1.0]),
+                    lengthscale=lengthscale,
+                )
 
 
 class TestPredictiveCovariance:

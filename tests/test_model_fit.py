@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mgpch.errors import IllConditionedError, InvalidArgumentError
-from mgpch.kernels import Ar1Kernel, RbfKernel, design_matrix
+from mgpch.kernels import Ar1Kernel, design_matrix
 import mgpch.model as model_module
 from mgpch.model import (
     MgpchConfig,
@@ -163,7 +163,7 @@ class TestFit:
             MgpchConfig(pyp=PypConfig(truncation=2), noise_kernels=(Ar1Kernel(0.5, 1.0),))
         # the mean update needs an AR(1) or zero kernel; others fail here, not inside fit
         with pytest.raises(InvalidArgumentError, match="mean kernels"):
-            MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=(RbfKernel(1.0),) * 2)
+            MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=("rbf",) * 2)
 
 
 SWEEP = ("noise", "mean", "responsibilities", "mixture")

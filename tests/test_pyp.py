@@ -8,36 +8,12 @@ from mgpch.pyp import (
     InnovationPosterior,
     PypConfig,
     StickPosterior,
-    digamma,
     expected_log_weights,
     expected_weights,
     stick_log_moments,
     update_innovation_posterior,
     update_stick_posteriors,
 )
-
-
-class TestDigamma:
-    def test_matches_reference_implementation(self):
-        rng = np.random.default_rng(42)
-        x = np.concatenate(
-            [
-                rng.uniform(1e-4, 1.0, size=200),
-                rng.uniform(1.0, 50.0, size=200),
-                rng.uniform(50.0, 1e6, size=100),
-            ]
-        )
-        assert_allclose(digamma(x), scipy.special.digamma(x), rtol=0.0, atol=1e-12)
-
-    def test_known_values(self):
-        euler = 0.5772156649015329
-        assert_allclose(digamma(1.0), -euler, atol=1e-13)
-        assert_allclose(digamma(2.0), 1.0 - euler, atol=1e-13)
-        assert_allclose(digamma(0.5), -euler - 2.0 * np.log(2.0), atol=1e-13)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidArgumentError):
-            digamma(0.0)
 
 
 class TestStickUpdate:

@@ -71,7 +71,7 @@ class TestRoundTrip:
         assert restored.family == original.family
         assert np.array_equal(restored.w, original.w)
         assert np.array_equal(restored.basis_points, original.basis_points)
-        assert restored.basis_kernel == original.basis_kernel
+        assert restored.lengthscale == original.lengthscale
 
     def test_save_is_byte_stable(self, fitted, tmp_path):
         model, copulas = fitted
@@ -196,6 +196,17 @@ class TestSchema:
         payload["state"][name][0][0][1] = float("nan")
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=f"'{name}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("lengthscale", [0.0, -1.0, float("nan")])
+    def test_non_positive_copula_lengthscale_is_rejected(self, fitted, tmp_path, lengthscale):
+        model, copulas = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model, pairwise=copulas)
+        payload = json.loads(path.read_text())
+        payload["pairwise_copulas"][0]["lengthscale"] = lengthscale
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match="lengthscale must be positive"):
             load_model(path)
 
     def test_missing_field_is_a_format_error(self, fitted, tmp_path):
