@@ -24,7 +24,7 @@ from .backtest import (
     run_covariance_backtest,
     run_volatility_backtest,
 )
-from .copula import family_from_name, predictive_covariance, train_pairwise
+from .copula import FAMILIES, family_from_name, predictive_covariance, train_pairwise
 from .data_io import (
     load_price_csv,
     prices_from_returns,
@@ -154,7 +154,7 @@ def build_parser():
     )
     common.add_argument(
         "--family",
-        choices=("clayton", "frank", "gumbel"),
+        choices=tuple(FAMILIES),
         help="copula family for pairwise dependence",
     )
     common.add_argument("--truncation", type=int, help="mixture truncation level C")

@@ -18,17 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
 from .errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
+from .kernels import median_distance
 
 __all__ = [
     "Clayton",
     "Frank",
     "Gumbel",
     "PairwiseCopulaModel",
+    "FAMILIES",
     "family_from_name",
+    "family_name",
     "link_parameter",
     "copula_cdf",
     "copula_log_density",
@@ -70,16 +73,25 @@ class Gumbel:
     """Upper-tail-dependent family, parameter domain theta >= 1."""
 
 
-_FAMILIES = {"clayton": Clayton, "frank": Frank, "gumbel": Gumbel}
+# the one registry of family names: the CLI's --family choices and the model file read it
+FAMILIES = {"clayton": Clayton, "frank": Frank, "gumbel": Gumbel}
 
 
 def family_from_name(name):
     try:
-        return _FAMILIES[name.lower()]()
+        return FAMILIES[name.lower()]()
     except KeyError:
         raise InvalidArgumentError(
-            f"unknown copula family {name!r}, expected one of {sorted(_FAMILIES)}"
+            f"unknown copula family {name!r}, expected one of {sorted(FAMILIES)}"
         ) from None
+
+
+def family_name(family):
+    """The registry name of a family instance, the inverse of :func:`family_from_name`."""
+    for name, kind in FAMILIES.items():
+        if type(family) is kind:
+            return name
+    raise InvalidArgumentError(f"unknown copula family {family!r}")
 
 
 def link_parameter(family, gamma):
@@ -309,14 +321,6 @@ def conditional_theta(pairmodel, x):
     return float(link_parameter(pairmodel.family, pairmodel.w @ basis_features(pairmodel, x)))
 
 
-def _basis_lengthscale(basis):
-    if basis.shape[0] < 2:
-        return 1.0
-    d = pdist(basis)
-    d = d[d > 0.0]
-    return float(np.median(d)) if d.size else 1.0
-
-
 def train_pairwise(pair, mgpch, data, family):
     """Fit the conditional copula parameter for one output pair.
 
@@ -340,7 +344,7 @@ def train_pairwise(pair, mgpch, data, family):
     n_basis = math.ceil(BASIS_FRACTION * N)
     idx = np.round(np.linspace(0, N - 1, n_basis)).astype(int)
     basis = X[idx]
-    lengthscale = _basis_lengthscale(basis)
+    lengthscale = median_distance(basis) or 1.0
     H = _feature_matrix(lengthscale, X, basis)
 
     # one batched forecast at every training input; u and v are marginal_cdf per row

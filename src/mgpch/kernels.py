@@ -13,7 +13,7 @@ whose marginal variance sigma0_sq / (1 - phi**2) is attained at
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import InvalidArgumentError
 
@@ -22,6 +22,7 @@ __all__ = [
     "Ar1Kernel",
     "design_matrix",
     "ar1_jitter",
+    "median_distance",
 ]
 
 JITTER_SCALE = 1e-8
@@ -89,3 +90,10 @@ def ar1_jitter(kernel):
     if isinstance(kernel, ZeroKernel):
         return 0.0
     return JITTER_SCALE * kernel.marginal_variance
+
+
+def median_distance(X):
+    """Median of the positive pairwise Euclidean distances between the rows of ``X``, or None if none is positive."""
+    dists = pdist(X)
+    positive = dists[dists > 0.0]
+    return float(np.median(positive)) if positive.size else None

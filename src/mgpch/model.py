@@ -24,6 +24,12 @@ everything else with the updates' own block code, so a model rebuilt from
 its primal state scores bit for bit like the one in memory.  No prior
 is ever factorized: ``K^-1 mu`` comes from the bound factor.
 
+The updates, :func:`refresh_caches` and :func:`free_energy` take the state
+first and the :class:`MgpchModel` second.  The model holds the fit's data,
+its resolved kernels and m_tilde, and builds the jittered priors on first
+use, so a fitted and a loaded model alike are their own fit context:
+``free_energy(model.state, model)``.
+
 q(g) moves by a damped natural-gradient step (the conjugate-computation
 step of Khan and Lin, AISTATS 2017): Q toward the curvature ``Q_hat =
 q_nc * omega_n * E[exp(-g_n)] / 2`` of the expected log likelihood, and m
@@ -78,9 +84,9 @@ step halves the sweeps per fit and reaches the same optimum.
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial.distance import pdist
 from scipy.special import betaln, digamma, gammaln
 
 from .errors import (
@@ -90,7 +96,7 @@ from .errors import (
     ModelStateError,
     NumericalDomainError,
 )
-from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
+from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix, median_distance
 from .linalg import cholesky_factor, cholesky_solve, logdet_from_factor, solve_lower, solve_lower_transpose
 from .pyp import (
     InnovationPosterior,
@@ -236,21 +242,6 @@ class VariationalState:
         return S
 
 
-@dataclass
-class _FitContext:
-    """Resolved kernels and jittered design matrices for one dataset; no prior is factorized."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    config: MgpchConfig
-    mean_kernels: tuple
-    noise_kernels: tuple
-    m_tilde: np.ndarray  # (C, D)
-    lam: tuple  # per component: jittered noise design matrix, shared by equal kernels
-    K: tuple  # per component: jittered mean design matrix or None, shared likewise
-    ou: object  # _OuTransitions for one-column inputs, else None
-
-
 @dataclass(frozen=True)
 class _OuTransitions:
     """Sorted-input transitions of every component's noise prior.
@@ -272,12 +263,14 @@ class _OuTransitions:
 
 @dataclass
 class MgpchModel:
-    """Fitted mixture model.
+    """Mixture model: the inputs of one fit and, once fitted, its result.
 
     Carries the training design, the resolved per-component kernels and
-    the variational state, plus the free-energy trace recorded after
-    every coordinate update and every kept extrapolation
-    (``trace_labels`` names each entry).
+    m_tilde, the variational state (None before the fit), and the
+    free-energy trace recorded after every coordinate update and every
+    kept extrapolation (``trace_labels`` names each entry).  The priors
+    ``lam``, ``K`` and ``ou`` are built on first use, alike for a fitted
+    and a loaded model.
     """
 
     config: MgpchConfig
@@ -289,8 +282,29 @@ class MgpchModel:
     state: VariationalState
     free_energy_trace: list
     trace_labels: list
-    _ctx: object = field(default=None, repr=False, compare=False)
     _factors: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _jittered(self):
+        """Jittered design matrix of each distinct non-zero kernel, so components with equal kernels share one."""
+        n = self.X.shape[0]
+        kernels = dict.fromkeys(k for k in (*self.noise_kernels, *self.mean_kernels) if not isinstance(k, ZeroKernel))
+        return {k: design_matrix(k, self.X) + ar1_jitter(k) * np.eye(n) for k in kernels}
+
+    @cached_property
+    def lam(self):
+        """Per component: the jittered noise design matrix."""
+        return tuple(self._jittered[k] for k in self.noise_kernels)
+
+    @cached_property
+    def K(self):
+        """Per component: the jittered mean design matrix, or None for the zero kernel."""
+        return tuple(self._jittered.get(k) for k in self.mean_kernels)
+
+    @cached_property
+    def ou(self):
+        """:class:`_OuTransitions` on one-column inputs, else None: the one place the noise path is chosen."""
+        return _ou_transitions(self.X, self.noise_kernels) if self.X.shape[1] == 1 else None
 
     def predict(self, xstar):
         return predict(self, xstar)
@@ -629,12 +643,10 @@ def _validate_data(X, Y, min_points=1):
 
 
 def _default_noise_kernel(X):
-    dists = pdist(X)
-    positive = dists[dists > 0.0]
-    if positive.size == 0:
+    med = median_distance(X)
+    if med is None:
         phi = 0.5
     else:
-        med = float(np.median(positive))
         # correlation 1/2 at the median distance; tiny input scales push
         # phi itself extremely close to zero, which is fine
         phi = float(np.clip(np.exp(np.log(0.5) / med), 1e-280, 1.0 - 1e-12))
@@ -667,30 +679,13 @@ def _ou_transitions(X, noise_kernels):
 
 
 def _make_context(X, Y, config):
-    X, Y = _validate_data(X, Y)
+    """The unfitted model of validated data (see :func:`_validate_data`): kernels and m_tilde resolved, state None."""
     C = config.pyp.truncation
-    n = X.shape[0]
-    mean_kernels = (
-        tuple(config.mean_kernels) if config.mean_kernels is not None else (ZeroKernel(),) * C
-    )
-    if config.noise_kernels is not None:
-        noise_kernels = tuple(config.noise_kernels)
-    else:
-        noise_kernels = (_default_noise_kernel(X),) * C
+    # the config holds None or a tuple of C >= 1 kernels
+    mean_kernels = config.mean_kernels or (ZeroKernel(),) * C
+    noise_kernels = config.noise_kernels or (_default_noise_kernel(X),) * C
     m_tilde = _resolve_m_tilde(config.m_tilde, Y, C)
-
-    built = {}  # components with equal kernels share one matrix
-
-    def jittered(kernel):
-        if not isinstance(kernel, ZeroKernel) and kernel not in built:
-            built[kernel] = design_matrix(kernel, X) + ar1_jitter(kernel) * np.eye(n)
-        return built.get(kernel)
-
-    lam = tuple(jittered(k) for k in noise_kernels)
-    K = tuple(jittered(k) for k in mean_kernels)
-    # the one place the noise path is chosen: O(N) recursions on scalar inputs
-    ou = _ou_transitions(X, noise_kernels) if X.shape[1] == 1 else None
-    return _FitContext(X, Y, config, mean_kernels, noise_kernels, m_tilde, lam, K, ou)
+    return MgpchModel(config, X, Y, mean_kernels, noise_kernels, m_tilde, state=None, free_energy_trace=[], trace_labels=[])
 
 
 def _kmeans_labels(Z, C, rng):
@@ -725,13 +720,13 @@ def _kmeans_labels(Z, C, rng):
     return labels
 
 
-def _init_state(ctx):
-    config = ctx.config
-    n, D = ctx.Y.shape
+def _init_state(model):
+    config = model.config
+    n, D = model.Y.shape
     C = config.pyp.truncation
     rng = np.random.default_rng(config.seed)
 
-    labels = _kmeans_labels(np.hstack([ctx.X, ctx.Y]), C, rng)
+    labels = _kmeans_labels(np.hstack([model.X, model.Y]), C, rng)
     R = np.full((n, C), 0.1 / C)
     R[np.arange(n), labels] += 0.9
 
@@ -744,7 +739,7 @@ def _init_state(ctx):
     Q = np.repeat(0.5 * R.T[:, None, :], D, axis=1)
     t = np.zeros((C, D, n))
     state = VariationalState(R, mu, t, Q, B, sticks, innovation)
-    refresh_caches(state, ctx)
+    refresh_caches(state, model)
     return state
 
 
@@ -752,8 +747,8 @@ def _init_state(ctx):
 # cache maintenance
 
 
-def refresh_caches(state, ctx):
-    """Rebuild every derived array from the primal ones with the updates' own block code.
+def refresh_caches(state, model):
+    """Rebuild every derived array of ``state`` from its primal ones and ``model`` with the updates' own block code.
 
     :func:`_noise_steps` gives diag(S) and the KL's core of every (c, d)
     block at its stored Q, and :func:`_noise_moments` m, the KL of q(g) and
@@ -765,17 +760,17 @@ def refresh_caches(state, ctx):
     """
     C, D, n = state.t.shape
     rows = _block_rows(C, D)
-    s_diag, kl_core = _noise_steps(ctx, rows, state.Q.reshape(C * D, n))
-    m, g_kl, inv_noise = _noise_moments(ctx, rows, state.t.reshape(C * D, n), s_diag, kl_core)
-    state.noise_priors = ctx.lam
+    s_diag, kl_core = _noise_steps(model, rows, state.Q.reshape(C * D, n))
+    m, g_kl, inv_noise = _noise_moments(model, rows, state.t.reshape(C * D, n), s_diag, kl_core)
+    state.noise_priors = model.lam
     state.s_diag, state.m, state.inv_noise = (a.reshape(C, D, n) for a in (s_diag, m, inv_noise))
     state.g_kl = g_kl.reshape(C, D)
-    state.omega = (ctx.Y.T[None, :, :] - state.mu) ** 2
+    state.omega = (model.Y.T[None, :, :] - state.mu) ** 2
     state.f_kl = np.zeros((C, D))
     for c, d in np.ndindex(C, D):
-        if ctx.K[c] is not None:
-            _mean_block(state, ctx, c, d)
-    state.mixture_terms = _mixture_terms(state, ctx.config.pyp)
+        if model.K[c] is not None:
+            _mean_block(state, model, c, d)
+    state.mixture_terms = _mixture_terms(state, model.config.pyp)
 
 
 def _block_rows(C, D):
@@ -787,8 +782,8 @@ def _block_rows(C, D):
 # coordinate updates
 
 
-def update_noise_processes(state, ctx):
-    """Damped natural-parameter (CVI) update of every log-variance posterior.
+def update_noise_processes(state, model):
+    """Damped natural-parameter (CVI) update of every log-variance posterior of ``state`` under ``model``.
 
     Per (c, d) block the step of Khan and Lin (AISTATS 2017) moves the
     bound parameter to ``Q_s = (1 - s) Q + s Q_hat``, where ``Q_hat =
@@ -820,11 +815,11 @@ def update_noise_processes(state, ctx):
     for step in _BACKTRACK_STEPS:
         rows = tuple(np.array(pending).T)
         Q = (1.0 - step) * state.Q[rows] + step * target[rows]
-        s_diag, kl_core, q_v = _noise_steps(ctx, rows, Q, grad[rows])
+        s_diag, kl_core, q_v = _noise_steps(model, rows, Q, grad[rows])
         t = (1.0 - step) * state.t[rows] + step * (base[rows] - q_v)
         rejected = []
         with np.errstate(over="ignore", invalid="ignore"):
-            m, kl, inv_noise = _noise_moments(ctx, rows, t, s_diag, kl_core)
+            m, kl, inv_noise = _noise_moments(model, rows, t, s_diag, kl_core)
             objs = [_block_objective(state, b, kl[i], m[i], inv_noise[i]) for i, b in enumerate(pending)]
         for i, (c, d) in enumerate(pending):
             obj, old = objs[i], old_obj[c, d]
@@ -845,7 +840,7 @@ def _block_objective(state, block, kl, m, inv_noise):
     return -kl - 0.5 * float(qz @ (m + state.omega[block] * inv_noise))
 
 
-def _noise_steps(ctx, rows, Q, grad=None):
+def _noise_steps(model, rows, Q, grad=None):
     """diag(S), ``log|A| - Q . diag(S)`` and, given ``grad``, ``Q S grad`` of blocks ``rows``.
 
     Row i of Q and grad (P, N) belongs to block ``(rows[0][i],
@@ -855,75 +850,64 @@ def _noise_steps(ctx, rows, Q, grad=None):
     grad)`` with ``W = La^-1 sqrt(Q) Lam`` from the same factor.  This is
     the only code that reads which path the inputs take.
     """
-    if ctx.ou is not None:
+    if model.ou is not None:
         if grad is None:
-            return _ou_moments(ctx.ou, rows[0], Q)
-        s_diag, kl_core, v = _ou_moments(ctx.ou, rows[0], Q, grad)
+            return _ou_moments(model.ou, rows[0], Q)
+        s_diag, kl_core, v = _ou_moments(model.ou, rows[0], Q, grad)
         return s_diag, kl_core, Q * v
     s_diag = np.empty_like(Q)
     kl_core = np.empty(Q.shape[0])
     q_v = np.empty_like(Q)
     for i, c in enumerate(rows[0]):
-        La, W, s_diag[i], kl_core[i] = _diag_precision_posterior(ctx.lam[c], Q[i], "noise bound matrix")
+        La, W, s_diag[i], kl_core[i] = _diag_precision_posterior(model.lam[c], Q[i], "noise bound matrix")
         if grad is not None:
             q_v[i] = np.sqrt(Q[i]) * solve_lower_transpose(La, W @ grad[i])
     return (s_diag, kl_core) if grad is None else (s_diag, kl_core, q_v)
 
 
-def _noise_moments(ctx, rows, t, s_diag, kl_core):
+def _noise_moments(model, rows, t, s_diag, kl_core):
     """m = m_tilde + Lam t, the KL of q(g) and the expected noise precisions of blocks ``rows``."""
     m = np.empty_like(t)
     kl = np.empty(t.shape[0])
     for i, (c, d) in enumerate(zip(*rows)):
-        lam_t, quad = _prior_mean_terms(ctx.lam[c], t[i])
-        m[i] = ctx.m_tilde[c, d] + lam_t
+        lam_t, quad = _prior_mean_terms(model.lam[c], t[i])
+        m[i] = model.m_tilde[c, d] + lam_t
         kl[i] = 0.5 * (float(quad) + kl_core[i])
     return m, kl, expected_noise_precision(m, s_diag)
 
 
-def update_latent_functions(state, ctx):
-    """Closed-form update of every latent mean posterior.
+def update_latent_functions(state, model):
+    """Closed-form update of every latent mean posterior of ``state`` under ``model``.
 
     Components with the zero kernel are left untouched: their mean is
     identically zero and carries no free-energy terms.
     """
     for c, d in np.ndindex(state.m.shape[:2]):
-        if ctx.K[c] is not None:
+        if model.K[c] is not None:
             state.B[c, d] = state.R[:, c] * state.inv_noise[c, d]
-            _mean_block(state, ctx, c, d)
+            _mean_block(state, model, c, d)
 
 
-def _mean_block(state, ctx, c, d):
+def _mean_block(state, model, c, d):
     """mu, the expected squared residuals and the KL of q(f) of block (c, d) from its stored B."""
-    mu, diag, state.f_kl[c, d], _ = _latent_candidate(ctx.K[c], state.B[c, d], ctx.Y[:, d])
+    mu, diag, state.f_kl[c, d], _ = _latent_candidate(model.K[c], state.B[c, d], model.Y[:, d])
     state.mu[c, d] = mu
-    state.omega[c, d] = (ctx.Y[:, d] - mu) ** 2 + diag
+    state.omega[c, d] = (model.Y[:, d] - mu) ** 2 + diag
 
 
-def _responsibility_logits(state, ctx):
-    """Unnormalized log responsibilities: prior log weights plus data fit."""
-    n, C = state.R.shape
-    elogw = expected_log_weights(state.sticks)
-    fit_term = -0.5 * np.sum(
-        state.omega * state.inv_noise + state.m, axis=1
-    )  # (C, N), summed over D
-    return elogw[None, :] + fit_term.T
-
-
-def update_responsibilities(state, ctx):
-    """Closed-form categorical update with log-sum-exp normalization."""
-    logits = _responsibility_logits(state, ctx)
+def update_responsibilities(state, model):
+    """Closed-form categorical update of ``state.R`` with log-sum-exp normalization; ``model`` is not read."""
+    fit_term = -0.5 * np.sum(state.omega * state.inv_noise + state.m, axis=1)  # (C, N), summed over D
+    logits = expected_log_weights(state.sticks)[None, :] + fit_term.T  # prior log weights plus data fit
     if not np.all(np.isfinite(np.max(logits, axis=1))):
         raise NumericalDomainError("every component underflowed for some observation")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    R = w / w.sum(axis=1, keepdims=True)
-    state.R = R
+    w = np.exp(logits - logits.max(axis=1, keepdims=True))
+    state.R = w / w.sum(axis=1, keepdims=True)
 
 
-def update_mixture_posteriors(state, ctx):
-    """Stick Beta updates followed by the innovation Gamma update."""
-    config = ctx.config.pyp
+def update_mixture_posteriors(state, model):
+    """Stick Beta updates followed by the innovation Gamma update, under the prior of ``model.config.pyp``."""
+    config = model.config.pyp
     state.sticks = update_stick_posteriors(
         state.R, config.delta, state.innovation.mean, config.truncation
     )
@@ -988,16 +972,18 @@ def _expected_log_lik(state, R):
     return float(np.sum(R * per_point.T))
 
 
-def free_energy(state, ctx):
-    """Variational free energy of the current state.
+def free_energy(state, model):
+    """Variational free energy of ``state`` under ``model``'s data and priors.
 
     Sums the negated KL of every Gaussian factor from its prior, the
     innovation and stick terms in the form whose exact coordinate
     maximizers are the closed-form updates, the assignment cross
-    entropy, and the expected log likelihood.
+    entropy, and the expected log likelihood.  A state without caches, as
+    a loaded model's, gets them from :func:`refresh_caches` first, so
+    ``free_energy(model.state, model)`` scores a fitted or loaded model.
     """
     if state.g_kl is None:
-        refresh_caches(state, ctx)
+        refresh_caches(state, model)
     alpha_term, stick_term = state.mixture_terms
     value = -float(np.sum(state.g_kl)) - float(np.sum(state.f_kl))
     value += alpha_term
@@ -1052,17 +1038,16 @@ def fit(X, Y, config=None):
     """
     if config is None:
         config = MgpchConfig()
-    _validate_data(X, Y, min_points=2)
-    ctx = _make_context(X, Y, config)
-    state = _init_state(ctx)
+    model = _make_context(*_validate_data(X, Y, min_points=2), config)
+    state = _init_state(model)
 
-    trace = [free_energy(state, ctx)]
+    trace = [free_energy(state, model)]
     labels = ["init"]
     if not math.isfinite(trace[0]):
         raise DivergedFitError("free energy non-finite at initialization", iteration=0)
 
     def record(label, iteration):
-        value = free_energy(state, ctx)
+        value = free_energy(state, model)
         if not math.isfinite(value):
             raise DivergedFitError(f"free energy non-finite after {label}", iteration=iteration)
         trace.append(value)
@@ -1078,7 +1063,7 @@ def fit(X, Y, config=None):
         points = [_primal_coordinates(state)]
         for _ in range(2):
             previous = trace[-1]
-            _sweep(state, ctx, lambda label: record(label, sweeps))
+            _sweep(state, model, lambda label: record(label, sweeps))
             sweeps += 1
             done = converged(previous, trace[-1]) or sweeps == config.max_iters
             if done:
@@ -1086,7 +1071,7 @@ def fit(X, Y, config=None):
             points.append(_primal_coordinates(state))
         if done:
             break
-        candidate, value, tries = _extrapolated_sweep(points, trace[-1], ctx, config.max_iters - sweeps)
+        candidate, value, tries = _extrapolated_sweep(points, trace[-1], model, config.max_iters - sweeps)
         sweeps += tries
         if candidate is not None:
             state = candidate
@@ -1094,23 +1079,12 @@ def fit(X, Y, config=None):
             labels.append("extrapolation")
         done = sweeps == config.max_iters
 
-    model = MgpchModel(
-        config=ctx.config,
-        X=ctx.X,
-        Y=ctx.Y,
-        mean_kernels=ctx.mean_kernels,
-        noise_kernels=ctx.noise_kernels,
-        m_tilde=ctx.m_tilde,
-        state=state,
-        free_energy_trace=trace,
-        trace_labels=labels,
-    )
-    model._ctx = ctx
-    _model_factors(model, ctx)
+    model.state, model.free_energy_trace, model.trace_labels = state, trace, labels
+    _model_factors(model)
     return model
 
 
-def _sweep(state, ctx, record=None):
+def _sweep(state, model, record=None):
     """One plain sweep: the noise, mean, responsibility and mixture updates in turn, each followed by ``record(label)`` if given."""
     for label, update in (
         ("noise", update_noise_processes),
@@ -1118,7 +1092,7 @@ def _sweep(state, ctx, record=None):
         ("responsibilities", update_responsibilities),
         ("mixture", update_mixture_posteriors),
     ):
-        update(state, ctx)
+        update(state, model)
         if record is not None:
             record(label)
 
@@ -1147,7 +1121,7 @@ def _primal_coordinates(state):
         return primal, (np.log(state.omega), np.log(state.s_diag))
 
 
-def _state_at(coords, ctx):
+def _state_at(coords, model):
     """The state an extrapolation try sweeps from, or None outside the mixture factors' domains.
 
     It holds what the try's sweep reads at the coordinates ``coords`` of
@@ -1174,19 +1148,19 @@ def _state_at(coords, ctx):
     C, D, n = t.shape
     s_diag = np.exp(log_s_diag)
     rows = _block_rows(C, D)
-    m, _, inv_noise = _noise_moments(ctx, rows, t.reshape(C * D, n), s_diag.reshape(C * D, n), np.zeros(C * D))
+    m, _, inv_noise = _noise_moments(model, rows, t.reshape(C * D, n), s_diag.reshape(C * D, n), np.zeros(C * D))
     mu = np.zeros_like(t)
-    omega = (ctx.Y.T[None, :, :] - mu) ** 2  # exact where no mean kernel moves mu
-    fitted = [c for c in range(C) if ctx.K[c] is not None]
+    omega = (model.Y.T[None, :, :] - mu) ** 2  # exact where no mean kernel moves mu
+    fitted = [c for c in range(C) if model.K[c] is not None]
     omega[fitted] = np.exp(log_omega[fitted])
     return VariationalState(
         R, mu, t, np.zeros_like(t), np.exp(log_B), sticks, innovation,
         m=m.reshape(C, D, n), s_diag=s_diag, omega=omega, inv_noise=inv_noise.reshape(C, D, n),
-        g_kl=np.full((C, D), np.inf), f_kl=np.zeros((C, D)), noise_priors=ctx.lam,
+        g_kl=np.full((C, D), np.inf), f_kl=np.zeros((C, D)), noise_priors=model.lam,
     )
 
 
-def _extrapolated_sweep(points, floor, ctx, budget):
+def _extrapolated_sweep(points, floor, model, budget):
     """One safeguarded SQUAREM step from the coordinates of three consecutive sweeps.
 
     With the differences ``r = x1 - x0`` and ``v = x2 - 2 x1 + x0`` over
@@ -1224,10 +1198,10 @@ def _extrapolated_sweep(points, floor, ctx, budget):
         ]
         try:
             with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-                candidate = _state_at((coords[:n_primal], coords[n_primal:]), ctx)
+                candidate = _state_at((coords[:n_primal], coords[n_primal:]), model)
                 if candidate is not None:
-                    _sweep(candidate, ctx)
-                    value = free_energy(candidate, ctx)
+                    _sweep(candidate, model)
+                    value = free_energy(candidate, model)
                     if math.isfinite(value) and value >= floor:
                         return candidate, value, tries
         except (IllConditionedError, NumericalDomainError):
@@ -1236,23 +1210,11 @@ def _extrapolated_sweep(points, floor, ctx, budget):
     return None, None, tries
 
 
-def _model_context(model):
-    if model._ctx is None:
-        config = replace(
-            model.config,
-            noise_kernels=model.noise_kernels,
-            mean_kernels=model.mean_kernels,
-            m_tilde=model.m_tilde,
-        )
-        model._ctx = _make_context(model.X, model.Y, config)
-    return model._ctx
-
-
 # ---------------------------------------------------------------------------
 # prediction
 
 
-def _model_factors(model, ctx):
+def _model_factors(model):
     """Per-model forecast factors, built from the stored primal state once.
 
     Per (c, d) block: ``sqrt(Q)`` and the factor of ``I + sqrt(Q) Lam
@@ -1269,10 +1231,10 @@ def _model_factors(model, ctx):
         noise = [[None] * D for _ in range(C)]
         mean = [[None] * D for _ in range(C)]
         for c, d in np.ndindex(C, D):
-            noise[c][d] = _bound_factor(ctx.lam[c], state.Q[c, d], "noise bound matrix")
-            if ctx.K[c] is not None:
-                root, La = _bound_factor(ctx.K[c], state.B[c, d], "mean bound matrix")
-                mean[c][d] = (root, La, _latent_gain(state.B[c, d], La, ctx.Y[:, d]))
+            noise[c][d] = _bound_factor(model.lam[c], state.Q[c, d], "noise bound matrix")
+            if model.K[c] is not None:
+                root, La = _bound_factor(model.K[c], state.B[c, d], "mean bound matrix")
+                mean[c][d] = (root, La, _latent_gain(state.B[c, d], La, model.Y[:, d]))
         model._factors = noise, mean
     return model._factors
 
@@ -1321,14 +1283,13 @@ def predict_batch(model, Xstar):
     if model.state is None:
         raise ModelStateError("predict requires a fitted model")
     state = model.state
-    ctx = _model_context(model)
     Xstar = np.asarray(Xstar, dtype=float)
-    p = ctx.X.shape[1]
+    p = model.X.shape[1]
     if Xstar.ndim != 2 or Xstar.shape[0] < 1 or Xstar.shape[1] != p:
         raise InvalidArgumentError(f"inputs must be an (M, {p}) array with M >= 1, got shape {Xstar.shape}")
     if not np.all(np.isfinite(Xstar)):
         raise InvalidArgumentError("inputs must be finite")
-    noise_factors, mean_factors = _model_factors(model, ctx)
+    noise_factors, mean_factors = _model_factors(model)
     C, D, _ = state.t.shape
     M = Xstar.shape[0]
     weights = expected_weights(state.sticks)
@@ -1337,7 +1298,7 @@ def predict_batch(model, Xstar):
 
     def cross_cov(kernel):
         if kernel not in cross:
-            cross[kernel] = design_matrix(kernel, Xstar, ctx.X)
+            cross[kernel] = design_matrix(kernel, Xstar, model.X)
         return cross[kernel]
 
     a = np.zeros((M, C, D))
@@ -1345,10 +1306,10 @@ def predict_batch(model, Xstar):
     tau = np.empty((M, C, D))
     phi_star = np.empty((M, C, D))
     for c in range(C):
-        nk, mk = ctx.noise_kernels[c], ctx.mean_kernels[c]
+        nk, mk = model.noise_kernels[c], model.mean_kernels[c]
         lam_cross = cross_cov(nk)
         for d in range(D):
-            tau[:, c, d] = ctx.m_tilde[c, d] + _row_dots(lam_cross, state.t[c, d][None, :])
+            tau[:, c, d] = model.m_tilde[c, d] + _row_dots(lam_cross, state.t[c, d][None, :])
             root, La = noise_factors[c][d]
             w = solve_lower(La, (lam_cross * root).T).T
             phi_star[:, c, d] = np.maximum(nk.marginal_variance - _row_dots(w, w), 0.0)
@@ -1447,13 +1408,8 @@ def simulate(config, n_points, n_dims, seed=0):
     survival = np.concatenate([[1.0], np.cumprod(1.0 - v[:-1])])
     weights = v * survival
 
-    mean_kernels = (
-        tuple(config.mean_kernels) if config.mean_kernels is not None else (ZeroKernel(),) * C
-    )
-    if config.noise_kernels is not None:
-        noise_kernels = tuple(config.noise_kernels)
-    else:
-        noise_kernels = (Ar1Kernel(phi=0.5, sigma0_sq=0.75),) * C
+    mean_kernels = config.mean_kernels or (ZeroKernel(),) * C
+    noise_kernels = config.noise_kernels or (Ar1Kernel(phi=0.5, sigma0_sq=0.75),) * C
     # with no outputs to take a variance from, the prior mean defaults to zero
     m_tilde = _resolve_m_tilde(0.0 if config.m_tilde is None else config.m_tilde, np.empty((0, n_dims)), C)
 

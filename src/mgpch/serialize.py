@@ -16,21 +16,24 @@ the sticks and the innovation.  A forecast factors the same Q and B as
 the fit, so a loaded model forecasts the same bits as the fitted one, and
 every other derived array, the means m = m_tilde + Lam t included, is
 rebuilt by the updates' own code when the free energy first needs it; a
-model holds no N x N posterior covariance.  A primal array with a
-non-finite entry is rejected with a FormatError that names the field.
+model holds no N x N posterior covariance.  A data or primal array with a
+non-finite entry is rejected with a FormatError that names the field, as
+are data, kernels and m_tilde that :func:`mgpch.fit` would reject, so a
+loaded model needs no further check before its first forecast.
 Kernels are zero or autoregressive, fixed for the whole fit.  Files of
 earlier versions (1 stored S and Sigma, 2 a hyperparameter-step cadence,
 3 the means m) are not read; refit the model to write version 4.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
-from .copula import PairwiseCopulaModel, family_from_name
+from .copula import PairwiseCopulaModel, family_from_name, family_name
 from .errors import FormatError, InvalidArgumentError
 from .kernels import Ar1Kernel, ZeroKernel
-from .model import MgpchConfig, MgpchModel, VariationalState
+from .model import MgpchConfig, VariationalState, _make_context, _validate_data
 from .pyp import InnovationPosterior, PypConfig, StickPosterior
 
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]
@@ -120,13 +123,13 @@ def _state_to_obj(state):
 
 
 def _finite_array(value, name):
-    """A primal state array; forecasts solve against factors built from it unchecked, so it must be finite."""
+    """A data or primal state array; forecasts solve against factors built from it unchecked, so it must be finite."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"state field {name!r} is not a numeric array") from exc
+        raise FormatError(f"field {name!r} is not a numeric array") from exc
     if not np.all(np.isfinite(arr)):
-        raise FormatError(f"state field {name!r} holds non-finite values")
+        raise FormatError(f"field {name!r} holds non-finite values")
     return arr
 
 
@@ -151,7 +154,7 @@ def _state_from_obj(obj):
 def _copula_to_obj(pair, pairmodel):
     return {
         "pair": list(pair),
-        "family": type(pairmodel.family).__name__.lower(),
+        "family": family_name(pairmodel.family),
         "basis_points": _array(pairmodel.basis_points),
         "w": _array(pairmodel.w),
         "lengthscale": pairmodel.lengthscale,
@@ -167,6 +170,19 @@ def _copula_from_obj(obj):
         lengthscale=obj["lengthscale"],
     )
     return pair, model
+
+
+def _unfitted_model(payload):
+    """The unfitted model of the file's config, data, kernels and m_tilde, checked as :func:`mgpch.fit` checks them."""
+    config = _config_from_obj(payload["config"])
+    X, Y, m_tilde = (_finite_array(payload[name], name) for name in ("X", "Y", "m_tilde"))
+    kernels = {name: tuple(_kernel_from_obj(k) for k in payload[name]) for name in ("mean_kernels", "noise_kernels")}
+    try:
+        model = _make_context(*_validate_data(X, Y), replace(config, m_tilde=m_tilde, **kernels))
+    except InvalidArgumentError as exc:
+        raise FormatError(str(exc)) from exc
+    model.config = config
+    return model
 
 
 def save_model(path, model, pairwise=None):
@@ -212,17 +228,10 @@ def load_model(path):
             f"version {FORMAT_VERSION} only, so refit the model to write a current file"
         )
     try:
-        model = MgpchModel(
-            config=_config_from_obj(payload["config"]),
-            X=np.asarray(payload["X"]),
-            Y=np.asarray(payload["Y"]),
-            mean_kernels=tuple(_kernel_from_obj(k) for k in payload["mean_kernels"]),
-            noise_kernels=tuple(_kernel_from_obj(k) for k in payload["noise_kernels"]),
-            m_tilde=np.asarray(payload["m_tilde"]),
-            state=_state_from_obj(payload["state"]),
-            free_energy_trace=list(payload["free_energy_trace"]),
-            trace_labels=list(payload["trace_labels"]),
-        )
+        model = _unfitted_model(payload)
+        model.state = _state_from_obj(payload["state"])
+        model.free_energy_trace = list(payload["free_energy_trace"])
+        model.trace_labels = list(payload["trace_labels"])
         pairwise = dict(_copula_from_obj(obj) for obj in payload["pairwise_copulas"])
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from exc

@@ -134,7 +134,7 @@ class TestFit:
             seed=5,
         )
         model = fit(X, Y, config)
-        S, Sigma = model.state.S, latent_covariances(model.state, model._ctx)
+        S, Sigma = model.state.S, latent_covariances(model.state, model)
         for c in range(2):
             np.linalg.cholesky(S[c, 0])
             np.linalg.cholesky(Sigma[c, 0])

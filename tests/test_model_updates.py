@@ -368,7 +368,7 @@ class TestFastCandidate:
             sweeps.clear()
             model = fit(ctx.X, ctx.Y, replace(ctx.config, max_iters=3, tol=1e-300))
             assert len(sweeps) == 3  # plain sweeps and extrapolation tries alike
-            state, ctx = model.state, model._ctx
+            state, ctx = model.state, model
             names = ("m", "mu", "s_diag", "inv_noise", "omega", "g_kl", "f_kl")
             updated = {name: getattr(state, name).copy() for name in names}
             refresh_caches(state, ctx)
@@ -450,7 +450,7 @@ class TestNaturalMean:
             seed=2,
         )
         model = fit(X, Y, config)
-        state, ctx = model.state, model._ctx
+        state, ctx = model.state, model
         assert (ctx.ou is None) == (p > 1)
         assert np.any(state.t != 0.0)
         C, D, _ = state.t.shape
@@ -696,10 +696,10 @@ class TestScalarInputPath:
         X, Y = r[:-1, None], r[1:, None]
         config = MgpchConfig(pyp=PypConfig(truncation=3), seed=3)
         markov = fit(X, Y, config)
-        assert markov._ctx.ou is not None
+        assert markov.ou is not None
         monkeypatch.setattr(model_module, "_ou_transitions", lambda X, kernels: None)
         dense = fit(X, Y, config)
-        assert dense._ctx.ou is None
+        assert dense.ou is None
         assert len(markov.free_energy_trace) == len(dense.free_energy_trace)
         assert markov.free_energy_trace[-1] == pytest.approx(dense.free_energy_trace[-1], rel=1e-12, abs=0.0)
 
@@ -713,7 +713,7 @@ class TestNaturalGradientStep:
         X = rng.standard_normal((30, p))
         Y = 0.05 * rng.standard_normal((30, 1)) * np.repeat([1.0, 3.0], 15)[:, None]
         model = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=3), max_iters=10, seed=1))
-        state, ctx = model.state, model._ctx
+        state, ctx = model.state, model
         # the responsibilities moved after the last noise update, so no block is stationary
         before = noise_snapshot(state)
         update_noise_processes(state, ctx)

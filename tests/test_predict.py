@@ -14,7 +14,6 @@ from mgpch.errors import InvalidArgumentError, ModelStateError
 from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
 from mgpch.model import (
     MgpchConfig,
-    MgpchModel,
     _init_state,
     _make_context,
     fit,
@@ -34,23 +33,13 @@ def manual_scalar_model():
     )
     X = np.array([[0.0]])
     Y = np.array([[0.01]])
-    ctx = _make_context(X, Y, config)
-    state = _init_state(ctx)
+    model = _make_context(X, Y, config)
+    state = _init_state(model)
     state.Q = np.array([[[0.4]]])
     state.t = state.Q - 0.5 * state.R.T[:, None, :]
-    refresh_caches(state, ctx)
-    return MgpchModel(
-        config=config,
-        X=ctx.X,
-        Y=ctx.Y,
-        mean_kernels=ctx.mean_kernels,
-        noise_kernels=ctx.noise_kernels,
-        m_tilde=ctx.m_tilde,
-        state=state,
-        free_energy_trace=[0.0],
-        trace_labels=["init"],
-        _ctx=ctx,
-    )
+    refresh_caches(state, model)
+    model.state, model.free_energy_trace, model.trace_labels = state, [0.0], ["init"]
+    return model
 
 
 class TestScalarOracle:

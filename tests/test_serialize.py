@@ -11,10 +11,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mgpch.model as model_module
-from mgpch.copula import family_from_name, train_pairwise
+from mgpch.cli import build_parser
+from mgpch.copula import FAMILIES, family_from_name, train_pairwise
 from mgpch.errors import FormatError, InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, ZeroKernel
-from mgpch.model import MgpchConfig, MgpchModel, _model_context, fit, free_energy, predict, predict_batch
+from mgpch.model import MgpchConfig, MgpchModel, fit, free_energy, predict, predict_batch
 from mgpch.pyp import PypConfig
 from mgpch.serialize import load_model, save_model
 
@@ -111,7 +112,7 @@ class TestRoundTrip:
         model = fit(X, Y, config)
         save_model(tmp_path / "model.json", model)
         loaded, _ = load_model(tmp_path / "model.json")
-        free_energy(loaded.state, _model_context(loaded))  # builds the derived caches
+        free_energy(loaded.state, loaded)  # builds the derived caches
         for m in (model, loaded):
             shapes = {k: v.shape for k, v in vars(m.state).items() if isinstance(v, np.ndarray)}
             assert all(len(shape) < 4 for shape in shapes.values()), shapes
@@ -198,6 +199,26 @@ class TestSchema:
         with pytest.raises(FormatError, match=f"'{name}'"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (lambda payload: payload["X"][3].__setitem__(0, float("nan")), "'X'"),
+            (lambda payload: payload["noise_kernels"].pop(), "noise_kernels"),
+            (lambda payload: payload["m_tilde"].pop(), "m_tilde"),
+            (lambda payload: payload["Y"].pop(), "X and Y must agree"),
+        ],
+        ids=["nan-in-X", "noise-kernel-missing", "m_tilde-wrong-shape", "Y-one-row-short"],
+    )
+    def test_inputs_fit_would_reject_are_a_format_error_at_load(self, fitted, tmp_path, corrupt, field):
+        model, _ = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=field):
+            load_model(path)
+
     @pytest.mark.parametrize("lengthscale", [0.0, -1.0, float("nan")])
     def test_non_positive_copula_lengthscale_is_rejected(self, fitted, tmp_path, lengthscale):
         model, copulas = fitted
@@ -220,6 +241,18 @@ class TestSchema:
             load_model(path)
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_registered_family_round_trips_and_is_a_cli_choice(fitted, tmp_path, name):
+    model, _ = fitted
+    pair = train_pairwise((0, 1), model, (model.X, model.Y), family_from_name(name))
+    path = tmp_path / "model.json"
+    save_model(path, model, pairwise={(0, 1): pair})
+    _, loaded = load_model(path)
+    assert loaded[(0, 1)].family == pair.family == FAMILIES[name]()
+    assert loaded[(0, 1)].w.tolist() == pair.w.tolist()
+    assert build_parser().parse_args(["cov-backtest", "--family", name]).family == name
+
+
 def assert_round_trip_exact(model, xstars):
     """Save, load and re-save ``model``: same forecast bits, same bytes, same free energy."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -237,7 +270,7 @@ def assert_round_trip_exact(model, xstars):
         with open(path, encoding="utf-8") as handle:
             state = json.load(handle)["state"]
     # every cache is rebuilt bit for bit, so the loaded state scores the fitted value exactly
-    assert free_energy(loaded.state, _model_context(loaded)) == model.free_energy_trace[-1]
+    assert free_energy(loaded.state, loaded) == model.free_energy_trace[-1]
     # no N x N array: the state holds (C + 4 C D) N numbers plus the sticks and the innovation
     n, C = model.state.R.shape
     D = model.Y.shape[1]
