@@ -9,9 +9,16 @@ The wrappers call the LAPACK routines that ``scipy.linalg.cholesky``,
 ``cho_solve`` and ``solve_triangular`` call, with the same arguments and
 memory layouts, so they return the same bits without scipy's per-call
 argument handling, a large share of the cost at the block sizes of a fit.
+
+:func:`solve_lower_packed` serves a factor that grows one row at a time, as
+``simulate``'s paths grow theirs.  It keeps the lower factor row by row in
+packed storage, row k at offset k(k+1)/2, so the leading k rows are a
+contiguous prefix and the new row is solved in place; BLAS ``dtpsv`` reads
+that prefix directly, with no copy of a k x k block.
 """
 
 import numpy as np
+from scipy.linalg.blas import dtpsv
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import IllConditionedError
@@ -21,6 +28,7 @@ __all__ = [
     "cholesky_solve",
     "solve_lower",
     "solve_lower_transpose",
+    "solve_lower_packed",
     "logdet_from_factor",
 ]
 
@@ -58,6 +66,20 @@ def solve_lower(L, b):
 def solve_lower_transpose(L, b):
     """Solve ``L' x = b`` for a lower factor L from :func:`cholesky_factor`."""
     return _triangular_solve(L, b, trans=1)
+
+
+def solve_lower_packed(packed, b, n):
+    """Solve ``L x = b`` in place for the leading n x n block of a row-packed lower factor.
+
+    ``packed`` holds row k of L at ``packed[k(k+1)/2 : (k+1)(k+2)/2]``, the
+    column-packed upper factor L', which ``dtpsv`` solves transposed.  b is
+    a contiguous float vector of length n, overwritten with x and returned.
+    BLAS checks no pivot, and none is needed: the factors handed in are
+    Cholesky factors of jittered kernel matrices whose every pivot is the
+    square root of a conditional variance floored at the jitter, so at
+    least sqrt(jitter) > 0.
+    """
+    return dtpsv(n, packed, b, lower=0, trans=1, overwrite_x=1)
 
 
 def _triangular_solve(L, b, trans):

@@ -85,6 +85,7 @@ step halves the sweeps per fit and reaches the same optimum.
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 from scipy.special import betaln, digamma, gammaln
@@ -97,7 +98,14 @@ from .errors import (
     NumericalDomainError,
 )
 from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix, median_distance
-from .linalg import cholesky_factor, cholesky_solve, logdet_from_factor, solve_lower, solve_lower_transpose
+from .linalg import (
+    cholesky_factor,
+    cholesky_solve,
+    logdet_from_factor,
+    solve_lower,
+    solve_lower_packed,
+    solve_lower_transpose,
+)
 from .pyp import (
     InnovationPosterior,
     PypConfig,
@@ -1337,46 +1345,58 @@ def predict_batch(model, Xstar):
 
 
 class _LazyGpPath:
-    """Sequentially conditioned draw of one Gaussian process path of at most ``size`` points in ``dim`` dimensions.
+    """Sequentially conditioned draws of the paths of one kernel, one per output, at shared inputs.
 
-    The history's inputs, the Cholesky factor L of its jittered kernel
-    matrix and the solve u of its centered values against L fill
-    preallocated buffers row by row; the zero kernel gets none.
+    The D paths of a (component, kernel role) see the same inputs and the
+    same kernel and differ only in their prior ``means``, so they share one
+    history of at most ``size`` points in ``dim`` dimensions and one lower
+    Cholesky factor L of its jittered kernel matrix.  L is row-packed (row
+    k at offset k(k+1)/2), so it grows in place and its leading rows are a
+    contiguous prefix; the solves u of each output's centered values
+    against L are the rows of a (D, size) array.  A draw is one
+    :meth:`condition` at the input, then one :meth:`sample` per output.
+    The zero kernel gets no buffers and draws zeros.
     """
 
-    def __init__(self, kernel, mean, size, dim):
+    def __init__(self, kernel, means, size, dim):
         self.kernel = kernel
-        self.mean = mean
+        self.means = means
         self.jitter = ar1_jitter(kernel) + 1e-12
-        self.k = 0  # points drawn so far
+        self.k = 0  # points conditioned on so far
         if isinstance(kernel, ZeroKernel):
             size = 0
         self.points = np.empty((size, dim))
-        self.L = np.zeros((size, size))
-        self.u = np.empty(size)
+        self.packed = np.empty(size * (size + 1) // 2)
+        self.u = np.empty((len(means), size))
 
-    def sample(self, x, rng):
+    def condition(self, x):
+        """Take input x into the history; each output's next :meth:`sample` draws at x."""
         if isinstance(self.kernel, ZeroKernel):
-            return 0.0
+            return
         k = self.k
         k_self = self.kernel.marginal_variance + self.jitter
+        # the solve w of the cross-covariances is the factor's new row, written in place
+        offset = k * (k + 1) // 2
+        w = self.packed[offset : offset + k]
         if k == 0:
-            mean, var = self.mean, k_self
-            w = np.empty(0)
+            self.cond_means, var = self.means, k_self
         else:
-            k_cross = design_matrix(self.kernel, self.points[:k], x[None, :])[:, 0]
-            w = solve_lower(self.L[:k, :k], k_cross)
-            mean = self.mean + float(w @ self.u[:k])
+            w[:] = design_matrix(self.kernel, self.points[:k], x[None, :])[:, 0]
+            solve_lower_packed(self.packed, w, k)
+            self.cond_means = self.means + self.u[:, :k] @ w
             var = max(k_self - float(w @ w), self.jitter)
-        value = mean + math.sqrt(var) * rng.standard_normal()
-        # grow the Cholesky factor by one row; the new solve entry only
-        # needs the conditional residual over the pivot
-        pivot = math.sqrt(var)
-        self.L[k, :k] = w
-        self.L[k, k] = pivot
-        self.u[k] = (value - mean) / pivot
+        self.pivot = self.packed[offset + k] = math.sqrt(var)
         self.points[k] = x
         self.k = k + 1
+
+    def sample(self, d, rng):
+        """Draw output d at the input last conditioned on."""
+        if isinstance(self.kernel, ZeroKernel):
+            return 0.0
+        mean = self.cond_means[d]
+        value = mean + self.pivot * rng.standard_normal()
+        # the new solve entry is the conditional residual over the pivot
+        self.u[d, self.k - 1] = (value - mean) / self.pivot
         return value
 
 
@@ -1388,14 +1408,23 @@ def simulate(config, n_points, n_dims, seed=0):
     latent mean and log-variance processes; outputs are Gaussian with
     variance ``exp(g)``.  Inputs feed back: row n + 1 of X equals row n
     of Y, starting from the origin, which mirrors how return series are
-    paired for fitting.
+    paired for fitting.  The D paths of one component and process share
+    their inputs, so they share one growing factor (:class:`_LazyGpPath`).
+
+    Raises
+    ------
+    InvalidArgumentError
+        If ``n_points`` or ``n_dims`` is not a positive integer, or
+        ``seed`` not a non-negative one.
 
     Returns
     -------
     SimulationDraw
     """
-    if n_points < 1 or n_dims < 1:
-        raise InvalidArgumentError("n_points and n_dims must be positive")
+    for name, value, least in (("n_points", n_points, 1), ("n_dims", n_dims, 1), ("seed", seed, 0)):
+        # bool is an Integral, but True points are a mistake, not one point
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+            raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     C = config.pyp.truncation
     rng = np.random.default_rng(seed)
     delta = config.pyp.delta
@@ -1416,21 +1445,19 @@ def simulate(config, n_points, n_dims, seed=0):
     assignments = rng.choice(C, size=n_points, p=weights)
     # a path draws once per observation of its component
     counts = np.bincount(assignments, minlength=C)
-    g_paths = [
-        [_LazyGpPath(noise_kernels[c], m_tilde[c, d], counts[c], n_dims) for d in range(n_dims)]
-        for c in range(C)
-    ]
-    f_paths = [[_LazyGpPath(mean_kernels[c], 0.0, counts[c], n_dims) for d in range(n_dims)] for c in range(C)]
+    g_paths = [_LazyGpPath(noise_kernels[c], m_tilde[c], counts[c], n_dims) for c in range(C)]
+    f_paths = [_LazyGpPath(mean_kernels[c], np.zeros(n_dims), counts[c], n_dims) for c in range(C)]
 
     X = np.zeros((n_points, n_dims))
     Y = np.empty((n_points, n_dims))
     variances = np.empty((n_points, n_dims))
     for n in range(n_points):
-        c = assignments[n]
-        x = X[n]
+        g_path, f_path = g_paths[assignments[n]], f_paths[assignments[n]]
+        g_path.condition(X[n])
+        f_path.condition(X[n])
         for d in range(n_dims):
-            g = g_paths[c][d].sample(x, rng)
-            f = f_paths[c][d].sample(x, rng)
+            g = g_path.sample(d, rng)
+            f = f_path.sample(d, rng)
             variances[n, d] = np.exp(g)
             Y[n, d] = f + math.sqrt(variances[n, d]) * rng.standard_normal()
         if n + 1 < n_points:

@@ -18,6 +18,7 @@ every other derived array, the means m = m_tilde + Lam t included, is
 rebuilt by the updates' own code when the free energy first needs it; a
 model holds no N x N posterior covariance.  A data or primal array with a
 non-finite entry is rejected with a FormatError that names the field, as
+is a state array whose shape disagrees with the file's N, C and D, and as
 are data, kernels and m_tilde that :func:`mgpch.fit` would reject, so a
 loaded model needs no further check before its first forecast.
 Kernels are zero or autoregressive, fixed for the whole fit.  Files of
@@ -133,17 +134,22 @@ def _finite_array(value, name):
     return arr
 
 
-def _state_from_obj(obj):
+def _state_array(value, name, shape):
+    """A primal state array of the shape the file's N, C and D fix; forecasts index it unchecked."""
+    arr = _finite_array(value, name)
+    if arr.shape != shape:
+        raise FormatError(f"field {name!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _state_from_obj(obj, n, c, d):
+    """The state of a file whose data and kernels give N = n observations, C = c components and D = d outputs."""
+    blocks = {name: _state_array(obj[name], name, (c, d, n)) for name in ("mu", "t", "Q", "B")}
+    sticks = {name: _state_array(obj["sticks"][name], f"sticks.{name}", (c - 1,)) for name in ("beta1", "beta2")}
     return VariationalState(
-        R=_finite_array(obj["R"], "R"),
-        mu=_finite_array(obj["mu"], "mu"),
-        t=_finite_array(obj["t"], "t"),
-        Q=_finite_array(obj["Q"], "Q"),
-        B=_finite_array(obj["B"], "B"),
-        sticks=StickPosterior(
-            beta1=_finite_array(obj["sticks"]["beta1"], "sticks.beta1"),
-            beta2=_finite_array(obj["sticks"]["beta2"], "sticks.beta2"),
-        ),
+        R=_state_array(obj["R"], "R", (n, c)),
+        **blocks,
+        sticks=StickPosterior(**sticks),
         innovation=InnovationPosterior(
             eta1_hat=obj["innovation"]["eta1_hat"],
             eta2_hat=obj["innovation"]["eta2_hat"],
@@ -229,7 +235,8 @@ def load_model(path):
         )
     try:
         model = _unfitted_model(payload)
-        model.state = _state_from_obj(payload["state"])
+        n, d = model.Y.shape
+        model.state = _state_from_obj(payload["state"], n, model.config.pyp.truncation, d)
         model.free_energy_trace = list(payload["free_energy_trace"])
         model.trace_labels = list(payload["trace_labels"])
         pairwise = dict(_copula_from_obj(obj) for obj in payload["pairwise_copulas"])

@@ -9,10 +9,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mgpch.errors import IllConditionedError, InvalidArgumentError
-from mgpch.kernels import Ar1Kernel, design_matrix
+from mgpch.kernels import Ar1Kernel, ar1_jitter, design_matrix
 import mgpch.model as model_module
 from mgpch.model import (
     MgpchConfig,
+    SimulationDraw,
     _extrapolated_sweep,
     _init_state,
     _LazyGpPath,
@@ -378,23 +379,91 @@ class _FixedNormals:
         return self.z.pop(0)
 
 
+def dense_reference_draw(config, n_points, n_dims, seed):
+    """simulate's law and random-call order, each draw conditioned on its path's whole history by a dense solve."""
+    C = config.pyp.truncation
+    rng = np.random.default_rng(seed)
+    delta = config.pyp.delta
+    alpha = max(rng.gamma(config.pyp.eta1, 1.0 / config.pyp.eta2), 1e-300)
+    v = np.ones(C)
+    for c in range(C - 1):
+        v[c] = rng.beta(1.0 - delta, alpha + delta * (c + 1))
+    weights = v * np.concatenate([[1.0], np.cumprod(1.0 - v[:-1])])
+    assignments = rng.choice(C, size=n_points, p=weights)
+
+    def conditional_draw(kernel, prior_mean, history, values, x):
+        jitter = ar1_jitter(kernel) + 1e-12
+        mean, var = prior_mean, kernel.marginal_variance + jitter
+        if history:
+            H = np.array(history)
+            K = design_matrix(kernel, H) + jitter * np.eye(len(H))
+            k_star = design_matrix(kernel, H, x[None, :])[:, 0]
+            mean = prior_mean + k_star @ np.linalg.solve(K, np.array(values) - prior_mean)
+            var = max(var - k_star @ np.linalg.solve(K, k_star), jitter)
+        return mean + math.sqrt(var) * rng.standard_normal()
+
+    X = np.zeros((n_points, n_dims))
+    Y = np.empty((n_points, n_dims))
+    variances = np.empty((n_points, n_dims))
+    history = [[] for _ in range(C)]
+    g_values = [[[] for _ in range(n_dims)] for _ in range(C)]
+    f_values = [[[] for _ in range(n_dims)] for _ in range(C)]
+    for n in range(n_points):
+        c, x = assignments[n], X[n].copy()
+        for d in range(n_dims):
+            g = conditional_draw(config.noise_kernels[c], config.m_tilde[c, d], history[c], g_values[c][d], x)
+            f = conditional_draw(config.mean_kernels[c], 0.0, history[c], f_values[c][d], x)
+            g_values[c][d].append(g)
+            f_values[c][d].append(f)
+            variances[n, d] = np.exp(g)
+            Y[n, d] = f + math.sqrt(variances[n, d]) * rng.standard_normal()
+        history[c].append(x)
+        if n + 1 < n_points:
+            X[n + 1] = Y[n]
+    return SimulationDraw(X, Y, variances, assignments, weights)
+
+
 class TestSimulate:
     def test_path_draws_are_the_dense_gp_conditional_on_their_history(self):
         kernel = Ar1Kernel(phi=0.6, sigma0_sq=0.5)
         rng = np.random.default_rng(3)
-        k, p, prior_mean = 12, 2, -1.0
+        k, p, prior_means = 12, 2, np.array([-1.0, 0.5, 2.0])
         xs = rng.standard_normal((k + 1, p))
-        path = _LazyGpPath(kernel, prior_mean, k + 1, p)
-        values = np.array([path.sample(x, rng) for x in xs[:k]])
-        # the next draw at z = 0 is the conditional mean, at z = 1 one standard deviation above it
-        at_mean = copy.deepcopy(path).sample(xs[k], _FixedNormals([0.0]))
-        at_one_sd = copy.deepcopy(path).sample(xs[k], _FixedNormals([1.0]))
+        path = _LazyGpPath(kernel, prior_means, k + 1, p)
+        values = np.empty((k, prior_means.size))
+        for n in range(k):
+            path.condition(xs[n])
+            values[n] = [path.sample(d, rng) for d in range(prior_means.size)]
         K = design_matrix(kernel, xs[:k]) + path.jitter * np.eye(k)
         k_star = design_matrix(kernel, xs[:k], xs[k : k + 1])[:, 0]
-        mean = prior_mean + k_star @ np.linalg.solve(K, values - prior_mean)
         var = kernel.marginal_variance + path.jitter - k_star @ np.linalg.solve(K, k_star)
-        assert_allclose(at_mean, mean, rtol=1e-10)
-        assert_allclose((at_one_sd - at_mean) ** 2, var, rtol=1e-10)
+        for d, prior_mean in enumerate(prior_means):
+            # the next draw of output d at z = 0 is its conditional mean, at z = 1 one standard deviation above it
+            draws = []
+            for z in (0.0, 1.0):
+                ahead = copy.deepcopy(path)
+                ahead.condition(xs[k])
+                draws.append(ahead.sample(d, _FixedNormals([z])))
+            at_mean, at_one_sd = draws
+            mean = prior_mean + k_star @ np.linalg.solve(K, values[:, d] - prior_mean)
+            assert_allclose(at_mean, mean, rtol=1e-10)
+            assert_allclose((at_one_sd - at_mean) ** 2, var, rtol=1e-10)
+
+    def test_draws_match_a_dense_reference_sampler(self):
+        C, n_points, n_dims, seed = 3, 80, 2, 5
+        config = MgpchConfig(
+            pyp=PypConfig(truncation=C),
+            mean_kernels=tuple(Ar1Kernel(phi=phi, sigma0_sq=s) for phi, s in ((0.7, 0.3), (0.4, 0.6), (0.9, 0.1))),
+            noise_kernels=tuple(Ar1Kernel(phi=phi, sigma0_sq=s) for phi, s in ((0.5, 0.75), (0.8, 0.2), (0.3, 1.0))),
+            m_tilde=np.log([[1e-2, 2e-2], [5e-2, 1e-2], [1e-1, 3e-2]]),
+        )
+        draw = simulate(config, n_points, n_dims, seed=seed)
+        reference = dense_reference_draw(config, n_points, n_dims, seed)
+        assert len(set(draw.assignments.tolist())) == C
+        for name in ("X", "Y", "variances"):
+            assert_allclose(getattr(draw, name), getattr(reference, name), rtol=1e-10)
+        assert np.array_equal(draw.assignments, reference.assignments)
+        assert np.array_equal(draw.weights, reference.weights)
 
     def test_deterministic_given_seed(self):
         config = MgpchConfig(pyp=PypConfig(truncation=3))
@@ -442,6 +511,29 @@ class TestSimulate:
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
-            simulate(MgpchConfig(), 0, 1, seed=0)
-        with pytest.raises(InvalidArgumentError):
             simulate(MgpchConfig(m_tilde=np.zeros((3, 2))), 5, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_points, n_dims, seed, name",
+        [
+            (0, 1, 0, "n_points"),
+            (5.5, 1, 0, "n_points"),
+            (True, 1, 0, "n_points"),
+            ("5", 1, 0, "n_points"),
+            (5, 1.0, 0, "n_dims"),
+            (5, False, 0, "n_dims"),
+            (5, 0, 0, "n_dims"),
+            (5, 1, -1, "seed"),
+            (5, 1, 1.5, "seed"),
+            (5, 1, True, "seed"),
+            (5, 1, None, "seed"),
+        ],
+    )
+    def test_argument_types_raise_typed_errors(self, n_points, n_dims, seed, name):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer"):
+            simulate(MgpchConfig(), n_points, n_dims, seed=seed)
+
+    def test_numpy_integer_arguments_draw_as_python_ints(self):
+        a = simulate(MgpchConfig(), np.int64(20), np.int32(2), seed=np.uint8(3))
+        b = simulate(MgpchConfig(), 20, 2, seed=3)
+        assert np.array_equal(a.Y, b.Y)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -217,6 +218,26 @@ class TestSchema:
         corrupt(payload)
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=field):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, field",
+        [
+            (lambda state: state["R"].pop(), "'R' has shape (23, 2), expected (24, 2)"),
+            (lambda state: state["Q"].pop(), "'Q' has shape (1, 2, 24), expected (2, 2, 24)"),
+            (lambda state: [block.pop() for block in state["mu"]], "'mu' has shape (2, 1, 24), expected (2, 2, 24)"),
+            (lambda state: state["sticks"]["beta1"].append(1.0), "'sticks.beta1' has shape (2,), expected (1,)"),
+        ],
+        ids=["R-one-row-short", "Q-one-component-short", "mu-one-output-short", "beta1-one-entry-long"],
+    )
+    def test_state_of_the_wrong_shape_is_a_format_error(self, fitted, tmp_path, corrupt, field):
+        model, _ = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        corrupt(payload["state"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(field)):
             load_model(path)
 
     @pytest.mark.parametrize("lengthscale", [0.0, -1.0, float("nan")])
