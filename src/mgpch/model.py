@@ -59,7 +59,7 @@ KL's core from second-order terms.  Inputs with more columns take the dense
 path.  :func:`_noise_steps` is the one place that chooses between the two.
 
 A forecast reads only t, Q, B and the sticks, and one bound factor per
-block: :func:`_model_factors` builds them from the stored Q and B, on
+block: :attr:`MgpchModel.factors` builds them from the stored Q and B, on
 either path, once at the end of :func:`fit` or on a loaded model's first
 forecast, so a loaded model forecasts the same bits without rebuilding
 the caches; :func:`free_energy` rebuilds those when it needs them.
@@ -147,6 +147,12 @@ _ACCEPT_SLACK = 1e-12
 _EXTRAPOLATION_TRIES = 3
 
 
+def _check_integer(name, value, least):
+    """Raise InvalidArgumentError naming ``name`` unless ``value`` is an integer >= ``least``; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass
 class MgpchConfig:
     """Model and fit settings.
@@ -183,8 +189,8 @@ class MgpchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise InvalidArgumentError(f"max_iters must be >= 0, got {self.max_iters}")
+        _check_integer("max_iters", self.max_iters, 0)
+        _check_integer("seed", self.seed, 0)
         if self.tol <= 0.0:
             raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
         for name in ("mean_kernels", "noise_kernels"):
@@ -217,12 +223,12 @@ class VariationalState:
     """
 
     R: np.ndarray  # (N, C) responsibilities
-    mu: np.ndarray  # (C, D, N) latent mean posterior means
     t: np.ndarray  # (C, D, N) natural means Lam^-1 (m - m_tilde) of q(g), the primal
     Q: np.ndarray  # (C, D, N) diagonal bound parameters of q(g)
-    B: np.ndarray  # (C, D, N) effective precisions of the last mean update
+    B: np.ndarray  # (C, D, N) effective precisions of the last mean update, which fix q(f)
     sticks: object
     innovation: object
+    mu: np.ndarray = None  # (C, D, N) latent mean posterior means Sigma B y, zero without a mean kernel
     m: np.ndarray = None  # (C, D, N) log-variance posterior means m_tilde + Lam t
     s_diag: np.ndarray = None  # (C, D, N) log-variance posterior variances diag(S)
     omega: np.ndarray = None  # (C, D, N) expected squared residuals
@@ -232,10 +238,6 @@ class VariationalState:
     # innovation and stick terms of the free energy, set with the mixture factors
     mixture_terms: tuple = None
     noise_priors: object = None  # per component Lam the caches were built with (shared)
-
-    @property
-    def n_components(self):
-        return self.R.shape[1]
 
     @property
     def S(self):
@@ -278,7 +280,7 @@ class MgpchModel:
     free-energy trace recorded after every coordinate update and every
     kept extrapolation (``trace_labels`` names each entry).  The priors
     ``lam``, ``K`` and ``ou`` are built on first use, alike for a fitted
-    and a loaded model.
+    and a loaded model, and so are the forecast ``factors`` of a loaded one.
     """
 
     config: MgpchConfig
@@ -290,7 +292,6 @@ class MgpchModel:
     state: VariationalState
     free_energy_trace: list
     trace_labels: list
-    _factors: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def _jittered(self):
@@ -313,6 +314,26 @@ class MgpchModel:
     def ou(self):
         """:class:`_OuTransitions` on one-column inputs, else None: the one place the noise path is chosen."""
         return _ou_transitions(self.X, self.noise_kernels) if self.X.shape[1] == 1 else None
+
+    @cached_property
+    def factors(self):
+        """Per (c, d) block, the noise and mean forecast factors of the stored Q and B.
+
+        Noise: ``sqrt(Q)`` and the factor of ``I + sqrt(Q) Lam sqrt(Q)``.  Mean
+        (None for the zero kernel): ``sqrt(B)``, the factor of ``I + sqrt(B) K
+        sqrt(B)`` and ``K^-1 mu``, so a component's forecast is the q(f)
+        predictive ``k*' K^-1 mu``.  :func:`fit` builds them at its end and a
+        loaded model on its first forecast, so both forecast the same bits.
+        """
+        C, D, _ = self.state.t.shape
+        noise = [[None] * D for _ in range(C)]
+        mean = [[None] * D for _ in range(C)]
+        for c, d in np.ndindex(C, D):
+            noise[c][d] = _bound_factor(self.lam[c], self.state.Q[c, d], "noise bound matrix")
+            if self.K[c] is not None:
+                root, La = _bound_factor(self.K[c], self.state.B[c, d], "mean bound matrix")
+                mean[c][d] = (root, La, _latent_gain(self.state.B[c, d], La, self.Y[:, d]))
+        return noise, mean
 
     def predict(self, xstar):
         return predict(self, xstar)
@@ -741,12 +762,11 @@ def _init_state(model):
     sticks = update_stick_posteriors(R, config.pyp.delta, config.pyp.eta1 / config.pyp.eta2, C)
     innovation = update_innovation_posterior(sticks, config.pyp.eta1, config.pyp.eta2)
 
-    mu = np.zeros((C, D, n))
     B = np.zeros((C, D, n))
     # at Q = R / 2 the natural mean t = Q - R / 2 is zero: q(g) has the prior mean
     Q = np.repeat(0.5 * R.T[:, None, :], D, axis=1)
     t = np.zeros((C, D, n))
-    state = VariationalState(R, mu, t, Q, B, sticks, innovation)
+    state = VariationalState(R, t, Q, B, sticks, innovation)
     refresh_caches(state, model)
     return state
 
@@ -761,10 +781,10 @@ def refresh_caches(state, model):
     :func:`_noise_steps` gives diag(S) and the KL's core of every (c, d)
     block at its stored Q, and :func:`_noise_moments` m, the KL of q(g) and
     the expected noise precisions from t, as in the noise update.
-    :func:`_mean_block` gives mu, the expected squared residuals and the KL
-    of q(f) of every block with a mean kernel from its stored B, as in the
-    mean update.  The innovation and stick terms of the free energy come from
-    the mixture factors.
+    mu is zero, and :func:`_mean_block` gives mu, the expected squared
+    residuals and the KL of q(f) of every block with a mean kernel from its
+    stored B, as in the mean update.  The innovation and stick terms of the
+    free energy come from the mixture factors.
     """
     C, D, n = state.t.shape
     rows = _block_rows(C, D)
@@ -773,6 +793,7 @@ def refresh_caches(state, model):
     state.noise_priors = model.lam
     state.s_diag, state.m, state.inv_noise = (a.reshape(C, D, n) for a in (s_diag, m, inv_noise))
     state.g_kl = g_kl.reshape(C, D)
+    state.mu = np.zeros_like(state.t)
     state.omega = (model.Y.T[None, :, :] - state.mu) ** 2
     state.f_kl = np.zeros((C, D))
     for c, d in np.ndindex(C, D):
@@ -1088,7 +1109,7 @@ def fit(X, Y, config=None):
         done = sweeps == config.max_iters
 
     model.state, model.free_energy_trace, model.trace_labels = state, trace, labels
-    _model_factors(model)
+    model.factors  # built here, so no forecast pays for them
     return model
 
 
@@ -1162,8 +1183,8 @@ def _state_at(coords, model):
     fitted = [c for c in range(C) if model.K[c] is not None]
     omega[fitted] = np.exp(log_omega[fitted])
     return VariationalState(
-        R, mu, t, np.zeros_like(t), np.exp(log_B), sticks, innovation,
-        m=m.reshape(C, D, n), s_diag=s_diag, omega=omega, inv_noise=inv_noise.reshape(C, D, n),
+        R, t, np.zeros_like(t), np.exp(log_B), sticks, innovation,
+        mu=mu, m=m.reshape(C, D, n), s_diag=s_diag, omega=omega, inv_noise=inv_noise.reshape(C, D, n),
         g_kl=np.full((C, D), np.inf), f_kl=np.zeros((C, D)), noise_priors=model.lam,
     )
 
@@ -1222,31 +1243,6 @@ def _extrapolated_sweep(points, floor, model, budget):
 # prediction
 
 
-def _model_factors(model):
-    """Per-model forecast factors, built from the stored primal state once.
-
-    Per (c, d) block: ``sqrt(Q)`` and the factor of ``I + sqrt(Q) Lam
-    sqrt(Q)``, from which the noise forecast takes its variance, and, with a
-    mean kernel, ``sqrt(B)``, the factor of ``I + sqrt(B) K sqrt(B)`` and
-    ``K^-1 mu``, with the stored B of the mean update that produced mu and
-    Sigma, so a component's forecast is the q(f) predictive ``k*' K^-1 mu``.
-    :func:`fit` builds them at its end and a loaded model on its first
-    forecast, from the same Q and B, so both forecast the same bits.
-    """
-    if model._factors is None:
-        state = model.state
-        C, D, _ = state.t.shape
-        noise = [[None] * D for _ in range(C)]
-        mean = [[None] * D for _ in range(C)]
-        for c, d in np.ndindex(C, D):
-            noise[c][d] = _bound_factor(model.lam[c], state.Q[c, d], "noise bound matrix")
-            if model.K[c] is not None:
-                root, La = _bound_factor(model.K[c], state.B[c, d], "mean bound matrix")
-                mean[c][d] = (root, La, _latent_gain(state.B[c, d], La, model.Y[:, d]))
-        model._factors = noise, mean
-    return model._factors
-
-
 def _row_dots(A, B):
     """Dot product of each row of A (M, N) with the matching row of B, or with B's one row.
 
@@ -1279,7 +1275,7 @@ def predict_batch(model, Xstar):
     ``m_tilde + k*' Lam^-1 (m - m_tilde) = m_tilde + k*' t``; the mixture blends
     components with the posterior mean weights (squared for the
     variance).  Factorizations are built once per model
-    (:func:`_model_factors`); a call computes one input-distance matrix
+    (:attr:`MgpchModel.factors`); a call computes one input-distance matrix
     and one triangular solve per (c, d) block against all M inputs.
 
     Returns
@@ -1297,7 +1293,7 @@ def predict_batch(model, Xstar):
         raise InvalidArgumentError(f"inputs must be an (M, {p}) array with M >= 1, got shape {Xstar.shape}")
     if not np.all(np.isfinite(Xstar)):
         raise InvalidArgumentError("inputs must be finite")
-    noise_factors, mean_factors = _model_factors(model)
+    noise_factors, mean_factors = model.factors
     C, D, _ = state.t.shape
     M = Xstar.shape[0]
     weights = expected_weights(state.sticks)
@@ -1422,9 +1418,7 @@ def simulate(config, n_points, n_dims, seed=0):
     SimulationDraw
     """
     for name, value, least in (("n_points", n_points, 1), ("n_dims", n_dims, 1), ("seed", seed, 0)):
-        # bool is an Integral, but True points are a mistake, not one point
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-            raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_integer(name, value, least)
     C = config.pyp.truncation
     rng = np.random.default_rng(seed)
     delta = config.pyp.delta

@@ -80,10 +80,6 @@ class StickPosterior:
         if np.any(beta1 <= 0.0) or np.any(beta2 <= 0.0):
             raise InvalidArgumentError("Beta parameters must be positive")
 
-    @property
-    def truncation(self):
-        return self.beta1.shape[0] + 1
-
 
 @dataclass(frozen=True)
 class InnovationPosterior:

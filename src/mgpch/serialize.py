@@ -9,25 +9,27 @@ between tokens: indentation carries nothing and would be about a quarter
 of the file.  Reports and forecasts keep :func:`dump_json`'s indented
 layout, for reading by eye.
 
-Version 4 stores only the primal variational arrays, each O(C D N):
-responsibilities, the latent means mu, the natural means t of q(g), the
-bound parameters Q, the effective precisions B of the last mean update,
-the sticks and the innovation.  A forecast factors the same Q and B as
-the fit, so a loaded model forecasts the same bits as the fitted one, and
-every other derived array, the means m = m_tilde + Lam t included, is
-rebuilt by the updates' own code when the free energy first needs it; a
-model holds no N x N posterior covariance.  A data or primal array with a
-non-finite entry is rejected with a FormatError that names the field, as
-is a state array whose shape disagrees with the file's N, C and D, and as
-are data, kernels and m_tilde that :func:`mgpch.fit` would reject, so a
-loaded model needs no further check before its first forecast.
-Kernels are zero or autoregressive, fixed for the whole fit.  Files of
-earlier versions (1 stored S and Sigma, 2 a hyperparameter-step cadence,
-3 the means m) are not read; refit the model to write version 4.
+Version 5 stores only the primal variational arrays, each O(C D N):
+responsibilities, the natural means t of q(g), the bound parameters Q,
+the effective precisions B of the last mean update, the sticks and the
+innovation.  A forecast factors the same Q and B as the fit, so a loaded
+model forecasts the same bits as the fitted one.  The updates' own code
+rebuilds every derived array when the free energy first needs it, the
+means m = m_tilde + Lam t and the latent means mu that B fixes included;
+a model holds no N x N posterior covariance.  A FormatError naming the
+field rejects a data or primal array with a non-finite or non-numeric
+entry, a state array whose shape disagrees with the file's N, C and D, a
+non-positive stick or innovation parameter, and data, kernels, m_tilde
+or settings that :func:`mgpch.fit` would reject, so a loaded model needs
+no further check before its first forecast.  Kernels are zero or
+autoregressive, fixed for the whole fit.  Version 4 files differ only in
+also storing mu, which a load ignores.  Earlier versions (1 stored S and
+Sigma, 2 a hyperparameter-step cadence, 3 the means m) are not read;
+refit the model to write version 5.
 """
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .pyp import InnovationPosterior, PypConfig, StickPosterior
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]
 
 FORMAT_NAME = "mgpch-model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def dump_json(obj, path, compact=False):
@@ -111,7 +113,6 @@ def _config_from_obj(obj):
 def _state_to_obj(state):
     return {
         "R": _array(state.R),
-        "mu": _array(state.mu),
         "t": _array(state.t),
         "Q": _array(state.Q),
         "B": _array(state.B),
@@ -126,9 +127,13 @@ def _state_to_obj(state):
 def _finite_array(value, name):
     """A data or primal state array; forecasts solve against factors built from it unchecked, so it must be finite."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
         raise FormatError(f"field {name!r} is not a numeric array") from exc
+    # numpy would parse a numeric string and take null for NaN; a file field holds numbers only
+    if arr.dtype.kind not in "iuf":
+        raise FormatError(f"field {name!r} is not a numeric array")
+    arr = arr.astype(float, copy=False)
     if not np.all(np.isfinite(arr)):
         raise FormatError(f"field {name!r} holds non-finite values")
     return arr
@@ -142,18 +147,22 @@ def _state_array(value, name, shape):
     return arr
 
 
+def _posterior(cls, name, obj, shape):
+    """The posterior ``cls`` of the file's field ``name``; its parameters have ``shape`` and, as in a fit, a scalar is a float."""
+    params = {f.name: _state_array(obj[f.name], f"{name}.{f.name}", shape).tolist() for f in fields(cls)}
+    try:
+        return cls(**params)
+    except InvalidArgumentError as exc:
+        raise FormatError(f"field {name!r}: {exc}") from exc
+
+
 def _state_from_obj(obj, n, c, d):
     """The state of a file whose data and kernels give N = n observations, C = c components and D = d outputs."""
-    blocks = {name: _state_array(obj[name], name, (c, d, n)) for name in ("mu", "t", "Q", "B")}
-    sticks = {name: _state_array(obj["sticks"][name], f"sticks.{name}", (c - 1,)) for name in ("beta1", "beta2")}
     return VariationalState(
         R=_state_array(obj["R"], "R", (n, c)),
-        **blocks,
-        sticks=StickPosterior(**sticks),
-        innovation=InnovationPosterior(
-            eta1_hat=obj["innovation"]["eta1_hat"],
-            eta2_hat=obj["innovation"]["eta2_hat"],
-        ),
+        **{name: _state_array(obj[name], name, (c, d, n)) for name in ("t", "Q", "B")},
+        sticks=_posterior(StickPosterior, "sticks", obj["sticks"], (c - 1,)),
+        innovation=_posterior(InnovationPosterior, "innovation", obj["innovation"], ()),
     )
 
 
@@ -180,10 +189,10 @@ def _copula_from_obj(obj):
 
 def _unfitted_model(payload):
     """The unfitted model of the file's config, data, kernels and m_tilde, checked as :func:`mgpch.fit` checks them."""
-    config = _config_from_obj(payload["config"])
     X, Y, m_tilde = (_finite_array(payload[name], name) for name in ("X", "Y", "m_tilde"))
     kernels = {name: tuple(_kernel_from_obj(k) for k in payload[name]) for name in ("mean_kernels", "noise_kernels")}
     try:
+        config = _config_from_obj(payload["config"])
         model = _make_context(*_validate_data(X, Y), replace(config, m_tilde=m_tilde, **kernels))
     except InvalidArgumentError as exc:
         raise FormatError(str(exc)) from exc
@@ -228,10 +237,10 @@ def load_model(path):
             raise FormatError(f"not valid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
         raise FormatError(f"not a {FORMAT_NAME} file")
-    if payload.get("version") != FORMAT_VERSION:
+    if payload.get("version") not in (4, FORMAT_VERSION):
         raise FormatError(
-            f"unsupported version {payload.get('version')!r}; this release reads "
-            f"version {FORMAT_VERSION} only, so refit the model to write a current file"
+            f"unsupported version {payload.get('version')!r}; this release reads versions "
+            f"4 and {FORMAT_VERSION} only, so refit the model to write a current file"
         )
     try:
         model = _unfitted_model(payload)

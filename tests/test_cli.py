@@ -310,6 +310,13 @@ class TestRunConfig:
                             "--config", write_config(tmp_path, {"simulate": {"n_points": 60}}, "p.json")]) == 0
         assert flagged.read_bytes() == pure.read_bytes()
 
+    def test_negative_fit_seed_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        data = simulate(tmp_path, seed=3)
+        out = tmp_path / "m.json"
+        assert run_command(["fit", "--data", str(data), "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.strip() == "error: seed must be an integer >= 0, got -1"
+        assert not out.exists()
+
     def test_missing_data_file_is_a_data_error(self, tmp_path, capsys):
         code = run_command(
             ["fit", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "m.json")]

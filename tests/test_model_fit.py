@@ -166,6 +166,32 @@ class TestFit:
         with pytest.raises(InvalidArgumentError, match="mean kernels"):
             MgpchConfig(pyp=PypConfig(truncation=2), mean_kernels=("rbf",) * 2)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_iters", -1),
+            ("max_iters", 2.5),
+            ("max_iters", 3.0),
+            ("max_iters", True),
+            ("max_iters", "5"),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", None),
+        ],
+    )
+    def test_sweep_cap_and_seed_must_be_non_negative_integers(self, name, value):
+        # a float cap was never reached by the integer sweep count, and True capped the fit at one sweep
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer >= 0"):
+            MgpchConfig(**{name: value})
+
+    def test_numpy_integer_sweep_cap_and_seed_fit_as_python_ints(self):
+        rng = np.random.default_rng(2)
+        X, Y = rng.standard_normal((15, 1)), rng.standard_normal((15, 1))
+        a = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=2), max_iters=np.int64(3), seed=np.uint8(4)))
+        b = fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=2), max_iters=3, seed=4))
+        assert a.free_energy_trace == b.free_energy_trace
+
 
 SWEEP = ("noise", "mean", "responsibilities", "mixture")
 

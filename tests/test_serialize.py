@@ -154,6 +154,56 @@ class TestRoundTrip:
             assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
 
 
+def small_fit(mean_kernel):
+    """A C = 3, D = 2 fit whose every component has ``mean_kernel``."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(20, 1))
+    Y = 0.02 * rng.standard_normal((20, 2))
+    config = MgpchConfig(pyp=PypConfig(truncation=3), mean_kernels=[mean_kernel] * 3, max_iters=8, seed=2)
+    return fit(X, Y, config)
+
+
+MEAN_KERNELS = pytest.mark.parametrize("mean_kernel", [ZeroKernel(), Ar1Kernel(0.5, 0.4)], ids=["zero-kernel", "ar1-mean-kernel"])
+
+
+class TestDerivedMu:
+    @MEAN_KERNELS
+    def test_file_holds_no_mu_and_a_load_rebuilds_it(self, mean_kernel, tmp_path):
+        model = small_fit(mean_kernel)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 5
+        assert "mu" not in payload["state"]
+        loaded, _ = load_model(path)
+        assert loaded.state.mu is None
+        # B and the data fix q(f), so the rebuilt mu and free energy are the fitted bits
+        assert free_energy(loaded.state, loaded) == model.free_energy_trace[-1]
+        assert np.array_equal(loaded.state.mu, model.state.mu)
+        assert np.any(model.state.mu != 0.0) == isinstance(mean_kernel, Ar1Kernel)
+
+    @MEAN_KERNELS
+    def test_version_4_file_loads_and_its_mu_is_ignored(self, mean_kernel, tmp_path):
+        model = small_fit(mean_kernel)
+        current, old = tmp_path / "v5.json", tmp_path / "v4.json"
+        save_model(current, model)
+        payload = json.loads(current.read_text())
+        payload["version"] = 4
+        payload["state"]["mu"] = np.random.default_rng(0).standard_normal(model.state.t.shape).tolist()
+        old.write_text(json.dumps(payload))
+        (a, _), (b, _) = load_model(current), load_model(old)
+        Xstar = np.array([[-0.4], [0.0], [1.3]])
+        want, got = predict_batch(a, Xstar), predict_batch(b, Xstar)
+        for f in dataclasses.fields(want):
+            assert getattr(got, f.name).tolist() == getattr(want, f.name).tolist(), f.name
+        assert free_energy(b.state, b) == free_energy(a.state, a) == model.free_energy_trace[-1]
+        assert np.array_equal(b.state.mu, model.state.mu)
+        # a re-save writes version 5, the same bytes as the version 5 file
+        resaved = tmp_path / "resaved.json"
+        save_model(resaved, b)
+        assert resaved.read_bytes() == current.read_bytes()
+
+
 class TestSchema:
     def test_rejects_other_json(self, tmp_path):
         path = tmp_path / "x.json"
@@ -225,10 +275,10 @@ class TestSchema:
         [
             (lambda state: state["R"].pop(), "'R' has shape (23, 2), expected (24, 2)"),
             (lambda state: state["Q"].pop(), "'Q' has shape (1, 2, 24), expected (2, 2, 24)"),
-            (lambda state: [block.pop() for block in state["mu"]], "'mu' has shape (2, 1, 24), expected (2, 2, 24)"),
+            (lambda state: [block.pop() for block in state["B"]], "'B' has shape (2, 1, 24), expected (2, 2, 24)"),
             (lambda state: state["sticks"]["beta1"].append(1.0), "'sticks.beta1' has shape (2,), expected (1,)"),
         ],
-        ids=["R-one-row-short", "Q-one-component-short", "mu-one-output-short", "beta1-one-entry-long"],
+        ids=["R-one-row-short", "Q-one-component-short", "B-one-output-short", "beta1-one-entry-long"],
     )
     def test_state_of_the_wrong_shape_is_a_format_error(self, fitted, tmp_path, corrupt, field):
         model, _ = fitted
@@ -238,6 +288,36 @@ class TestSchema:
         corrupt(payload["state"])
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match=re.escape(field)):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda state: state["sticks"]["beta1"].__setitem__(0, -1.0), "field 'sticks': Beta parameters must be positive"),
+            (lambda state: state["innovation"].__setitem__("eta1_hat", "2.0"), "field 'innovation.eta1_hat' is not a numeric array"),
+            (lambda state: state["innovation"].__setitem__("eta2_hat", None), "field 'innovation.eta2_hat' is not a numeric array"),
+        ],
+        ids=["negative-beta1", "string-eta1_hat", "null-eta2_hat"],
+    )
+    def test_bad_stick_or_innovation_value_is_a_format_error_naming_the_field(self, fitted, tmp_path, corrupt, message):
+        model, _ = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        corrupt(payload["state"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name, value", [("seed", -1), ("max_iters", 2.5), ("max_iters", True)])
+    def test_config_fit_would_reject_is_a_format_error(self, fitted, tmp_path, name, value):
+        model, _ = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["config"][name] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"^{name} must be an integer >= 0"):
             load_model(path)
 
     @pytest.mark.parametrize("lengthscale", [0.0, -1.0, float("nan")])
@@ -292,11 +372,12 @@ def assert_round_trip_exact(model, xstars):
             state = json.load(handle)["state"]
     # every cache is rebuilt bit for bit, so the loaded state scores the fitted value exactly
     assert free_energy(loaded.state, loaded) == model.free_energy_trace[-1]
-    # no N x N array: the state holds (C + 4 C D) N numbers plus the sticks and the innovation
+    # only primal arrays, none N x N: (C + 3 C D) N numbers plus the sticks and the innovation
+    assert "mu" not in state
     n, C = model.state.R.shape
     D = model.Y.shape[1]
-    leaves = np.concatenate([np.ravel(state[k]) for k in ("R", "mu", "t", "Q", "B")])
-    assert leaves.size == (C + 4 * C * D) * n
+    leaves = np.concatenate([np.ravel(state[k]) for k in ("R", "t", "Q", "B")])
+    assert leaves.size == (C + 3 * C * D) * n
     assert np.ravel(state["sticks"]["beta1"]).size == C - 1
 
 
