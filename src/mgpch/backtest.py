@@ -9,12 +9,13 @@ maximal; ``forecast_only_at_retrain`` restores the sparser cadence.
 """
 
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
 
 from .copula import family_from_name, predictive_covariance, train_pairwise
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_integer
 from .garch import garch_filter, garch_fit, garch_forecast
 from .model import MgpchConfig, fit, predict
 
@@ -34,11 +35,12 @@ GARCH = "garch"
 
 def horizon_set(horizons):
     """Forecast horizons as a sorted tuple of distinct integers, each at least 1."""
+    horizons = tuple(horizons)
+    for h in horizons:
+        _check_integer("horizons", h, 1)
     horizons = tuple(sorted({int(h) for h in horizons}))
     if not horizons:
         raise InvalidArgumentError("horizons must be non-empty")
-    if horizons[0] < 1:
-        raise InvalidArgumentError(f"horizons must be >= 1, got {horizons[0]}")
     return horizons
 
 
@@ -61,14 +63,8 @@ class BacktestConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "horizons", horizon_set(self.horizons))
-        if self.retrain_every < 1:
-            raise InvalidArgumentError(
-                f"retrain_every must be >= 1, got {self.retrain_every}"
-            )
-        if self.hist_vol_window < 1:
-            raise InvalidArgumentError(
-                f"hist_vol_window must be >= 1, got {self.hist_vol_window}"
-            )
+        for name in ("window", "retrain_every", "hist_vol_window"):
+            _check_integer(name, getattr(self, name), 1)
         if self.window < self.hist_vol_window:
             raise InvalidArgumentError(
                 f"window ({self.window}) must be >= hist_vol_window ({self.hist_vol_window})"
@@ -336,7 +332,7 @@ def run_covariance_backtest(series, config, family, forecaster_factory=None):
         raise InvalidArgumentError(f"covariance backtest needs D >= 2 assets, got {D}")
     if isinstance(family, str):
         family = family_from_name(family)
-    pairs = [(i, j) for i in range(D) for j in range(i + 1, D)]
+    pairs = list(combinations(range(D), 2))
     if forecaster_factory is None:
         if not isinstance(config.model, MgpchConfig):
             raise InvalidArgumentError(

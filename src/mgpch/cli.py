@@ -15,6 +15,8 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
+from itertools import combinations
 
 import numpy as np
 
@@ -243,22 +245,20 @@ def _horizon_key(h):
 
 
 def cmd_fit(run):
-    returns = _load_returns(run, "fit")
-    r = returns.returns
+    out = run.get("out") or run.get("model")
+    if out is None:
+        raise _UsageError("fit requires --out (or --model) for the model file")
+    r = _load_returns(run, "fit").returns
     if r.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 returns (3 prices) to form a training pair")
-    model = fit(r[:-1], r[1:], run.mgpch_config())
+    data = (r[:-1], r[1:])
+    model = fit(*data, run.mgpch_config())
     pairwise = {}
     family_name = run.get("family")
     if family_name and r.shape[1] >= 2:
         family = family_from_name(family_name)
-        data = (r[:-1], r[1:])
-        for i in range(r.shape[1]):
-            for j in range(i + 1, r.shape[1]):
-                pairwise[(i, j)] = train_pairwise((i, j), model, data, family)
-    out = run.get("out") or run.get("model")
-    if out is None:
-        raise _UsageError("fit requires --out (or --model) for the model file")
+        pairs = combinations(range(r.shape[1]), 2)
+        pairwise = {pair: train_pairwise(pair, model, data, family) for pair in pairs}
     save_model(out, model, pairwise=pairwise)
     print(f"wrote model to {out}")
     return 0
@@ -310,55 +310,47 @@ def _report_payload(report, config, kind):
         "refit_days": list(report.refit_days),
         "n_forecasts": len(report.forecast_log),
     }
-    if kind == "volatility":
-        payload["mse_sq_returns"] = {
-            _horizon_key(h): [float(v) for v in report.mse_sq_returns[h]]
-            for h in report.horizons
-        }
-        payload["mse_hist_vol"] = {
-            _horizon_key(h): [float(v) for v in report.mse_hist_vol[h]]
-            for h in report.horizons
-        }
-        payload["avg_mse_sq_returns"] = {
-            _horizon_key(h): report.avg_mse_sq_returns[h] for h in report.horizons
-        }
-        payload["avg_mse_hist_vol"] = {
-            _horizon_key(h): report.avg_mse_hist_vol[h] for h in report.horizons
-        }
-    else:
-        payload["mse_pair_products"] = {
-            _horizon_key(h): {
-                f"{i}-{j}": float(v) for (i, j), v in sorted(report.mse_pair_products[h].items())
-            }
-            for h in report.horizons
-        }
-        payload["avg_mse_pair_products"] = {
-            _horizon_key(h): report.avg_mse_pair_products[h] for h in report.horizons
-        }
+    for f in fields(report):
+        mse = getattr(report, f.name)
+        if "mse" in f.name and mse:
+            payload[f.name] = {_horizon_key(h): _mse_entry(mse[h]) for h in report.horizons}
     return payload
 
 
-def _write_plot_data(path, report, kind):
+def _mse_entry(value):
+    """One horizon's value of an MSE field: a per-asset array, a per-pair dict or a float."""
+    if isinstance(value, dict):
+        return {f"{i}-{j}": float(v) for (i, j), v in sorted(value.items())}
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    return float(value)
+
+
+def _plot_cells(rec, names=False):
+    """A forecast record's field values, or names, in order; a ``pair`` fills two cells, ``asset_i`` and ``asset_j``.
+
+    csv writes a float as its repr, so the values round-trip.
+    """
+    cells = []
+    for f in fields(rec):
+        if f.name == "pair":
+            cells.extend(("asset_i", "asset_j") if names else rec.pair)
+        else:
+            cells.append(f.name if names else getattr(rec, f.name))
+    return cells
+
+
+def _write_plot_data(path, report):
+    """One CSV row per forecast record, under a header of its field names.
+
+    The header is read from the first record: a report's log is never
+    empty, since the schedule issues at least one forecast.
+    """
+    log = report.forecast_log
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        if kind == "covariance":
-            writer.writerow(
-                ["origin", "horizon", "fit_day", "asset_i", "asset_j", "value", "realized_product"]
-            )
-            for rec in report.forecast_log:
-                writer.writerow(
-                    [rec.origin, rec.horizon, rec.fit_day, rec.pair[0], rec.pair[1]]
-                    + [repr(rec.value), repr(rec.realized_product)]
-                )
-        else:
-            writer.writerow(
-                ["origin", "horizon", "fit_day", "asset", "value", "realized_sq", "realized_hist_vol"]
-            )
-            for rec in report.forecast_log:
-                writer.writerow(
-                    [rec.origin, rec.horizon, rec.fit_day, rec.asset]
-                    + [repr(rec.value), repr(rec.realized_sq), repr(rec.realized_hist_vol)]
-                )
+        writer.writerow(_plot_cells(log[0], names=True))
+        writer.writerows(_plot_cells(rec) for rec in log)
 
 
 def cmd_backtest(run):
@@ -375,7 +367,7 @@ def cmd_backtest(run):
     dump_json(_report_payload(report, config, kind), out)
     plot = run.get("plot_data")
     if plot:
-        _write_plot_data(plot, report, kind)
+        _write_plot_data(plot, report)
     print(f"wrote report to {out}")
     return 0
 

@@ -23,6 +23,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
 from .kernels import median_distance
+from .model import predict_batch
 
 __all__ = [
     "Clayton",
@@ -348,7 +349,7 @@ def train_pairwise(pair, mgpch, data, family):
     H = _feature_matrix(lengthscale, X, basis)
 
     # one batched forecast at every training input; u and v are marginal_cdf per row
-    moments = mgpch.predict_batch(X)
+    moments = predict_batch(mgpch, X)
     u = ndtr((Y[:, i] - moments.mean[:, i]) / np.sqrt(moments.variance[:, i]))
     v = ndtr((Y[:, j] - moments.mean[:, j]) / np.sqrt(moments.variance[:, j]))
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):

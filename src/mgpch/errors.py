@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that raise them."""
+
+import math
+from numbers import Integral, Real
 
 
 class MgpchError(Exception):
@@ -77,3 +80,15 @@ class FormatError(MgpchError, ValueError):
 
 class InsufficientDataError(MgpchError, ValueError):
     """Too few observations survived parsing to proceed."""
+
+
+def _check_integer(name, value, least):
+    """Raise InvalidArgumentError naming ``name`` unless ``value`` is an integer >= ``least``; a bool is no count."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_real(name, value):
+    """Raise InvalidArgumentError naming ``name`` unless ``value`` is a finite real number; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")

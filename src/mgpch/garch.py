@@ -124,9 +124,10 @@ def garch_fit(returns):
     rng = np.random.default_rng(START_SEED)
 
     def negative(raw):
+        # a probe outside the parameter domain, as an omega overflowed to inf, scores inf
         try:
             value = garch_log_likelihood(_params_from_raw(raw, var_scale), r)
-        except (FloatingPointError, OverflowError):
+        except (FloatingPointError, OverflowError, InvalidArgumentError):
             return np.inf
         return -value if np.isfinite(value) else np.inf
 
@@ -140,7 +141,9 @@ def garch_fit(returns):
 
     best_raw, best_val = None, np.inf
     for raw0 in starts:
-        result = minimize(negative, raw0, method="L-BFGS-B")
+        # a probe can overflow omega, and its difference gradient then takes inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = minimize(negative, raw0, method="L-BFGS-B")
         if result.fun < best_val:
             best_raw, best_val = result.x, float(result.fun)
 

@@ -3,7 +3,9 @@
 All positive definite solves in the package go through these wrappers;
 nothing forms an explicit matrix inverse of a covariance.  Every factor the
 solves receive comes from :func:`cholesky_factor`, which checks its input
-for non-finite entries, so the solves skip a rescan of the factor.
+for non-finite entries, so the solves skip a rescan of the factor.  LAPACK
+``dpotrf`` returns that factor in Fortran order for input in either order,
+and the solves take it in that layout only.
 
 The wrappers call the LAPACK routines that ``scipy.linalg.cholesky``,
 ``cho_solve`` and ``solve_triangular`` call, with the same arguments and
@@ -54,18 +56,18 @@ def cholesky_factor(A, context=""):
 
 
 def cholesky_solve(L, b):
-    """Solve ``A x = b`` given the lower factor of A from :func:`cholesky_factor`."""
+    """Solve ``A x = b`` given the Fortran-ordered lower factor of A from :func:`cholesky_factor`."""
     return _checked(dpotrs(L, b, lower=1), "Cholesky solve")
 
 
 def solve_lower(L, b):
-    """Solve ``L x = b`` for a lower factor L from :func:`cholesky_factor`."""
-    return _triangular_solve(L, b, trans=0)
+    """Solve ``L x = b`` for a Fortran-ordered lower factor L from :func:`cholesky_factor`."""
+    return _checked(dtrtrs(L, b, lower=1, trans=0), "triangular solve")
 
 
 def solve_lower_transpose(L, b):
-    """Solve ``L' x = b`` for a lower factor L from :func:`cholesky_factor`."""
-    return _triangular_solve(L, b, trans=1)
+    """Solve ``L' x = b`` for a Fortran-ordered lower factor L from :func:`cholesky_factor`."""
+    return _checked(dtrtrs(L, b, lower=1, trans=1), "triangular solve")
 
 
 def solve_lower_packed(packed, b, n):
@@ -80,14 +82,6 @@ def solve_lower_packed(packed, b, n):
     least sqrt(jitter) > 0.
     """
     return dtpsv(n, packed, b, lower=0, trans=1, overwrite_x=1)
-
-
-def _triangular_solve(L, b, trans):
-    # a factor not in Fortran order is passed as its transpose, the upper
-    # factor of the same matrix, as solve_triangular passes it
-    if L.flags.f_contiguous:
-        return _checked(dtrtrs(L, b, lower=1, trans=trans), "triangular solve")
-    return _checked(dtrtrs(L.T, b, lower=0, trans=1 - trans), "triangular solve")
 
 
 def _checked(result, what):

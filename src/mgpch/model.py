@@ -85,7 +85,6 @@ step halves the sweeps per fit and reaches the same optimum.
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 from scipy.special import betaln, digamma, gammaln
@@ -96,6 +95,8 @@ from .errors import (
     InvalidArgumentError,
     ModelStateError,
     NumericalDomainError,
+    _check_integer,
+    _check_real,
 )
 from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix, median_distance
 from .linalg import (
@@ -147,12 +148,6 @@ _ACCEPT_SLACK = 1e-12
 _EXTRAPOLATION_TRIES = 3
 
 
-def _check_integer(name, value, least):
-    """Raise InvalidArgumentError naming ``name`` unless ``value`` is an integer >= ``least``; a bool is no count."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass
 class MgpchConfig:
     """Model and fit settings.
@@ -191,6 +186,7 @@ class MgpchConfig:
     def __post_init__(self):
         _check_integer("max_iters", self.max_iters, 0)
         _check_integer("seed", self.seed, 0)
+        _check_real("tol", self.tol)
         if self.tol <= 0.0:
             raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
         for name in ("mean_kernels", "noise_kernels"):
@@ -334,12 +330,6 @@ class MgpchModel:
                 root, La = _bound_factor(self.K[c], self.state.B[c, d], "mean bound matrix")
                 mean[c][d] = (root, La, _latent_gain(self.state.B[c, d], La, self.Y[:, d]))
         return noise, mean
-
-    def predict(self, xstar):
-        return predict(self, xstar)
-
-    def predict_batch(self, Xstar):
-        return predict_batch(self, Xstar)
 
 
 @dataclass(frozen=True)
@@ -958,9 +948,6 @@ def _alpha_term(innovation, eta1, eta2):
 
 
 def _stick_term(sticks, innovation, delta):
-    n_sticks = sticks.beta1.shape[0]
-    if n_sticks == 0:
-        return 0.0
     elogv, elog1mv = stick_log_moments(sticks)
     b1, b2 = sticks.beta1, sticks.beta2
     entropy = (
@@ -969,7 +956,7 @@ def _stick_term(sticks, innovation, delta):
         - (b2 - 1.0) * digamma(b2)
         + (b1 + b2 - 2.0) * digamma(b1 + b2)
     )
-    c = np.arange(1, n_sticks + 1, dtype=float)
+    c = np.arange(1, sticks.beta1.shape[0] + 1, dtype=float)
     cross = (
         innovation.log_mean
         - delta * elogv

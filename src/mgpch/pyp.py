@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InvalidArgumentError, NumericalDomainError
+from .errors import InvalidArgumentError, NumericalDomainError, _check_integer, _check_real
 
 __all__ = [
     "PypConfig",
@@ -53,14 +53,15 @@ class PypConfig:
     truncation: int = 10
 
     def __post_init__(self):
+        for name in ("delta", "eta1", "eta2"):
+            _check_real(name, getattr(self, name))
+        _check_integer("truncation", self.truncation, 1)
         if not (0.0 <= self.delta < 1.0):
             raise InvalidArgumentError(f"delta must lie in [0, 1), got {self.delta}")
         if self.eta1 <= 0.0 or self.eta2 <= 0.0:
             raise InvalidArgumentError(
                 f"Gamma prior parameters must be positive, got ({self.eta1}, {self.eta2})"
             )
-        if self.truncation < 1:
-            raise InvalidArgumentError(f"truncation must be >= 1, got {self.truncation}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,6 @@ def update_stick_posteriors(R, delta, alpha_mean, truncation):
         later components.
     """
     R = _check_responsibilities(R, truncation)
-    if truncation == 1:
-        return StickPosterior(np.empty(0), np.empty(0))
     mass = R.sum(axis=0)
     tail = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
     c = np.arange(1, truncation, dtype=float)
@@ -164,10 +163,7 @@ def update_innovation_posterior(sticks, eta1, eta2):
     """
     if eta1 <= 0.0 or eta2 <= 0.0:
         raise InvalidArgumentError("prior parameters must be positive")
-    n_sticks = sticks.beta1.shape[0]
-    eta1_hat = eta1 + n_sticks
-    if n_sticks == 0:
-        return InnovationPosterior(eta1_hat, eta2)
+    eta1_hat = eta1 + sticks.beta1.shape[0]
     _, elog1mv = stick_log_moments(sticks)
     eta2_hat = eta2 - float(np.sum(elog1mv))
     if eta2_hat <= 0.0:
@@ -193,9 +189,6 @@ def expected_log_weights(sticks):
     The final component uses ``E[log v_C] = 0`` because the truncation
     pins its stick fraction to one.
     """
-    n_sticks = sticks.beta1.shape[0]
-    if n_sticks == 0:
-        return np.zeros(1)
     elogv, elog1mv = stick_log_moments(sticks)
     prefix = np.concatenate([[0.0], np.cumsum(elog1mv)])
     logv = np.concatenate([elogv, [0.0]])
@@ -204,9 +197,6 @@ def expected_log_weights(sticks):
 
 def expected_weights(sticks):
     """Posterior mean mixture weights; sums to one by construction."""
-    n_sticks = sticks.beta1.shape[0]
-    if n_sticks == 0:
-        return np.ones(1)
     v = sticks.beta1 / (sticks.beta1 + sticks.beta2)
     v = np.concatenate([v, [1.0]])
     survival = np.concatenate([[1.0], np.cumprod(1.0 - v[:-1])])

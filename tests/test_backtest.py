@@ -229,6 +229,26 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             BacktestConfig(model="egarch")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("horizons", (1.5, 7)),
+            ("horizons", (True,)),
+            ("horizons", (1, "7")),
+            ("window", 120.0),
+            ("retrain_every", True),
+            ("hist_vol_window", "10"),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        # horizons (1.5, 7) became (1, 7) and (True,) became (1,)
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer >= 1, got"):
+            BacktestConfig(**{name: value})
+
+    def test_numpy_integer_horizons_are_python_ints(self):
+        horizons = BacktestConfig(horizons=np.array([7, 1])).horizons
+        assert horizons == (1, 7) and all(type(h) is int for h in horizons)
+
 
 class TestVolatilityProtocol:
     def setup_method(self):

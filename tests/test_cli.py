@@ -56,6 +56,16 @@ class TestUsage:
         # backtests run one refit at a time; there is no worker count to set
         assert run_command(["backtest", "--threads", "2"]) == 2
 
+    def test_fit_checks_out_before_reading_data_or_fitting(self, tmp_path, monkeypatch, capsys):
+        def refit(*args, **kwargs):
+            raise AssertionError("the model was fitted before --out was checked")
+
+        monkeypatch.setattr(cli, "fit", refit)
+        data = simulate(tmp_path, seed=3)
+        assert run_command(["fit", "--data", str(data), "--truncation", "2"]) == 2
+        assert run_command(["fit", "--data", str(tmp_path / "absent.csv")]) == 2
+        assert capsys.readouterr().err.count("fit requires --out (or --model)") == 2
+
     def test_missing_required_value_is_usage_error(self, tmp_path, capsys):
         assert run_command(["predict", "--out", str(tmp_path / "f.json")]) == 2
         err = capsys.readouterr().err
@@ -138,10 +148,10 @@ class TestPipeline:
         assert run_command(self.fit_args(prices, model)) == 0
         argv = ["predict", "--model", str(model), "--data", str(csv_path), "--out", str(forecast)]
         assert run_command(argv + ["--horizons", "0,-3"]) == 1
-        assert "horizons must be >= 1, got -3" in capsys.readouterr().err
+        assert "horizons must be an integer >= 1, got 0" in capsys.readouterr().err
         config = write_config(tmp_path, {"horizons": [7, 0]}, name="horizons.json")
         assert run_command(argv + ["--config", config]) == 1
-        assert "horizons must be >= 1, got 0" in capsys.readouterr().err
+        assert "horizons must be an integer >= 1, got 0" in capsys.readouterr().err
         assert not forecast.exists()
 
     def test_fit_twice_same_seed_is_byte_identical(self, prices, tmp_path):

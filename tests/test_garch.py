@@ -1,14 +1,18 @@
 """GARCH(1,1) filter, fit and forecasts."""
 
+import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import mgpch
+from mgpch.cli import run_command
+from mgpch.data_io import load_price_csv, to_log_returns
 from mgpch.errors import InvalidArgumentError
 from mgpch.garch import (
     GarchParams,
@@ -123,6 +127,21 @@ class TestFit:
         rng = np.random.default_rng(1)
         r = 0.02 * rng.standard_normal(200)
         assert garch_fit(r) == garch_fit(r)
+
+    def test_a_probe_outside_the_parameter_domain_scores_inf(self, tmp_path):
+        # asset 1's window [98, 218) of the README CLI session's prices: L-BFGS-B
+        # from the fifth start probes log omega near 3274, where omega overflows
+        # to inf; the fit raised "omega must be positive" and warned of the overflow
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"simulate": {"n_dims": 2}}))
+        prices = tmp_path / "prices.csv"
+        assert run_command(["simulate", "--config", str(config), "--out", str(prices), "--seed", "7"]) == 0
+        r = to_log_returns(load_price_csv(str(prices))).returns[98:218, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = garch_fit(r)
+        assert_allclose([params.omega, params.a], [0.5771, 0.8285], atol=1e-4)
+        assert garch_log_likelihood(params, r) > garch_log_likelihood(GarchParams(float(np.var(r)), 0.0, 0.0), r)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):

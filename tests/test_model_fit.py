@@ -185,6 +185,12 @@ class TestFit:
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer >= 0"):
             MgpchConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", ["1e-6", True, float("nan"), float("inf"), None])
+    def test_tolerance_must_be_a_finite_number(self, value):
+        # a NaN tolerance ran every fit to the sweep cap; a string ended in a bare TypeError
+        with pytest.raises(InvalidArgumentError, match="^tol must be a finite number, got"):
+            MgpchConfig(tol=value)
+
     def test_numpy_integer_sweep_cap_and_seed_fit_as_python_ints(self):
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((15, 1)), rng.standard_normal((15, 1))

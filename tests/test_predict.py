@@ -131,12 +131,6 @@ class TestFittedModel:
             rtol=1e-15,
         )
 
-    def test_method_wrapper(self, fitted):
-        xs = np.array([0.1])
-        direct = predict(fitted, xs)
-        assert_allclose(fitted.predict(xs).mean, direct.mean)
-        assert_allclose(fitted.predict(xs).variance, direct.variance)
-
 
 def gp_conditional(model, xstar):
     """GP conditional of each log-variance posterior at xstar, with scipy.

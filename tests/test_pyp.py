@@ -155,6 +155,29 @@ class TestPypConfig:
         with pytest.raises(InvalidArgumentError):
             PypConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("truncation", 2.5, "an integer >= 1"),
+            ("truncation", True, "an integer >= 1"),
+            ("truncation", "3", "an integer >= 1"),
+            ("delta", "0.1", "a finite number"),
+            ("delta", False, "a finite number"),
+            ("delta", float("nan"), "a finite number"),
+            ("eta1", float("nan"), "a finite number"),
+            ("eta2", float("inf"), "a finite number"),
+            ("eta2", None, "a finite number"),
+        ],
+    )
+    def test_wrong_types_name_the_field(self, name, value, message):
+        # these ended in bare TypeErrors, and eta1 = NaN in a diverged fit
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be {message}, got"):
+            PypConfig(**{name: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        cfg = PypConfig(delta=np.float64(0.1), eta1=np.float32(2.0), eta2=3, truncation=np.int64(2))
+        assert cfg.truncation == 2
+
 
 def test_innovation_posterior_log_mean():
     post = InnovationPosterior(3.0, 2.0)
