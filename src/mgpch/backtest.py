@@ -4,8 +4,7 @@ Models are refitted every ``retrain_every`` days on the trailing window
 of returns; forecasts at the configured horizons are scored against
 realized squared returns, a short historical-volatility series, and,
 for output pairs, realized return products.  Days between retrains
-reuse the latest fitted model by default, so the MSE denominators are
-maximal; ``forecast_only_at_retrain`` restores the sparser cadence.
+reuse the latest fitted model, so the MSE denominators are maximal.
 """
 
 from dataclasses import dataclass, field, fields
@@ -59,7 +58,6 @@ class BacktestConfig:
     horizons: tuple = (1, 7, 30)
     hist_vol_window: int = 10
     model: object = field(default_factory=MgpchConfig)
-    forecast_only_at_retrain: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "horizons", horizon_set(self.horizons))
@@ -121,8 +119,7 @@ def historical_volatility(returns, window):
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
         raise InvalidArgumentError("returns must be one-dimensional")
-    if window < 1:
-        raise InvalidArgumentError(f"window must be >= 1, got {window}")
+    _check_integer("window", window, 1)
     if r.size < window:
         raise InvalidArgumentError(
             f"need at least {window} returns, got {r.size}"
@@ -209,12 +206,8 @@ def _schedule(T, config):
     segments = []
     t = first
     while t + h_min <= T - 1:
-        if config.forecast_only_at_retrain:
-            origins = [t]
-        else:
-            last = min(t + config.retrain_every - 1, T - 1 - h_min)
-            origins = list(range(t, last + 1))
-        segments.append((t, origins))
+        last = min(t + config.retrain_every - 1, T - 1 - h_min)
+        segments.append((t, list(range(t, last + 1))))
         t += config.retrain_every
     return segments
 

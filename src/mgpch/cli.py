@@ -62,7 +62,6 @@ _BACKTEST_KEYS = {
     "horizons": [int],
     "hist_vol_window": int,
     "model": str,
-    "forecast_only_at_retrain": bool,
 }
 _SIMULATE_KEYS = {"n_points": int, "n_dims": int}
 _TOP_KEYS = {
@@ -148,7 +147,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration; flags override it")
     common.add_argument("--data", help="price CSV path")
-    common.add_argument("--model", help="model file path (input for predict, output hint for fit)")
+    common.add_argument("--model", help="model file to read (predict only)")
     common.add_argument("--out", help="output artifact path")
     common.add_argument("--seed", type=int, help="seed for full-run determinism")
     common.add_argument(
@@ -245,9 +244,7 @@ def _horizon_key(h):
 
 
 def cmd_fit(run):
-    out = run.get("out") or run.get("model")
-    if out is None:
-        raise _UsageError("fit requires --out (or --model) for the model file")
+    out = run.require("out", "fit")
     r = _load_returns(run, "fit").returns
     if r.shape[0] < 2:
         raise InvalidArgumentError("need at least 2 returns (3 prices) to form a training pair")

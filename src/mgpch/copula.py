@@ -79,12 +79,11 @@ FAMILIES = {"clayton": Clayton, "frank": Frank, "gumbel": Gumbel}
 
 
 def family_from_name(name):
-    try:
-        return FAMILIES[name.lower()]()
-    except KeyError:
+    if not isinstance(name, str) or name.lower() not in FAMILIES:
         raise InvalidArgumentError(
-            f"unknown copula family {name!r}, expected one of {sorted(FAMILIES)}"
-        ) from None
+            f"unknown copula family name {name!r}, expected one of {sorted(FAMILIES)}"
+        )
+    return FAMILIES[name.lower()]()
 
 
 def family_name(family):
@@ -273,10 +272,10 @@ def copula_log_density(family, theta, u, v):
 
 
 def marginal_cdf(moments, d, y):
-    """Gaussian cdf of output ``d`` under the predictive moments."""
-    mean = float(np.asarray(moments.mean)[d])
-    var = float(np.asarray(moments.variance)[d])
-    return float(ndtr((float(y) - mean) / math.sqrt(var)))
+    """Gaussian cdf of output ``d`` under the predictive moments, one value per row of batched moments and ``y``."""
+    mean = np.asarray(moments.mean)[..., d]
+    var = np.asarray(moments.variance)[..., d]
+    return ndtr((y - mean) / np.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -348,10 +347,10 @@ def train_pairwise(pair, mgpch, data, family):
     lengthscale = median_distance(basis) or 1.0
     H = _feature_matrix(lengthscale, X, basis)
 
-    # one batched forecast at every training input; u and v are marginal_cdf per row
+    # one batched forecast at every training input
     moments = predict_batch(mgpch, X)
-    u = ndtr((Y[:, i] - moments.mean[:, i]) / np.sqrt(moments.variance[:, i]))
-    v = ndtr((Y[:, j] - moments.mean[:, j]) / np.sqrt(moments.variance[:, j]))
+    u = marginal_cdf(moments, i, Y[:, i])
+    v = marginal_cdf(moments, j, Y[:, j])
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
         raise DegenerateMarginalsError(
             "probability-integral transforms are non-finite; "

@@ -163,27 +163,19 @@ def to_log_returns(series):
     )
 
 
-def prices_from_returns(returns, initial_price=100.0, start=None, asset_names=None):
-    """Price path implied by log returns from a flat initial price.
+def prices_from_returns(returns):
+    """Price path implied by log returns, from 100 on 2020-01-01, one calendar day per row.
 
-    The inverse of to_log_returns up to the free initial level; used to
-    materialize simulated return series as a loadable price file.
+    The inverse of to_log_returns up to the initial level; materializes
+    simulated returns as a loadable price file, assets named ``asset0``, ``asset1``, ...
     """
     r = np.asarray(returns, dtype=float)
     if r.ndim != 2:
         raise InvalidArgumentError("returns must be a (T, D) matrix")
-    if initial_price <= 0.0:
-        raise InvalidArgumentError("initial price must be positive")
     T, D = r.shape
-    prices = np.empty((T + 1, D))
-    prices[0] = initial_price
-    prices[1:] = initial_price * np.exp(np.cumsum(r, axis=0))
-    if start is None:
-        start = date(2020, 1, 1)
-    timestamps = tuple(start + timedelta(days=t) for t in range(T + 1))
-    if asset_names is None:
-        asset_names = tuple(f"asset{d}" for d in range(D))
-    return PriceSeries(timestamps=timestamps, prices=prices, asset_names=asset_names)
+    prices = 100.0 * np.exp(np.cumsum(np.vstack([np.zeros((1, D)), r]), axis=0))
+    timestamps = tuple(date(2020, 1, 1) + timedelta(days=t) for t in range(T + 1))
+    return PriceSeries(timestamps, prices, tuple(f"asset{d}" for d in range(D)))
 
 
 def write_price_csv(path, series):

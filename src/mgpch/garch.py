@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .errors import GarchFitError, InvalidArgumentError
+from .errors import GarchFitError, InvalidArgumentError, _check_integer
 
 __all__ = ["GarchParams", "garch_fit", "garch_filter", "garch_forecast", "garch_log_likelihood"]
 
@@ -64,16 +64,15 @@ def _validate_returns(returns):
     return r
 
 
-def garch_filter(params, returns, sigma2_init=None):
+def garch_filter(params, returns):
     """Run the variance recursion over a return series.
 
-    The first variance is the sample variance of the series unless
-    given explicitly (when filtering a test segment, pass the last
-    fitted variance to continue the recursion).
+    The first variance is the sample variance of the series, so a
+    constant series (variance 0) is rejected.
     """
     r = np.asarray(returns, dtype=float)
     sigma2 = np.empty(r.size)
-    sigma2[0] = float(np.var(r)) if sigma2_init is None else float(sigma2_init)
+    sigma2[0] = float(np.var(r))
     if sigma2[0] <= 0.0:
         raise InvalidArgumentError("initial variance must be positive")
     # imported on the first filter, not with the package: importing scipy.signal
@@ -86,10 +85,10 @@ def garch_filter(params, returns, sigma2_init=None):
     return sigma2
 
 
-def garch_log_likelihood(params, returns, sigma2_init=None):
+def garch_log_likelihood(params, returns):
     """Gaussian log likelihood of a return series under the filter."""
     r = np.asarray(returns, dtype=float)
-    sigma2 = garch_filter(params, r, sigma2_init)
+    sigma2 = garch_filter(params, r)
     return -0.5 * float(np.sum(LOG_2PI + np.log(sigma2) + r**2 / sigma2))
 
 
@@ -170,9 +169,7 @@ def garch_forecast(params, last_r_sq, last_var, h):
     its expectation, so variance decays geometrically toward the
     unconditional level.
     """
-    h = int(h)
-    if h < 1:
-        raise InvalidArgumentError(f"horizon must be >= 1, got {h}")
+    _check_integer("h", h, 1)
     last_r_sq = float(last_r_sq)
     last_var = float(last_var)
     if last_r_sq < 0.0:

@@ -36,7 +36,7 @@ q_nc * omega_n * E[exp(-g_n)] / 2`` of the expected log likelihood, and m
 by the gradient ``Q_hat - q_c / 2 - t`` preconditioned by the new S.
 Step 0 is the current state and step 1 a Newton step, and a backtracking
 safeguard only ever accepts free-energy improvements.  At a fixed point
-``t = Q - q_c / 2``, the form :func:`noise_posterior_given_q` evaluates.
+``t = Q - q_c / 2``, so that ``m = m_tilde + Lam (Q - q_c / 2)``.
 Each candidate costs one Cholesky factor La of ``A = I + sqrt(Q) Lam
 sqrt(Q)`` and one triangular solve ``W = La^-1 sqrt(Q) Lam``:
 ``diag(S) = diag(Lam) - colsum(W o W)``, by Woodbury ``trace(Lam^-1 S) = N
@@ -124,10 +124,7 @@ __all__ = [
     "MgpchModel",
     "PredictiveMoments",
     "SimulationDraw",
-    "expected_noise_variance",
     "expected_noise_precision",
-    "noise_posterior_given_q",
-    "latent_function_posterior",
     "update_noise_processes",
     "update_latent_functions",
     "update_responsibilities",
@@ -365,65 +362,9 @@ class SimulationDraw:
     weights: np.ndarray  # (C,) sampled stick weights
 
 
-def expected_noise_variance(m, s_diag):
-    """Expected noise variance ``exp(m_n - S_nn / 2)`` from ``s_diag = diag(S)``, the reciprocal precision up to rounding."""
-    return np.exp(m - 0.5 * s_diag)
-
-
 def expected_noise_precision(m, s_diag):
     """Expected noise precision ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)`` from ``s_diag = diag(S)``."""
     return np.exp(0.5 * s_diag - m)
-
-
-def noise_posterior_given_q(lam, Q, qz, m_tilde):
-    """Gaussian posterior of one log-variance process for a fixed bound parameter.
-
-    Evaluates ``S = (Lam^-1 + Q)^-1`` and
-    ``m = Lam (Q - diag(qz) / 2) 1 + m_tilde 1`` through the symmetric
-    root identity, which stays exact when entries of Q are zero.  This is
-    the posterior at a fixed point of :func:`update_noise_processes`, where
-    the natural mean t equals ``Q - qz / 2``; between fixed points the
-    fit's t is its own primal array.
-
-    Parameters
-    ----------
-    lam : ndarray, shape (N, N)
-        Prior covariance of g (jitter included).
-    Q : ndarray, shape (N,)
-        Non-negative diagonal bound parameters.
-    qz : ndarray, shape (N,)
-        Responsibilities of this component.
-    m_tilde : float
-        Prior mean of g.
-
-    Returns
-    -------
-    (m, S) : posterior mean vector and covariance matrix.
-    """
-    _, W, s_diag, _ = _diag_precision_posterior(lam, Q, "noise bound matrix")
-    return m_tilde + lam @ (Q - 0.5 * qz), _posterior_cov(lam, W, s_diag)
-
-
-def latent_function_posterior(K, B, y):
-    """Gaussian posterior of one latent mean function.
-
-    Evaluates ``Sigma = (K^-1 + B)^-1`` and ``mu = Sigma B y`` with
-    ``B = diag(b)`` through the symmetric root identity.
-
-    Parameters
-    ----------
-    K : ndarray, shape (N, N)
-        Prior covariance (jitter included).
-    B : ndarray, shape (N,)
-        Non-negative effective precisions ``q_nc * E[exp(-g_n)]``.
-    y : ndarray, shape (N,)
-
-    Returns
-    -------
-    (mu, Sigma)
-    """
-    mu, diag, _, W = _latent_candidate(K, B, y)
-    return mu, _posterior_cov(K, W, diag)
 
 
 def _bound_factor(prior, prec, label):
@@ -813,8 +754,8 @@ def update_noise_processes(state, model):
     ``t_s = t + s (grad - Q_s S_s grad)``, since ``Lam^-1 S_s = I - Q_s S_s``,
     taken as ``(1 - s) t + s (Q_hat - q_c / 2 - Q_s S_s grad)`` so that the
     Newton step does not pass through ``t - t``.
-    Step 0 is the current state and s = 1 a Newton step; the ``t = Q -
-    q_c / 2`` of :func:`noise_posterior_given_q` holds only at a fixed point.
+    Step 0 is the current state and s = 1 a Newton step; ``t = Q - q_c / 2``
+    holds only at a fixed point.
 
     The ladder of steps is judged one step at a time, for the blocks still
     pending, until the block's free-energy contribution does not decrease;
@@ -1292,24 +1233,22 @@ def predict_batch(model, Xstar):
             cross[kernel] = design_matrix(kernel, Xstar, model.X)
         return cross[kernel]
 
+    def block_moments(kernel, root, La, alpha):
+        """One block's k*'alpha and k** - |w|^2 with w = La^-1 (root k*), at every input; a noise block's alpha is t."""
+        k_cross = cross_cov(kernel)
+        w = solve_lower(La, (k_cross * root).T).T
+        return _row_dots(k_cross, alpha[None, :]), np.maximum(kernel.marginal_variance - _row_dots(w, w), 0.0)
+
     a = np.zeros((M, C, D))
     svar = np.zeros((M, C, D))
     tau = np.empty((M, C, D))
     phi_star = np.empty((M, C, D))
     for c in range(C):
-        nk, mk = model.noise_kernels[c], model.mean_kernels[c]
-        lam_cross = cross_cov(nk)
         for d in range(D):
-            tau[:, c, d] = model.m_tilde[c, d] + _row_dots(lam_cross, state.t[c, d][None, :])
-            root, La = noise_factors[c][d]
-            w = solve_lower(La, (lam_cross * root).T).T
-            phi_star[:, c, d] = np.maximum(nk.marginal_variance - _row_dots(w, w), 0.0)
+            k_t, phi_star[:, c, d] = block_moments(model.noise_kernels[c], *noise_factors[c][d], state.t[c, d])
+            tau[:, c, d] = model.m_tilde[c, d] + k_t
             if mean_factors[c][d] is not None:
-                k_cross = cross_cov(mk)
-                root, La, inner = mean_factors[c][d]
-                a[:, c, d] = _row_dots(k_cross, inner[None, :])
-                wk = solve_lower(La, (k_cross * root).T).T
-                svar[:, c, d] = np.maximum(mk.marginal_variance - _row_dots(wk, wk), 0.0)
+                a[:, c, d], svar[:, c, d] = block_moments(model.mean_kernels[c], *mean_factors[c][d])
     psi = np.exp(tau + 0.5 * phi_star)
     return PredictiveMoments(
         mean=weights @ a,

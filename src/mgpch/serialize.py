@@ -29,7 +29,7 @@ refit the model to write version 5.
 """
 
 import json
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSI
 
 FORMAT_NAME = "mgpch-model"
 FORMAT_VERSION = 5
+_KERNEL_FIELDS = ("mean_kernels", "noise_kernels")
 
 
 def dump_json(obj, path, compact=False):
@@ -75,39 +76,26 @@ def _kernel_from_obj(obj):
 
 
 def _config_to_obj(config):
-    def kernels(seq):
-        return None if seq is None else [_kernel_to_obj(k) for k in seq]
-
-    return {
-        "pyp": {
-            "delta": config.pyp.delta,
-            "eta1": config.pyp.eta1,
-            "eta2": config.pyp.eta2,
-            "truncation": config.pyp.truncation,
-        },
-        "mean_kernels": kernels(config.mean_kernels),
-        "noise_kernels": kernels(config.noise_kernels),
-        "m_tilde": None if config.m_tilde is None else _array(config.m_tilde),
-        "max_iters": config.max_iters,
-        "tol": config.tol,
-        "seed": config.seed,
-    }
+    """Every MgpchConfig field by name; kernels and m_tilde become JSON values."""
+    obj = {f.name: getattr(config, f.name) for f in fields(config)}
+    obj["pyp"] = asdict(config.pyp)
+    for name in _KERNEL_FIELDS:
+        if obj[name] is not None:
+            obj[name] = [_kernel_to_obj(k) for k in obj[name]]
+    if obj["m_tilde"] is not None:
+        obj["m_tilde"] = _array(obj["m_tilde"])
+    return obj
 
 
 def _config_from_obj(obj):
-    def kernels(seq):
-        return None if seq is None else tuple(_kernel_from_obj(k) for k in seq)
-
-    m_tilde = obj["m_tilde"]
-    return MgpchConfig(
-        pyp=PypConfig(**obj["pyp"]),
-        mean_kernels=kernels(obj["mean_kernels"]),
-        noise_kernels=kernels(obj["noise_kernels"]),
-        m_tilde=None if m_tilde is None else np.asarray(m_tilde),
-        max_iters=obj["max_iters"],
-        tol=obj["tol"],
-        seed=obj["seed"],
-    )
+    kwargs = {f.name: obj[f.name] for f in fields(MgpchConfig)}
+    kwargs["pyp"] = PypConfig(**obj["pyp"])
+    for name in _KERNEL_FIELDS:
+        if kwargs[name] is not None:
+            kwargs[name] = tuple(_kernel_from_obj(k) for k in kwargs[name])
+    if kwargs["m_tilde"] is not None:
+        kwargs["m_tilde"] = np.asarray(kwargs["m_tilde"])
+    return MgpchConfig(**kwargs)
 
 
 def _state_to_obj(state):
@@ -190,7 +178,7 @@ def _copula_from_obj(obj):
 def _unfitted_model(payload):
     """The unfitted model of the file's config, data, kernels and m_tilde, checked as :func:`mgpch.fit` checks them."""
     X, Y, m_tilde = (_finite_array(payload[name], name) for name in ("X", "Y", "m_tilde"))
-    kernels = {name: tuple(_kernel_from_obj(k) for k in payload[name]) for name in ("mean_kernels", "noise_kernels")}
+    kernels = {name: tuple(_kernel_from_obj(k) for k in payload[name]) for name in _KERNEL_FIELDS}
     try:
         config = _config_from_obj(payload["config"])
         model = _make_context(*_validate_data(X, Y), replace(config, m_tilde=m_tilde, **kernels))

@@ -40,7 +40,6 @@ from mgpch.model import (
     PredictiveMoments,
     _init_state,
     _make_context,
-    expected_noise_variance,
     fit,
     free_energy,
     predict,
@@ -52,6 +51,7 @@ from mgpch.model import (
 )
 from mgpch.pyp import PypConfig, update_stick_posteriors
 
+from oracles import expected_noise_variance
 from test_model_updates import brute_force_free_energy, latent_covariances
 
 

@@ -77,13 +77,13 @@ class Recording:
         self.calls.append(("advance", self.fit_day, tuple(r_row)))
 
 
-def expected_calls(r, window, every, horizons, only_at_retrain=False):
+def expected_calls(r, window, every, horizons):
     """The protocol's calls written out: per fit day t, the fit, then per origin one advance (after t) and its horizons."""
     T = r.shape[0]
     calls = []
     for t in range(window - 1, T - horizons[0], every):
         calls.append(("fit", t))
-        last = t if only_at_retrain else min(t + every - 1, T - 1 - horizons[0])
+        last = min(t + every - 1, T - 1 - horizons[0])
         for origin in range(t, last + 1):
             if origin > t:
                 calls.append(("advance", t, tuple(r[origin - 1])))
@@ -147,13 +147,6 @@ class TestProtocol:
         assert {rec.origin for rec in report.forecast_log} == set(range(39, 70))
         assert all(rec.origin + rec.horizon <= 70 for rec in report.forecast_log)
 
-    def test_forecast_only_at_retrain(self, kind):
-        config = BacktestConfig(window=40, retrain_every=7, horizons=(1, 7, 30), forecast_only_at_retrain=True)
-        report, _, calls = self.run(kind, config=config)
-        assert calls == expected_calls(self.r, 40, 7, (1, 7, 30), only_at_retrain=True)
-        assert not any(c[0] == "advance" for c in calls)
-        assert {rec.origin for rec in report.forecast_log} == set(report.refit_days)
-
     @pytest.mark.parametrize("length", [70, 5])
     def test_series_too_short_names_required_minimum(self, kind, length):
         # also below hist_vol_window, where no realized measure can be formed
@@ -203,6 +196,11 @@ class TestHistoricalVolatility:
             historical_volatility(np.ones((3, 1)), 2)
         with pytest.raises(InvalidArgumentError):
             historical_volatility(np.ones(3), 0)
+
+    @pytest.mark.parametrize("window", [2.5, True, "2"])
+    def test_non_integer_window_rejected(self, window):
+        with pytest.raises(InvalidArgumentError, match="window must be an integer >= 1"):
+            historical_volatility(np.ones(3), window)
 
 
 class TestConfig:

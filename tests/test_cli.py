@@ -64,7 +64,18 @@ class TestUsage:
         data = simulate(tmp_path, seed=3)
         assert run_command(["fit", "--data", str(data), "--truncation", "2"]) == 2
         assert run_command(["fit", "--data", str(tmp_path / "absent.csv")]) == 2
-        assert capsys.readouterr().err.count("fit requires --out (or --model)") == 2
+        assert capsys.readouterr().err.count("usage error: fit requires --out\n") == 2
+
+    def test_fit_model_is_no_output_name(self, tmp_path, monkeypatch, capsys):
+        # --model names the file predict reads; fit without --out stops before fitting
+        def refit(*args, **kwargs):
+            raise AssertionError("the model was fitted without --out")
+
+        monkeypatch.setattr(cli, "fit", refit)
+        data = simulate(tmp_path, seed=3)
+        assert run_command(["fit", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
+        assert "usage error: fit requires --out\n" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_missing_required_value_is_usage_error(self, tmp_path, capsys):
         assert run_command(["predict", "--out", str(tmp_path / "f.json")]) == 2
@@ -287,6 +298,11 @@ class TestRunConfig:
         assert run_command(["backtest", "--config", config, "--out", str(tmp_path / "r.json")]) == 1
         assert "unknown config key(s): threads" in capsys.readouterr().err
 
+    def test_forecast_only_at_retrain_is_an_unknown_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"backtest": {"forecast_only_at_retrain": True}})
+        assert run_command(["backtest", "--config", config, "--out", str(tmp_path / "r.json")]) == 1
+        assert "unknown backtest key(s): forecast_only_at_retrain" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, payload, key",
         [
@@ -297,7 +313,6 @@ class TestRunConfig:
             ("simulate", {"seed": True}, "'seed'"),
             ("backtest", {"backtest": {"horizons": [1, False]}}, "'backtest.horizons'"),
             ("fit", {"mgpch": {"tol": "1e-6"}}, "'mgpch.tol'"),
-            ("backtest", {"backtest": {"forecast_only_at_retrain": 1}}, "'backtest.forecast_only_at_retrain'"),
         ],
     )
     def test_wrong_typed_value_is_a_format_error_naming_the_key(self, tmp_path, capsys, command, payload, key):

@@ -272,8 +272,13 @@ class TestLink:
         assert isinstance(family_from_name("clayton"), Clayton)
         assert isinstance(family_from_name("Frank"), Frank)
         assert isinstance(family_from_name("GUMBEL"), Gumbel)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="unknown copula family name"):
             family_from_name("gaussian")
+
+    @pytest.mark.parametrize("name", [None, 3, b"clayton"])
+    def test_non_string_family_name_rejected(self, name):
+        with pytest.raises(InvalidArgumentError, match="unknown copula family name"):
+            family_from_name(name)
 
 
 class TestMarginalCdf:
@@ -284,6 +289,14 @@ class TestMarginalCdf:
         assert marginal_cdf(mo, 0, -1e9) == 0.0
         mo = gaussian_moments([0.0], [1.0])
         assert_allclose(marginal_cdf(mo, 0, 1.959964), 0.975, atol=1e-6)
+
+    def test_batched_moments_give_one_value_per_row(self):
+        rng = np.random.default_rng(3)
+        means, variances, y = rng.standard_normal((3, 2)), rng.uniform(0.5, 2.0, (3, 2)), rng.standard_normal(3)
+        rows = [marginal_cdf(gaussian_moments(m, s2), 1, t) for m, s2, t in zip(means, variances, y)]
+        batched = marginal_cdf(gaussian_moments(means, variances), 1, y)
+        assert batched.shape == (3,)
+        assert batched.tolist() == rows
 
 
 class TestTraining:

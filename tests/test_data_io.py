@@ -159,9 +159,12 @@ class TestWriteAndRebuild:
     def test_prices_from_returns_inverts_log_returns(self):
         rng = np.random.default_rng(1)
         r = 0.02 * rng.standard_normal((25, 2))
-        series = prices_from_returns(r, initial_price=50.0)
+        series = prices_from_returns(r)
         assert series.prices.shape == (26, 2)
-        assert_allclose(series.prices[0], 50.0)
+        assert_allclose(series.prices[0], 100.0)
+        assert series.timestamps[0] == date(2020, 1, 1)
+        assert series.timestamps[-1] == date(2020, 1, 26)
+        assert series.asset_names == ("asset0", "asset1")
         assert_allclose(to_log_returns(series).returns, r, atol=1e-12)
 
     def test_write_then_load_round_trip(self, tmp_path):
@@ -174,6 +177,6 @@ class TestWriteAndRebuild:
         assert loaded.timestamps == series.timestamps
         assert_allclose(loaded.prices, series.prices, rtol=0, atol=0)
 
-    def test_bad_initial_price(self):
-        with pytest.raises(InvalidArgumentError):
-            prices_from_returns(np.zeros((3, 1)), initial_price=0.0)
+    def test_returns_must_be_a_matrix(self):
+        with pytest.raises(InvalidArgumentError, match=r"\(T, D\) matrix"):
+            prices_from_returns(np.zeros(3))

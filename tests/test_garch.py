@@ -59,13 +59,10 @@ class TestFilter:
         assert_allclose(sigma2[1], 0.1 + 0.2 * 1.0 + 0.5 * v0, rtol=1e-12)
         assert_allclose(sigma2[2], 0.1 + 0.2 * 4.0 + 0.5 * sigma2[1], rtol=1e-12)
 
-    def test_explicit_initial_variance(self):
+    def test_constant_series_has_no_positive_start(self):
         p = GarchParams(omega=0.1, a=0.2, b=0.5)
-        sigma2 = garch_filter(p, np.array([1.0, 1.0]), sigma2_init=3.0)
-        assert sigma2[0] == 3.0
-        assert_allclose(sigma2[1], 0.1 + 0.2 + 1.5, rtol=1e-12)
-        with pytest.raises(InvalidArgumentError):
-            garch_filter(p, np.array([1.0, 1.0]), sigma2_init=0.0)
+        with pytest.raises(InvalidArgumentError, match="initial variance must be positive"):
+            garch_filter(p, np.array([1.0, 1.0]))
 
 
 class TestForecast:
@@ -97,6 +94,11 @@ class TestForecast:
             garch_forecast(self.params, -1e-4, 1e-4, h=1)
         with pytest.raises(InvalidArgumentError):
             garch_forecast(self.params, 1e-4, 0.0, h=1)
+
+    @pytest.mark.parametrize("h", [1.5, True, "2"])
+    def test_non_integer_horizon_rejected(self, h):
+        with pytest.raises(InvalidArgumentError, match="h must be an integer >= 1"):
+            garch_forecast(self.params, 1e-4, 1e-4, h)
 
 
 class TestFit:

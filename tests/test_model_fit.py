@@ -20,7 +20,6 @@ from mgpch.model import (
     _make_context,
     _primal_coordinates,
     _sweep,
-    expected_noise_variance,
     fit,
     free_energy,
     refresh_caches,
@@ -32,6 +31,7 @@ from mgpch.model import (
 )
 from mgpch.pyp import PypConfig
 
+from oracles import expected_noise_variance
 from test_model_updates import count_sweeps, latent_covariances
 
 

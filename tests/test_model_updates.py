@@ -32,11 +32,8 @@ from mgpch.model import (
     _ou_moments,
     _ou_transitions,
     _posterior_cov,
-    expected_noise_variance,
     fit,
     free_energy,
-    latent_function_posterior,
-    noise_posterior_given_q,
     refresh_caches,
     update_latent_functions,
     update_mixture_posteriors,
@@ -44,6 +41,8 @@ from mgpch.model import (
     update_responsibilities,
 )
 from mgpch.pyp import InnovationPosterior, PypConfig
+
+from oracles import expected_noise_variance, latent_function_posterior, noise_posterior_given_q
 
 
 def random_spd(rng, n, scale=1.0):

@@ -17,12 +17,13 @@ from mgpch.model import (
     _init_state,
     _make_context,
     fit,
-    latent_function_posterior,
     predict,
     predict_batch,
     refresh_caches,
 )
 from mgpch.pyp import PypConfig
+
+from oracles import latent_function_posterior
 
 
 def manual_scalar_model():
