@@ -119,6 +119,8 @@ def historical_volatility(returns, window):
     r = np.asarray(returns, dtype=float)
     if r.ndim != 1:
         raise InvalidArgumentError("returns must be one-dimensional")
+    if not np.all(np.isfinite(r)):
+        raise InvalidArgumentError("returns must be finite")
     _check_integer("window", window, 1)
     if r.size < window:
         raise InvalidArgumentError(

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from .errors import GarchFitError, InvalidArgumentError, _check_integer
+from .errors import GarchFitError, InvalidArgumentError, _check_integer, _check_real
 
 __all__ = ["GarchParams", "garch_fit", "garch_filter", "garch_forecast", "garch_log_likelihood"]
 
@@ -100,11 +100,56 @@ def _params_from_raw(raw, var_scale):
     return GarchParams(omega=omega, a=float(persistence * share), b=float(persistence * (1.0 - share)))
 
 
+def _negative_log_likelihood(raw, r, var_scale):
+    """Minus the log likelihood at an unconstrained point, and its gradient there.
+
+    The derivatives d_t of sigma2_t in (omega, a, b) follow the variance
+    recursion, d_t = (1, r_{t-1}^2, sigma2_{t-1}) + b d_{t-1} from d_0 = 0,
+    as sigma2_0 is the fixed sample variance (Fiorentini, Calzolari and
+    Panattoni 1996), so one more linear filter gives the whole gradient.
+    A point outside the parameter domain, as an omega overflowed to inf,
+    or one whose likelihood or gradient overflows, scores inf with a zero
+    gradient.
+    """
+    from scipy.signal import lfilter  # imported late, as in garch_filter
+
+    try:
+        # an overflow raises here, before an inf can meet another inf or a zero;
+        # lfilter overflows silently, which the finiteness check below catches
+        with np.errstate(over="raise", invalid="raise"):
+            params = _params_from_raw(raw, var_scale)
+            sigma2 = garch_filter(params, r)
+            r_sq = r**2
+            value = 0.5 * float(np.sum(LOG_2PI + np.log(sigma2) + r_sq / sigma2))
+            drive = np.array([np.ones(r.size - 1), r_sq[:-1], sigma2[:-1]])
+            d_sigma2 = lfilter([1.0], [1.0, -params.b], drive, axis=1)
+            # d(-loglik)/d sigma2_t for t >= 1; sigma2_0 does not move
+            slope = 0.5 * (1.0 - r_sq[1:] / sigma2[1:]) / sigma2[1:]
+            d_omega, d_a, d_b = d_sigma2 @ slope
+            # chained through the reparametrization: d omega / d log omega = omega,
+            # and the sigmoids give the persistence and a's share of it
+            active, share = expit(raw[1]), expit(raw[2])
+            persistence = _PERSISTENCE_CAP * active
+            grad = np.array([
+                params.omega * d_omega,
+                persistence * (1.0 - active) * (share * d_a + (1.0 - share) * d_b),
+                persistence * share * (1.0 - share) * (d_a - d_b),
+            ])
+    except (FloatingPointError, InvalidArgumentError):
+        return np.inf, np.zeros(3)
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        return np.inf, np.zeros(3)
+    return value, grad
+
+
 def garch_fit(returns):
     """Maximum-likelihood GARCH(1,1) fit.
 
     Runs L-BFGS from ``N_STARTS`` starting points, three fixed and the
-    rest drawn from ``START_SEED``, so a fit is deterministic.  The
+    rest drawn from ``START_SEED``, so a fit is deterministic.  Each step
+    takes the exact gradient of the log likelihood, whose derivatives in
+    (omega, a, b) follow the variance recursion and cost one more linear
+    filter pass, so the optimizer makes no difference probes.  The
     no-dynamics point (a = b = 0 at the sample variance) is always
     evaluated and is returned unless the dynamic fit beats it by more
     than log(T) nats; on returns with no volatility clustering the
@@ -122,14 +167,6 @@ def garch_fit(returns):
     var_scale = float(np.var(r))
     rng = np.random.default_rng(START_SEED)
 
-    def negative(raw):
-        # a probe outside the parameter domain, as an omega overflowed to inf, scores inf
-        try:
-            value = garch_log_likelihood(_params_from_raw(raw, var_scale), r)
-        except (FloatingPointError, OverflowError, InvalidArgumentError):
-            return np.inf
-        return -value if np.isfinite(value) else np.inf
-
     starts = [
         np.array([np.log(0.05), np.log(0.9 / 0.1), 0.0]),  # persistent, a = b share
         np.array([np.log(0.2), 0.0, -1.0]),
@@ -140,9 +177,7 @@ def garch_fit(returns):
 
     best_raw, best_val = None, np.inf
     for raw0 in starts:
-        # a probe can overflow omega, and its difference gradient then takes inf - inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = minimize(negative, raw0, method="L-BFGS-B")
+        result = minimize(_negative_log_likelihood, raw0, args=(r, var_scale), method="L-BFGS-B", jac=True)
         if result.fun < best_val:
             best_raw, best_val = result.x, float(result.fun)
 
@@ -170,6 +205,8 @@ def garch_forecast(params, last_r_sq, last_var, h):
     unconditional level.
     """
     _check_integer("h", h, 1)
+    _check_real("last_r_sq", last_r_sq)
+    _check_real("last_var", last_var)
     last_r_sq = float(last_r_sq)
     last_var = float(last_var)
     if last_r_sq < 0.0:

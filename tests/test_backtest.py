@@ -197,6 +197,11 @@ class TestHistoricalVolatility:
         with pytest.raises(InvalidArgumentError):
             historical_volatility(np.ones(3), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_returns_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError, match="returns must be finite"):
+            historical_volatility(np.array([1.0, bad, 2.0]), 2)
+
     @pytest.mark.parametrize("window", [2.5, True, "2"])
     def test_non_integer_window_rejected(self, window):
         with pytest.raises(InvalidArgumentError, match="window must be an integer >= 1"):

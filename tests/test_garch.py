@@ -8,14 +8,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import mgpch
+import mgpch.garch
 from mgpch.cli import run_command
 from mgpch.data_io import load_price_csv, to_log_returns
 from mgpch.errors import InvalidArgumentError
 from mgpch.garch import (
     GarchParams,
+    _negative_log_likelihood,
+    _params_from_raw,
     garch_filter,
     garch_fit,
     garch_forecast,
@@ -95,10 +100,52 @@ class TestForecast:
         with pytest.raises(InvalidArgumentError):
             garch_forecast(self.params, 1e-4, 0.0, h=1)
 
+    @pytest.mark.parametrize("name", ["last_r_sq", "last_var"])
+    @pytest.mark.parametrize("value", [True, "x", np.nan])
+    def test_non_real_state_rejected(self, name, value):
+        state = {"last_r_sq": 1e-4, "last_var": 1e-4, name: value}
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be a finite number"):
+            garch_forecast(self.params, h=1, **state)
+
     @pytest.mark.parametrize("h", [1.5, True, "2"])
     def test_non_integer_horizon_rejected(self, h):
         with pytest.raises(InvalidArgumentError, match="h must be an integer >= 1"):
             garch_forecast(self.params, 1e-4, 1e-4, h)
+
+
+@st.composite
+def objective_points(draw):
+    """A return series of 30-200 days at a scale of 1e-3 to 1e-1, and an unconstrained point with |raw| <= 6."""
+    n = draw(st.integers(30, 200))
+    scale = 10.0 ** draw(st.floats(-3.0, -1.0))
+    r = scale * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    raw = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3)))
+    return r, raw
+
+
+class TestObjective:
+    @settings(max_examples=100, deadline=None)
+    @given(objective_points())
+    def test_gradient_matches_central_differences(self, case):
+        r, raw = case
+        var_scale = float(np.var(r))
+        value, grad = _negative_log_likelihood(raw, r, var_scale)
+        assert np.isfinite(value)
+        assert value == -garch_log_likelihood(_params_from_raw(raw, var_scale), r)
+        # fourth-order central differences, whose truncation error at h = 1e-3 is
+        # far below the tolerance
+        h, diff = 1e-3, np.empty(3)
+        for i, step in enumerate(h * np.eye(3)):
+            f = [_negative_log_likelihood(raw + k * step, r, var_scale)[0] for k in (-2, -1, 1, 2)]
+            diff[i] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        assert np.max(np.abs(grad - diff)) <= 1e-7 * np.max(np.abs(grad))
+
+    def test_an_omega_that_overflows_scores_inf_with_a_zero_gradient(self):
+        r = 0.01 * np.random.default_rng(2).standard_normal(60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, grad = _negative_log_likelihood(np.array([800.0, 0.0, 0.0]), r, float(np.var(r)))
+        assert value == np.inf and np.array_equal(grad, np.zeros(3))
 
 
 class TestFit:
@@ -144,6 +191,19 @@ class TestFit:
             params = garch_fit(r)
         assert_allclose([params.omega, params.a], [0.5771, 0.8285], atol=1e-4)
         assert garch_log_likelihood(params, r) > garch_log_likelihood(GarchParams(float(np.var(r)), 0.0, 0.0), r)
+
+    def test_the_exact_gradient_at_least_halves_the_filter_passes(self, monkeypatch):
+        # on this window, the fit with difference gradients ran the filter 538 times
+        # (536 objective calls, then the floor comparison's two) to log likelihood
+        # 393.93121703729986; with the exact gradient it runs it 137 times, so a
+        # fallback to difference gradients fails here
+        r = simulate_garch(GarchParams(omega=1e-5, a=0.35, b=0.6), 120, seed=0)
+        calls = []
+        run_filter = mgpch.garch.garch_filter
+        monkeypatch.setattr(mgpch.garch, "garch_filter", lambda *args: calls.append(args) or run_filter(*args))
+        params = garch_fit(r)
+        assert len(calls) <= 538 // 2
+        assert params.a > 0.0 and garch_log_likelihood(params, r) >= 393.93121703729986 - 1e-6
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
