@@ -71,10 +71,15 @@ def garch_filter(params, returns):
     constant series (variance 0) is rejected.
     """
     r = np.asarray(returns, dtype=float)
-    sigma2 = np.empty(r.size)
-    sigma2[0] = float(np.var(r))
-    if sigma2[0] <= 0.0:
+    return _filter(params, r, float(np.var(r)))
+
+
+def _filter(params, r, initial_var):
+    """:func:`garch_filter` from a given first variance, which a fit computes once."""
+    if initial_var <= 0.0:
         raise InvalidArgumentError("initial variance must be positive")
+    sigma2 = np.empty(r.size)
+    sigma2[0] = initial_var
     # imported on the first filter, not with the package: importing scipy.signal
     # takes about half a second and loads scipy.stats, which nothing else needs
     from scipy.signal import lfilter
@@ -118,7 +123,8 @@ def _negative_log_likelihood(raw, r, var_scale):
         # lfilter overflows silently, which the finiteness check below catches
         with np.errstate(over="raise", invalid="raise"):
             params = _params_from_raw(raw, var_scale)
-            sigma2 = garch_filter(params, r)
+            # var_scale is the sample variance, garch_filter's first variance
+            sigma2 = _filter(params, r, var_scale)
             r_sq = r**2
             value = 0.5 * float(np.sum(LOG_2PI + np.log(sigma2) + r_sq / sigma2))
             drive = np.array([np.ones(r.size - 1), r_sq[:-1], sigma2[:-1]])

@@ -82,6 +82,7 @@ plain sweep's gain is tested for convergence; on the benchmark panels the
 step halves the sweeps per fit and reaches the same optimum.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -1269,15 +1270,18 @@ def predict_batch(model, Xstar):
 class _LazyGpPath:
     """Sequentially conditioned draws of the paths of one kernel, one per output, at shared inputs.
 
-    The D paths of a (component, kernel role) see the same inputs and the
-    same kernel and differ only in their prior ``means``, so they share one
-    history of at most ``size`` points in ``dim`` dimensions and one lower
-    Cholesky factor L of its jittered kernel matrix.  L is row-packed (row
-    k at offset k(k+1)/2), so it grows in place and its leading rows are a
-    contiguous prefix; the solves u of each output's centered values
-    against L are the rows of a (D, size) array.  A draw is one
+    :func:`simulate` uses it for inputs of two or more columns, and
+    :class:`_OuPath` for one column.  The D paths of a (component, kernel
+    role) see the same inputs and the same kernel and differ only in their
+    prior ``means``, so they share one history of at most ``size`` points
+    in ``dim`` dimensions and one lower Cholesky factor L of its jittered
+    kernel matrix.  L is row-packed (row k at offset k(k+1)/2), so it
+    grows in place and its leading rows are a contiguous prefix; the
+    solves u of each output's centered values against L are the rows of a
+    (D, size) array.  A draw is one
     :meth:`condition` at the input, then one :meth:`sample` per output.
-    The zero kernel gets no buffers and draws zeros.
+    The zero kernel gets no buffers and draws zeros.  The factor is that
+    of ``K + (ar1_jitter + 1e-12) I``, so the draws carry that diagonal.
     """
 
     def __init__(self, kernel, means, size, dim):
@@ -1322,6 +1326,77 @@ class _LazyGpPath:
         return value
 
 
+class _OuPath:
+    """Sequentially conditioned draws of the paths of one kernel, one per output, at scalar inputs.
+
+    On one-column inputs the kernel ``s phi^|x - x'|`` is an
+    Ornstein-Uhlenbeck covariance, which is Markov in sorted input order
+    (as in :func:`_ou_moments`), so a point's conditional given the whole
+    history equals its conditional given the nearest drawn input on each
+    side.  The path keeps the inputs drawn so far as a sorted list and
+    each output's values in the same order; :meth:`condition` finds the
+    insertion point by bisection and draws from the OU bridge.  With ``a =
+    phi^(x - x_l)`` and ``b = phi^(x_r - x)`` the conditional mean is ``m +
+    [a (1 - b^2) (h_l - m) + b (1 - a^2) (h_r - m)] / (1 - a^2 b^2)`` and
+    the variance ``s (1 - a^2) (1 - b^2) / (1 - a^2 b^2)``; with one
+    neighbour they are ``m + a (h - m)`` and ``s (1 - a^2)``, with none the
+    prior.  Each ``1 - a^2`` is ``-expm1(2 dx log phi)``, so close inputs keep
+    full relative accuracy, and a tied input copies its neighbour's values
+    with variance 0, as does one whose ``dx log phi`` underflows to 0.  It
+    factors nothing, so it draws the kernel's own law, without the diagonal
+    jitter that :class:`_LazyGpPath` adds only to stabilize its factor.
+    The zero kernel keeps nothing and draws zeros.
+    """
+
+    def __init__(self, kernel, means):
+        self.kernel = kernel
+        self.means = [float(m) for m in means]
+        self.inputs = []
+        self.values = [[] for _ in self.means]
+        if not isinstance(kernel, ZeroKernel):
+            self.s, self.log_phi = kernel.marginal_variance, math.log(kernel.phi)
+
+    def condition(self, x):
+        """Take input x into the history; each output's next :meth:`sample` draws at x."""
+        if isinstance(self.kernel, ZeroKernel):
+            return
+        x, xs = float(x[0]), self.inputs
+        i = self.slot = bisect.bisect_right(xs, x)
+        s, log_phi = self.s, self.log_phi
+        # log a and log b of the left and right neighbours, None where there is none
+        log_a = (x - xs[i - 1]) * log_phi if i else None
+        log_b = (xs[i] - x) * log_phi if i < len(xs) else None
+        if log_a == 0.0:
+            # a tie, or a distance whose correlation rounds to 1: the neighbour's values
+            self.cond_means, self.sd = [v[i - 1] for v in self.values], 0.0
+        elif log_a is not None and log_b is not None:
+            a, b = math.exp(log_a), math.exp(log_b)
+            one_a, one_b = -math.expm1(2.0 * log_a), -math.expm1(2.0 * log_b)
+            # the ratios lie in (0, 1], so no product of two small terms underflows
+            one_ab = -math.expm1(2.0 * (log_a + log_b))
+            ratio_a, ratio_b = one_a / one_ab, one_b / one_ab
+            self.cond_means = [
+                m + a * ratio_b * (v[i - 1] - m) + b * ratio_a * (v[i] - m) for m, v in zip(self.means, self.values)
+            ]
+            self.sd = math.sqrt(s * one_a * ratio_b)
+        elif xs:
+            j, log_c = (i - 1, log_a) if log_b is None else (i, log_b)
+            c = math.exp(log_c)
+            self.cond_means = [m + c * (v[j] - m) for m, v in zip(self.means, self.values)]
+            self.sd = math.sqrt(-s * math.expm1(2.0 * log_c))
+        else:
+            self.cond_means, self.sd = self.means, math.sqrt(s)
+        xs.insert(i, x)
+
+    def sample(self, d, rng):
+        """Draw output d at the input last conditioned on."""
+        if isinstance(self.kernel, ZeroKernel):
+            return 0.0
+        value = self.cond_means[d] + self.sd * rng.standard_normal()
+        self.values[d].insert(self.slot, value)
+        return value
+
+
 def simulate(config, n_points, n_dims, seed=0):
     """Forward draw from the generative model.
 
@@ -1330,8 +1405,12 @@ def simulate(config, n_points, n_dims, seed=0):
     latent mean and log-variance processes; outputs are Gaussian with
     variance ``exp(g)``.  Inputs feed back: row n + 1 of X equals row n
     of Y, starting from the origin, which mirrors how return series are
-    paired for fitting.  The D paths of one component and process share
-    their inputs, so they share one growing factor (:class:`_LazyGpPath`).
+    paired for fitting.  On one-column inputs each (component, process)
+    path draws from the OU bridge on its two sorted neighbours
+    (:class:`_OuPath`, O(log k) per draw, the kernel's unjittered law);
+    on more columns the D paths of one component and process share their
+    inputs, so they share one growing dense factor (:class:`_LazyGpPath`,
+    O(k^2) per draw, with the factor's diagonal jitter).
 
     Raises
     ------
@@ -1365,8 +1444,12 @@ def simulate(config, n_points, n_dims, seed=0):
     assignments = rng.choice(C, size=n_points, p=weights)
     # a path draws once per observation of its component
     counts = np.bincount(assignments, minlength=C)
-    g_paths = [_LazyGpPath(noise_kernels[c], m_tilde[c], counts[c], n_dims) for c in range(C)]
-    f_paths = [_LazyGpPath(mean_kernels[c], np.zeros(n_dims), counts[c], n_dims) for c in range(C)]
+
+    def new_path(kernel, means, size):
+        return _OuPath(kernel, means) if n_dims == 1 else _LazyGpPath(kernel, means, size, n_dims)
+
+    g_paths = [new_path(noise_kernels[c], m_tilde[c], counts[c]) for c in range(C)]
+    f_paths = [new_path(mean_kernels[c], np.zeros(n_dims), counts[c]) for c in range(C)]
 
     X = np.zeros((n_points, n_dims))
     Y = np.empty((n_points, n_dims))
