@@ -31,6 +31,9 @@ __all__ = [
 
 GARCH = "garch"
 
+# returns in each rolling realized-variance estimate that forecasts are also scored against
+HIST_VOL_WINDOW = 10
+
 
 def horizon_set(horizons):
     """Forecast horizons as a sorted tuple of distinct integers, each at least 1."""
@@ -49,23 +52,21 @@ class BacktestConfig:
 
     ``model`` is either an MgpchConfig or the string ``"garch"``; the
     horizon set is stored sorted.  ``window`` counts returns in each
-    training window, ``hist_vol_window`` the returns in each rolling
-    realized-variance estimate.
+    training window, at least ``HIST_VOL_WINDOW``.
     """
 
     window: int = 120
     retrain_every: int = 7
     horizons: tuple = (1, 7, 30)
-    hist_vol_window: int = 10
     model: object = field(default_factory=MgpchConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "horizons", horizon_set(self.horizons))
-        for name in ("window", "retrain_every", "hist_vol_window"):
+        for name in ("window", "retrain_every"):
             _check_integer(name, getattr(self, name), 1)
-        if self.window < self.hist_vol_window:
+        if self.window < HIST_VOL_WINDOW:
             raise InvalidArgumentError(
-                f"window ({self.window}) must be >= hist_vol_window ({self.hist_vol_window})"
+                f"window ({self.window}) must be >= the historical-volatility window ({HIST_VOL_WINDOW})"
             )
         if not isinstance(self.model, MgpchConfig) and self.model != GARCH:
             raise InvalidArgumentError(
@@ -272,7 +273,7 @@ def run_volatility_backtest(series, config, forecaster_factory=None):
     """
     if forecaster_factory is None:
         forecaster_factory = _default_factory(config)
-    w = config.hist_vol_window
+    w = HIST_VOL_WINDOW
 
     def scorer(r):
         D = r.shape[1]

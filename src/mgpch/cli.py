@@ -21,6 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .backtest import (
+    HIST_VOL_WINDOW,
     BacktestConfig,
     horizon_set,
     run_covariance_backtest,
@@ -60,7 +61,6 @@ _BACKTEST_KEYS = {
     "window": int,
     "retrain_every": int,
     "horizons": [int],
-    "hist_vol_window": int,
     "model": str,
 }
 _SIMULATE_KEYS = {"n_points": int, "n_dims": int}
@@ -303,7 +303,7 @@ def _report_payload(report, config, kind):
         "horizons": list(report.horizons),
         "window": config.window,
         "retrain_every": config.retrain_every,
-        "hist_vol_window": config.hist_vol_window,
+        "hist_vol_window": HIST_VOL_WINDOW,
         "refit_days": list(report.refit_days),
         "n_forecasts": len(report.forecast_log),
     }

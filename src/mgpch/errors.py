@@ -38,20 +38,6 @@ class ModelStateError(MgpchError, RuntimeError):
     """An operation was called on a model in the wrong lifecycle state."""
 
 
-class GarchFitError(MgpchError, RuntimeError):
-    """GARCH maximum likelihood failed to converge.
-
-    Attributes
-    ----------
-    params : GarchParams or None
-        Best parameters found before the failure, if any.
-    """
-
-    def __init__(self, message, params=None):
-        super().__init__(message)
-        self.params = params
-
-
 class DegenerateMarginalsError(MgpchError, RuntimeError):
     """Marginal cdf values make the copula objective non-finite at the start."""
 

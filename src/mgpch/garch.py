@@ -1,25 +1,31 @@
 """Gaussian GARCH(1,1) baseline.
 
 Conditional variance recursion sigma2_t = omega + a r_{t-1}^2
-+ b sigma2_{t-1}, fitted by maximum likelihood under an unconstrained
-reparametrization (log omega, persistence a + b through a sigmoid, and
-the share of the persistence taken by a through a second sigmoid),
-which keeps omega > 0, a, b >= 0 and a + b < 1 without clipping.
++ b sigma2_{t-1}, fitted by maximum likelihood with L-BFGS-B inside a
+box (Byrd, Lu, Nocedal and Zhu 1995) over the returns divided by their
+sample standard deviation: log omega within a factor 1e12 of the sample
+variance, the persistence a + b in [0, 1 - 1e-6] and a's share of it in
+[0, 1].  Every box point keeps omega > 0, a, b >= 0 and a + b < 1, a
+face such as b = 0 is reached exactly, and every variance of the box
+lies between 1e-12 and about 1e18 whatever the scale of the returns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit
 
-from .errors import GarchFitError, InvalidArgumentError, _check_integer, _check_real
+from .errors import InvalidArgumentError, _check_integer, _check_real
 
 __all__ = ["GarchParams", "garch_fit", "garch_filter", "garch_forecast", "garch_log_likelihood"]
 
 LOG_2PI = np.log(2.0 * np.pi)
 
 _PERSISTENCE_CAP = 1.0 - 1e-6
+
+# L-BFGS-B's box over standardized returns: log(omega / sample variance),
+# the persistence a + b, and a's share of it
+_BOUNDS = [(-np.log(1e12), np.log(1e12)), (0.0, _PERSISTENCE_CAP), (0.0, 1.0)]
 
 MIN_FIT_LENGTH = 30
 
@@ -97,109 +103,90 @@ def garch_log_likelihood(params, returns):
     return -0.5 * float(np.sum(LOG_2PI + np.log(sigma2) + r**2 / sigma2))
 
 
-def _params_from_raw(raw, var_scale):
-    log_omega, p1, p2 = raw
-    persistence = _PERSISTENCE_CAP * expit(p1)
-    share = expit(p2)
-    omega = float(np.exp(log_omega) * var_scale)
-    return GarchParams(omega=omega, a=float(persistence * share), b=float(persistence * (1.0 - share)))
+def _params_from_box(x, var_scale):
+    """The parameters at a box point, with omega scaled back by the sample variance ``var_scale``."""
+    log_omega, persistence, share = x
+    return GarchParams(
+        omega=float(np.exp(log_omega) * var_scale), a=float(persistence * share), b=float(persistence * (1.0 - share))
+    )
 
 
-def _negative_log_likelihood(raw, r, var_scale):
-    """Minus the log likelihood at an unconstrained point, and its gradient there.
+def _negative_log_likelihood(x, z):
+    """Minus the log likelihood of standardized returns z at a box point x, and its gradient there.
 
     The derivatives d_t of sigma2_t in (omega, a, b) follow the variance
-    recursion, d_t = (1, r_{t-1}^2, sigma2_{t-1}) + b d_{t-1} from d_0 = 0,
-    as sigma2_0 is the fixed sample variance (Fiorentini, Calzolari and
-    Panattoni 1996), so one more linear filter gives the whole gradient.
-    A point outside the parameter domain, as an omega overflowed to inf,
-    or one whose likelihood or gradient overflows, scores inf with a zero
-    gradient.
+    recursion, d_t = (1, z_{t-1}^2, sigma2_{t-1}) + b d_{t-1} from d_0 = 0,
+    as sigma2_0 is the fixed sample variance, 1 for standardized returns
+    (Fiorentini, Calzolari and Panattoni 1996), so one more linear filter
+    gives the whole gradient.  On the box every variance lies between
+    1e-12 and about 1e18, so neither the value nor the gradient can
+    overflow and no point needs a guard.
     """
     from scipy.signal import lfilter  # imported late, as in garch_filter
 
-    try:
-        # an overflow raises here, before an inf can meet another inf or a zero;
-        # lfilter overflows silently, which the finiteness check below catches
-        with np.errstate(over="raise", invalid="raise"):
-            params = _params_from_raw(raw, var_scale)
-            # var_scale is the sample variance, garch_filter's first variance
-            sigma2 = _filter(params, r, var_scale)
-            r_sq = r**2
-            value = 0.5 * float(np.sum(LOG_2PI + np.log(sigma2) + r_sq / sigma2))
-            drive = np.array([np.ones(r.size - 1), r_sq[:-1], sigma2[:-1]])
-            d_sigma2 = lfilter([1.0], [1.0, -params.b], drive, axis=1)
-            # d(-loglik)/d sigma2_t for t >= 1; sigma2_0 does not move
-            slope = 0.5 * (1.0 - r_sq[1:] / sigma2[1:]) / sigma2[1:]
-            d_omega, d_a, d_b = d_sigma2 @ slope
-            # chained through the reparametrization: d omega / d log omega = omega,
-            # and the sigmoids give the persistence and a's share of it
-            active, share = expit(raw[1]), expit(raw[2])
-            persistence = _PERSISTENCE_CAP * active
-            grad = np.array([
-                params.omega * d_omega,
-                persistence * (1.0 - active) * (share * d_a + (1.0 - share) * d_b),
-                persistence * share * (1.0 - share) * (d_a - d_b),
-            ])
-    except (FloatingPointError, InvalidArgumentError):
-        return np.inf, np.zeros(3)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-        return np.inf, np.zeros(3)
+    params = _params_from_box(x, 1.0)
+    sigma2 = _filter(params, z, 1.0)
+    z_sq = z**2
+    value = 0.5 * float(np.sum(LOG_2PI + np.log(sigma2) + z_sq / sigma2))
+    drive = np.array([np.ones(z.size - 1), z_sq[:-1], sigma2[:-1]])
+    d_sigma2 = lfilter([1.0], [1.0, -params.b], drive, axis=1)
+    # d(-loglik)/d sigma2_t for t >= 1; sigma2_0 does not move
+    slope = 0.5 * (1.0 - z_sq[1:] / sigma2[1:]) / sigma2[1:]
+    d_omega, d_a, d_b = d_sigma2 @ slope
+    # d omega / d log omega = omega; a = persistence * share, b = persistence * (1 - share)
+    _, persistence, share = x
+    grad = np.array([params.omega * d_omega, share * d_a + (1.0 - share) * d_b, persistence * (d_a - d_b)])
     return value, grad
 
 
 def garch_fit(returns):
     """Maximum-likelihood GARCH(1,1) fit.
 
-    Runs L-BFGS from ``N_STARTS`` starting points, three fixed and the
-    rest drawn from ``START_SEED``, so a fit is deterministic.  Each step
-    takes the exact gradient of the log likelihood, whose derivatives in
-    (omega, a, b) follow the variance recursion and cost one more linear
-    filter pass, so the optimizer makes no difference probes.  The
-    no-dynamics point (a = b = 0 at the sample variance) is always
-    evaluated and is returned unless the dynamic fit beats it by more
-    than log(T) nats; on returns with no volatility clustering the
-    (a, b) direction is a flat likelihood ridge, and without that
-    comparison the optimizer parks at an arbitrary, spuriously
-    persistent point on it.
-
-    Raises
-    ------
-    GarchFitError
-        If no start produces a finite optimum; carries the best
-        parameters seen in its ``params`` attribute.
+    L-BFGS-B minimizes minus the log likelihood of the returns divided by
+    their sample standard deviation, inside the box of ``_BOUNDS``: log
+    omega in [-log 1e12, log 1e12] (omega in units of the sample
+    variance), the persistence a + b in [0, ``_PERSISTENCE_CAP``] and a's
+    share of it in [0, 1].  Every point of the box is a valid GARCH, so an
+    optimum on a face, as b = 0, is reached exactly, and the
+    standardization keeps every variance of the box between 1e-12 and
+    about 1e18 at any return scale, so the objective needs no overflow
+    guard.  It runs from ``N_STARTS`` starting points, three fixed and
+    the rest drawn from ``START_SEED``, so a fit is deterministic.  Each
+    step takes the exact gradient of the log likelihood, whose
+    derivatives in (omega, a, b) follow the variance recursion and cost
+    one more linear filter pass, so the optimizer makes no difference
+    probes.  The no-dynamics point (a = b = 0 at the sample variance) is
+    returned unless the dynamic fit beats it by more than log(T) nats; on
+    returns with no volatility clustering the (a, b) direction is a flat
+    likelihood ridge, and without that comparison the optimizer parks at
+    an arbitrary, spuriously persistent point on it.
     """
     r = _validate_returns(returns)
     var_scale = float(np.var(r))
+    z = r / np.sqrt(var_scale)
     rng = np.random.default_rng(START_SEED)
 
     starts = [
-        np.array([np.log(0.05), np.log(0.9 / 0.1), 0.0]),  # persistent, a = b share
-        np.array([np.log(0.2), 0.0, -1.0]),
-        np.array([np.log(1.0), -6.0, 0.0]),  # nearly constant variance
+        np.array([np.log(0.05), 0.9, 0.5]),  # persistent, a = b share
+        np.array([np.log(0.2), 0.5, 0.27]),
+        np.array([0.0, 0.0025, 0.5]),  # nearly constant variance
     ]
     for _ in range(N_STARTS - len(starts)):
-        starts.append(np.array([rng.normal(-2.0, 1.0), rng.normal(0.0, 2.0), rng.normal(0.0, 1.0)]))
+        starts.append(np.array([rng.normal(-2.0, 1.0), rng.uniform(0.0, _PERSISTENCE_CAP), rng.uniform()]))
 
-    best_raw, best_val = None, np.inf
-    for raw0 in starts:
-        result = minimize(_negative_log_likelihood, raw0, args=(r, var_scale), method="L-BFGS-B", jac=True)
-        if result.fun < best_val:
-            best_raw, best_val = result.x, float(result.fun)
-
-    # the exact no-dynamics baseline, kept as a floor
-    baseline = GarchParams(omega=var_scale, a=0.0, b=0.0)
-    baseline_ll = garch_log_likelihood(baseline, r)
-
-    if best_raw is None or not np.isfinite(best_val):
-        raise GarchFitError(
-            "no optimizer start converged to a finite likelihood", params=baseline
-        )
-    params = _params_from_raw(best_raw, var_scale)
+    best = min(
+        (
+            minimize(_negative_log_likelihood, x0, args=(z,), method="L-BFGS-B", jac=True, bounds=_BOUNDS)
+            for x0 in starts
+        ),
+        key=lambda result: result.fun,
+    )
+    # minus the log likelihood of the no-dynamics point, whose variance is 1 throughout
+    floor = 0.5 * float(np.sum(LOG_2PI + z**2))
     # BIC comparison: two extra parameters cost log(T) nats in total
-    if garch_log_likelihood(params, r) - baseline_ll <= np.log(r.size):
-        params = baseline
-    return params
+    if floor - best.fun <= np.log(r.size):
+        return GarchParams(omega=var_scale, a=0.0, b=0.0)
+    return _params_from_box(best.x, var_scale)
 
 
 def garch_forecast(params, last_r_sq, last_var, h):

@@ -622,6 +622,8 @@ def _resolve_m_tilde(m_tilde, Y, C):
             raise InvalidArgumentError("outputs with zero variance need an explicit m_tilde")
         return np.tile(np.log(var), (C, 1))
     arr = np.asarray(m_tilde, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"m_tilde must be finite, got {arr.tolist()}")
     if arr.ndim == 0:
         return np.full((C, D), float(arr))
     if arr.shape != (C, D):

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mgpch.backtest import (
+    HIST_VOL_WINDOW,
     BacktestConfig,
     historical_volatility,
     run_covariance_backtest,
@@ -214,7 +215,6 @@ class TestConfig:
         assert config.window == 120
         assert config.retrain_every == 7
         assert config.horizons == (1, 7, 30)
-        assert config.hist_vol_window == 10
         assert isinstance(config.model, MgpchConfig)
 
     def test_horizons_sorted_and_deduplicated(self):
@@ -228,7 +228,7 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError):
             BacktestConfig(retrain_every=0)
         with pytest.raises(InvalidArgumentError):
-            BacktestConfig(window=5, hist_vol_window=10)
+            BacktestConfig(window=HIST_VOL_WINDOW - 1)
         with pytest.raises(InvalidArgumentError):
             BacktestConfig(model="egarch")
 
@@ -240,7 +240,6 @@ class TestConfig:
             ("horizons", (1, "7")),
             ("window", 120.0),
             ("retrain_every", True),
-            ("hist_vol_window", "10"),
         ],
     )
     def test_counts_must_be_integers(self, name, value):
@@ -287,7 +286,7 @@ class TestVolatilityProtocol:
 
     def test_hist_vol_alignment_uses_window_ending_at_target(self):
         report = self.run_with_stub()
-        w = self.config.hist_vol_window
+        w = HIST_VOL_WINDOW
         rec = report.forecast_log[0]
         target = rec.origin + rec.horizon
         expected = float(np.var(self.r[target - w + 1 : target + 1, rec.asset]))

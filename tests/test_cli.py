@@ -298,10 +298,11 @@ class TestRunConfig:
         assert run_command(["backtest", "--config", config, "--out", str(tmp_path / "r.json")]) == 1
         assert "unknown config key(s): threads" in capsys.readouterr().err
 
-    def test_forecast_only_at_retrain_is_an_unknown_key(self, tmp_path, capsys):
-        config = write_config(tmp_path, {"backtest": {"forecast_only_at_retrain": True}})
+    @pytest.mark.parametrize("key, value", [("forecast_only_at_retrain", True), ("hist_vol_window", 10)])
+    def test_removed_backtest_settings_are_unknown_keys(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, {"backtest": {key: value}})
         assert run_command(["backtest", "--config", config, "--out", str(tmp_path / "r.json")]) == 1
-        assert "unknown backtest key(s): forecast_only_at_retrain" in capsys.readouterr().err
+        assert f"unknown backtest key(s): {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, payload, key",
@@ -321,6 +322,15 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {key} must be of type")
         assert len(err.strip().splitlines()) == 1
+
+    def test_a_nan_m_tilde_is_an_error_naming_it(self, tmp_path, capsys):
+        # Python's json reads the NaN literal, and simulate drew NaN variances from it
+        config = tmp_path / "run.json"
+        config.write_text('{"mgpch": {"m_tilde": NaN}}')
+        out = tmp_path / "prices.csv"
+        assert run_command(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "error: m_tilde must be finite, got nan"
+        assert not out.exists()
 
     def test_numbers_may_be_integers_and_m_tilde_nested_lists(self, tmp_path):
         payload = {"mgpch": {"tol": 0, "delta": 0, "m_tilde": [[-9, -8]], "max_iters": 1}}

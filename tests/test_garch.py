@@ -1,5 +1,6 @@
 """GARCH(1,1) filter, fit and forecasts."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -18,9 +19,10 @@ from mgpch.cli import run_command
 from mgpch.data_io import load_price_csv, to_log_returns
 from mgpch.errors import InvalidArgumentError
 from mgpch.garch import (
+    _BOUNDS,
     GarchParams,
     _negative_log_likelihood,
-    _params_from_raw,
+    _params_from_box,
     garch_filter,
     garch_fit,
     garch_forecast,
@@ -113,39 +115,65 @@ class TestForecast:
             garch_forecast(self.params, 1e-4, 1e-4, h)
 
 
+def standardized(r):
+    """The returns in units of their sample standard deviation, as ``garch_fit`` minimizes over them."""
+    return r / np.sqrt(float(np.var(r)))
+
+
 @st.composite
-def objective_points(draw):
-    """A return series of 30-200 days at a scale of 1e-3 to 1e-1, and an unconstrained point with |raw| <= 6."""
+def objective_points(draw, scales=(-3.0, -1.0), log_omega=(-6.0, 6.0), inset=2e-6):
+    """A return series of 30-200 days at a scale of 10**scales, and a box point.
+
+    The point's log omega lies in ``log_omega`` and its persistence and
+    share ``inset`` inside their faces.  a moves the variances on a scale
+    of about omega / max z^2, so a smaller omega needs a shorter
+    difference step than the gradient test's.
+    """
     n = draw(st.integers(30, 200))
-    scale = 10.0 ** draw(st.floats(-3.0, -1.0))
+    scale = 10.0 ** draw(st.floats(*scales))
     r = scale * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
-    raw = np.array(draw(st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3)))
-    return r, raw
+    ranges = [log_omega, *((lo + inset, hi - inset) for lo, hi in _BOUNDS[1:])]
+    return r, np.array([draw(st.floats(lo, hi, allow_subnormal=False)) for lo, hi in ranges])
+
+
+CORNERS = [np.array(corner) for corner in itertools.product(*_BOUNDS)]
 
 
 class TestObjective:
     @settings(max_examples=100, deadline=None)
     @given(objective_points())
     def test_gradient_matches_central_differences(self, case):
-        r, raw = case
-        var_scale = float(np.var(r))
-        value, grad = _negative_log_likelihood(raw, r, var_scale)
-        assert np.isfinite(value)
-        assert value == -garch_log_likelihood(_params_from_raw(raw, var_scale), r)
-        # fourth-order central differences, whose truncation error at h = 1e-3 is
-        # far below the tolerance
-        h, diff = 1e-3, np.empty(3)
+        r, x = case
+        z = standardized(r)
+        value, grad = _negative_log_likelihood(x, z)
+        # garch_log_likelihood starts from np.var(z), 1 up to rounding
+        assert_allclose(value, -garch_log_likelihood(_params_from_box(x, 1.0), z), rtol=1e-12)
+        # fourth-order central differences, whose truncation error at h = 1e-6 is
+        # far below the tolerance; the points lie 2h inside every face (at h = 1e-5
+        # it reached 5e-7 of the gradient at log omega = -6, and at h = 1e-4 2e-5
+        # at log omega = -5.7)
+        h, diff = 1e-6, np.empty(3)
         for i, step in enumerate(h * np.eye(3)):
-            f = [_negative_log_likelihood(raw + k * step, r, var_scale)[0] for k in (-2, -1, 1, 2)]
+            f = [_negative_log_likelihood(x + k * step, z)[0] for k in (-2, -1, 1, 2)]
             diff[i] = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-        assert np.max(np.abs(grad - diff)) <= 1e-7 * np.max(np.abs(grad))
+        # the quotients' rounding, about eps |value| / h, bounds their error near a stationary point
+        rounding = 10.0 * np.finfo(float).eps * abs(value) / h
+        assert np.max(np.abs(grad - diff)) <= 1e-7 * np.max(np.abs(grad)) + rounding
 
-    def test_an_omega_that_overflows_scores_inf_with_a_zero_gradient(self):
-        r = 0.01 * np.random.default_rng(2).standard_normal(60)
-        with warnings.catch_warnings():
+    @settings(max_examples=100, deadline=None)
+    @given(
+        objective_points(scales=(-8.0, 150.0), log_omega=_BOUNDS[0], inset=0.0),
+        st.sampled_from([None, *CORNERS]),
+    )
+    def test_value_and_gradient_are_finite_on_the_whole_box_at_any_scale(self, case, corner):
+        r, x = case
+        if corner is not None:
+            x = corner
+        # an underflow only rounds a tiny a or b toward 0, another point of the box
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
             warnings.simplefilter("error")
-            value, grad = _negative_log_likelihood(np.array([800.0, 0.0, 0.0]), r, float(np.var(r)))
-        assert value == np.inf and np.array_equal(grad, np.zeros(3))
+            value, grad = _negative_log_likelihood(x, standardized(r))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
 
 
 class TestFit:
@@ -177,10 +205,10 @@ class TestFit:
         r = 0.02 * rng.standard_normal(200)
         assert garch_fit(r) == garch_fit(r)
 
-    def test_a_probe_outside_the_parameter_domain_scores_inf(self, tmp_path):
-        # asset 1's window [98, 218) of the README CLI session's prices: L-BFGS-B
-        # from the fifth start probes log omega near 3274, where omega overflows
-        # to inf; the fit raised "omega must be positive" and warned of the overflow
+    def test_a_window_whose_unbounded_fit_overflowed_fits_inside_the_box(self, tmp_path):
+        # asset 1's window [98, 218) of the README CLI session's prices: L-BFGS
+        # over an unbounded log omega probed log omega near 3274, where omega
+        # overflows to inf; the box keeps every probe at a finite variance
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"simulate": {"n_dims": 2}}))
         prices = tmp_path / "prices.csv"
@@ -192,17 +220,31 @@ class TestFit:
         assert_allclose([params.omega, params.a], [0.5771, 0.8285], atol=1e-4)
         assert garch_log_likelihood(params, r) > garch_log_likelihood(GarchParams(float(np.var(r)), 0.0, 0.0), r)
 
+    @pytest.mark.parametrize("exponent", [-8, 0, 150])
+    def test_fits_are_scale_free_with_every_floating_point_error_raised(self, exponent):
+        r = simulate_garch(GarchParams(omega=1e-5, a=0.35, b=0.6), 120, seed=0)
+        r /= np.std(r)
+        reference = garch_fit(r)
+        scale = 10.0**exponent
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            params = garch_fit(scale * r)
+        assert_allclose(
+            [params.omega / scale**2, params.a, params.b], [reference.omega, reference.a, reference.b], rtol=1e-9
+        )
+
     def test_the_exact_gradient_at_least_halves_the_filter_passes(self, monkeypatch):
         # on this window, the fit with difference gradients ran the filter 538 times
         # (536 objective calls, then the floor comparison's two) to log likelihood
-        # 393.93121703729986; with the exact gradient it runs it 137 times, so a
-        # fallback to difference gradients fails here
+        # 393.93121703729986; with the exact gradient under a sigmoid reparametrization
+        # it ran it 137 times (135 objective calls), and inside the box it runs it 92
+        # times, so a fallback to difference gradients fails here
         r = simulate_garch(GarchParams(omega=1e-5, a=0.35, b=0.6), 120, seed=0)
         calls = []
-        run_filter = mgpch.garch.garch_filter
-        monkeypatch.setattr(mgpch.garch, "garch_filter", lambda *args: calls.append(args) or run_filter(*args))
+        run_filter = mgpch.garch._filter
+        monkeypatch.setattr(mgpch.garch, "_filter", lambda *args: calls.append(args) or run_filter(*args))
         params = garch_fit(r)
-        assert len(calls) <= 538 // 2
+        assert len(calls) <= 135
         assert params.a > 0.0 and garch_log_likelihood(params, r) >= 393.93121703729986 - 1e-6
 
     def test_validation(self):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mgpch.errors import IllConditionedError, InvalidArgumentError
+from mgpch.errors import DivergedFitError, IllConditionedError, InvalidArgumentError
 from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
 import mgpch.model as model_module
 from mgpch.model import (
@@ -199,6 +199,33 @@ class TestFit:
         with pytest.raises(InvalidArgumentError, match="^tol must be a finite number, got"):
             MgpchConfig(tol=value)
 
+    @pytest.mark.parametrize("m_tilde", [np.nan, np.inf, -np.inf, [[0.0], [np.nan]]])
+    @pytest.mark.parametrize("run", ["fit", "simulate"])
+    def test_non_finite_m_tilde_is_rejected(self, run, m_tilde):
+        # fit raised "free energy non-finite at initialization", and simulate drew NaN or inf variances
+        config = MgpchConfig(pyp=PypConfig(truncation=2), m_tilde=m_tilde)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgumentError, match="^m_tilde must be finite, got"):
+            if run == "fit":
+                fit(rng.standard_normal((10, 1)), rng.standard_normal((10, 1)), config)
+            else:
+                simulate(config, 10, 1, seed=0)
+
+    def test_a_non_finite_free_energy_after_an_update_names_it_and_the_sweep(self, monkeypatch):
+        X, Y, config = draining_fit_data(1)
+        energy = model_module.free_energy
+        calls = []
+
+        def failing(state, ctx):
+            # the initialization, the four updates of sweep 0, then sweep 1's noise and mean
+            calls.append(None)
+            return math.nan if len(calls) == 7 else energy(state, ctx)
+
+        monkeypatch.setattr(model_module, "free_energy", failing)
+        with pytest.raises(DivergedFitError, match="^free energy non-finite after mean$") as info:
+            fit(X, Y, config)
+        assert info.value.iteration == 1
+
     def test_numpy_integer_sweep_cap_and_seed_fit_as_python_ints(self):
         rng = np.random.default_rng(2)
         X, Y = rng.standard_normal((15, 1)), rng.standard_normal((15, 1))
@@ -371,6 +398,26 @@ class TestExtrapolation:
         assert failures and all("noise bound matrix" in f and "non-finite" in f for f in failures)
         assert model.free_energy_trace == trace
         assert_same_state(model.state, state)
+
+    def test_a_candidate_outside_the_mixture_domains_is_rejected_untouched(self, monkeypatch):
+        X, Y, config = draining_fit_data(1)
+        ctx = _make_context(X, Y, config)
+        state = _init_state(ctx)
+        points = [_primal_coordinates(state)]
+        for _ in range(2):
+            _sweep(state, ctx)
+            points.append(_primal_coordinates(state))
+        # log beta1 moves by 400 per sweep, so every candidate's beta1 = exp(>= 800) is inf
+        points[1][0][4][:] += 400.0
+        points[2][0][4][:] += 800.0
+        live = copy.deepcopy(state)
+        built = []
+        build = model_module._state_at
+        monkeypatch.setattr(model_module, "_state_at", lambda coords, ctx: built.append(build(coords, ctx)) or built[-1])
+        tries = model_module._EXTRAPOLATION_TRIES
+        assert _extrapolated_sweep(points, -math.inf, ctx, budget=tries + 1) == (None, None, tries)
+        assert built == [None] * tries
+        assert_same_state(state, live)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 7, 12])
     def test_max_iters_caps_sweeps_of_both_kinds(self, monkeypatch, k):
