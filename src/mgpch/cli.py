@@ -2,8 +2,11 @@
 
 Subcommands cover the full pipeline: ``simulate`` writes a synthetic
 price CSV plus a ground-truth file, ``fit`` trains a model on a price
-CSV, ``predict`` emits per-horizon variance forecasts from a model
-file, and ``backtest``/``cov-backtest`` run the rolling evaluation.
+CSV, ``predict`` writes the mixture's forecast from a model file under
+each requested horizon, and ``backtest``/``cov-backtest`` run the
+rolling evaluation.  The mixture forecasts one step ahead, so every
+horizon carries the same one-step moments; only the GARCH baseline's
+backtest advances its recursion to the horizon.
 
 Values come from an optional JSON run configuration (``--config``);
 command-line flags override it.  Every artifact is JSON with sorted

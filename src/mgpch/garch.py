@@ -65,7 +65,7 @@ def _validate_returns(returns):
         )
     if not np.all(np.isfinite(r)):
         raise InvalidArgumentError("returns must be finite")
-    if np.allclose(r, r[0]):
+    if np.all(r == r[0]):
         raise InvalidArgumentError("constant returns carry no volatility signal")
     return r
 

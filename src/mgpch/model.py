@@ -115,6 +115,7 @@ from .pyp import (
     expected_log_weights,
     expected_weights,
     stick_log_moments,
+    stick_weights,
     update_innovation_posterior,
     update_stick_posteriors,
 )
@@ -1280,10 +1281,9 @@ class _LazyGpPath:
     kernel matrix.  L is row-packed (row k at offset k(k+1)/2), so it
     grows in place and its leading rows are a contiguous prefix; the
     solves u of each output's centered values against L are the rows of a
-    (D, size) array.  A draw is one
-    :meth:`condition` at the input, then one :meth:`sample` per output.
-    The zero kernel gets no buffers and draws zeros.  The factor is that
-    of ``K + (ar1_jitter + 1e-12) I``, so the draws carry that diagonal.
+    (D, size) array.  A draw is one :meth:`condition` at the input, then
+    one :meth:`sample` per output.  The factor is that of
+    ``K + (ar1_jitter + 1e-12) I``, so the draws carry that diagonal.
     """
 
     def __init__(self, kernel, means, size, dim):
@@ -1291,16 +1291,12 @@ class _LazyGpPath:
         self.means = means
         self.jitter = ar1_jitter(kernel) + 1e-12
         self.k = 0  # points conditioned on so far
-        if isinstance(kernel, ZeroKernel):
-            size = 0
         self.points = np.empty((size, dim))
         self.packed = np.empty(size * (size + 1) // 2)
         self.u = np.empty((len(means), size))
 
     def condition(self, x):
         """Take input x into the history; each output's next :meth:`sample` draws at x."""
-        if isinstance(self.kernel, ZeroKernel):
-            return
         k = self.k
         k_self = self.kernel.marginal_variance + self.jitter
         # the solve w of the cross-covariances is the factor's new row, written in place
@@ -1319,8 +1315,6 @@ class _LazyGpPath:
 
     def sample(self, d, rng):
         """Draw output d at the input last conditioned on."""
-        if isinstance(self.kernel, ZeroKernel):
-            return 0.0
         mean = self.cond_means[d]
         value = mean + self.pivot * rng.standard_normal()
         # the new solve entry is the conditional residual over the pivot
@@ -1347,21 +1341,16 @@ class _OuPath:
     with variance 0, as does one whose ``dx log phi`` underflows to 0.  It
     factors nothing, so it draws the kernel's own law, without the diagonal
     jitter that :class:`_LazyGpPath` adds only to stabilize its factor.
-    The zero kernel keeps nothing and draws zeros.
     """
 
     def __init__(self, kernel, means):
-        self.kernel = kernel
         self.means = [float(m) for m in means]
         self.inputs = []
         self.values = [[] for _ in self.means]
-        if not isinstance(kernel, ZeroKernel):
-            self.s, self.log_phi = kernel.marginal_variance, math.log(kernel.phi)
+        self.s, self.log_phi = kernel.marginal_variance, math.log(kernel.phi)
 
     def condition(self, x):
         """Take input x into the history; each output's next :meth:`sample` draws at x."""
-        if isinstance(self.kernel, ZeroKernel):
-            return
         x, xs = float(x[0]), self.inputs
         i = self.slot = bisect.bisect_right(xs, x)
         s, log_phi = self.s, self.log_phi
@@ -1392,8 +1381,6 @@ class _OuPath:
 
     def sample(self, d, rng):
         """Draw output d at the input last conditioned on."""
-        if isinstance(self.kernel, ZeroKernel):
-            return 0.0
         value = self.cond_means[d] + self.sd * rng.standard_normal()
         self.values[d].insert(self.slot, value)
         return value
@@ -1412,7 +1399,9 @@ def simulate(config, n_points, n_dims, seed=0):
     (:class:`_OuPath`, O(log k) per draw, the kernel's unjittered law);
     on more columns the D paths of one component and process share their
     inputs, so they share one growing dense factor (:class:`_LazyGpPath`,
-    O(k^2) per draw, with the factor's diagonal jitter).
+    O(k^2) per draw, with the factor's diagonal jitter).  A zero mean
+    kernel gets no path: its component's mean is 0 and takes no random
+    numbers.
 
     Raises
     ------
@@ -1432,11 +1421,7 @@ def simulate(config, n_points, n_dims, seed=0):
 
     # tiny shapes can underflow the Gamma draw to exactly zero
     alpha = max(rng.gamma(config.pyp.eta1, 1.0 / config.pyp.eta2), 1e-300)
-    v = np.ones(C)
-    for c in range(C - 1):
-        v[c] = rng.beta(1.0 - delta, alpha + delta * (c + 1))
-    survival = np.concatenate([[1.0], np.cumprod(1.0 - v[:-1])])
-    weights = v * survival
+    weights = stick_weights([rng.beta(1.0 - delta, alpha + delta * (c + 1)) for c in range(C - 1)])
 
     mean_kernels = config.mean_kernels or (ZeroKernel(),) * C
     noise_kernels = config.noise_kernels or (Ar1Kernel(phi=0.5, sigma0_sq=0.75),) * C
@@ -1448,23 +1433,27 @@ def simulate(config, n_points, n_dims, seed=0):
     counts = np.bincount(assignments, minlength=C)
 
     def new_path(kernel, means, size):
+        if isinstance(kernel, ZeroKernel):
+            return None
         return _OuPath(kernel, means) if n_dims == 1 else _LazyGpPath(kernel, means, size, n_dims)
 
     g_paths = [new_path(noise_kernels[c], m_tilde[c], counts[c]) for c in range(C)]
     f_paths = [new_path(mean_kernels[c], np.zeros(n_dims), counts[c]) for c in range(C)]
 
-    X = np.zeros((n_points, n_dims))
     Y = np.empty((n_points, n_dims))
     variances = np.empty((n_points, n_dims))
-    for n in range(n_points):
-        g_path, f_path = g_paths[assignments[n]], f_paths[assignments[n]]
-        g_path.condition(X[n])
-        f_path.condition(X[n])
+    x = np.zeros(n_dims)
+    for c, var_row, y_row in zip(assignments, variances, Y):
+        g_path, f_path = g_paths[c], f_paths[c]
+        g_path.condition(x)
+        if f_path is not None:
+            f_path.condition(x)
         for d in range(n_dims):
             g = g_path.sample(d, rng)
-            f = f_path.sample(d, rng)
-            variances[n, d] = np.exp(g)
-            Y[n, d] = f + math.sqrt(variances[n, d]) * rng.standard_normal()
-        if n + 1 < n_points:
-            X[n + 1] = Y[n]
+            f = 0.0 if f_path is None else f_path.sample(d, rng)
+            # np.exp, not math.exp: the two differ in the last bit on a few percent of values
+            var_row[d] = variance = np.exp(g)
+            y_row[d] = f + math.sqrt(variance) * rng.standard_normal()
+        x = y_row
+    X = np.concatenate([np.zeros((1, n_dims)), Y[:-1]])
     return SimulationDraw(X, Y, variances, assignments.astype(int), weights)

@@ -28,6 +28,7 @@ __all__ = [
     "stick_log_moments",
     "expected_log_weights",
     "expected_weights",
+    "stick_weights",
 ]
 
 ROW_SUM_TOL = 1e-6
@@ -195,9 +196,13 @@ def expected_log_weights(sticks):
     return prefix + logv
 
 
-def expected_weights(sticks):
-    """Posterior mean mixture weights; sums to one by construction."""
-    v = sticks.beta1 / (sticks.beta1 + sticks.beta2)
-    v = np.concatenate([v, [1.0]])
+def stick_weights(fractions):
+    """Mixture weights of the C - 1 free stick fractions; the truncation pins the last one to one."""
+    v = np.concatenate([fractions, [1.0]])
     survival = np.concatenate([[1.0], np.cumprod(1.0 - v[:-1])])
     return v * survival
+
+
+def expected_weights(sticks):
+    """Posterior mean mixture weights; sums to one by construction."""
+    return stick_weights(sticks.beta1 / (sticks.beta1 + sticks.beta2))

@@ -19,13 +19,15 @@ means m = m_tilde + Lam t and the latent means mu that B fixes included;
 a model holds no N x N posterior covariance.  A FormatError naming the
 field rejects a data or primal array with a non-finite or non-numeric
 entry, a state array whose shape disagrees with the file's N, C and D, a
-non-positive stick or innovation parameter, and data, kernels, m_tilde
-or settings that :func:`mgpch.fit` would reject, so a loaded model needs
-no further check before its first forecast.  Kernels are zero or
-autoregressive, fixed for the whole fit.  Version 4 files differ only in
-also storing mu, which a load ignores.  Earlier versions (1 stored S and
-Sigma, 2 a hyperparameter-step cadence, 3 the means m) are not read;
-refit the model to write version 5.
+non-positive stick or innovation parameter, data, kernels, m_tilde or
+settings that :func:`mgpch.fit` would reject, and a pairwise copula whose
+pair, family, basis points, weights or lengthscale do not fit the
+model's inputs and outputs, so a loaded model needs no further check
+before its first forecast.  Kernels are zero or autoregressive, fixed
+for the whole fit.  Version 4 files differ only in also storing mu,
+which a load ignores.  Earlier versions (1 stored S and Sigma, 2 a
+hyperparameter-step cadence, 3 the means m) are not read; refit the
+model to write version 5.
 """
 
 import json
@@ -127,8 +129,8 @@ def _finite_array(value, name):
     return arr
 
 
-def _state_array(value, name, shape):
-    """A primal state array of the shape the file's N, C and D fix; forecasts index it unchecked."""
+def _shaped_array(value, name, shape):
+    """A finite array of the shape the file's other fields fix; forecasts index it unchecked."""
     arr = _finite_array(value, name)
     if arr.shape != shape:
         raise FormatError(f"field {name!r} has shape {arr.shape}, expected {shape}")
@@ -137,7 +139,7 @@ def _state_array(value, name, shape):
 
 def _posterior(cls, name, obj, shape):
     """The posterior ``cls`` of the file's field ``name``; its parameters have ``shape`` and, as in a fit, a scalar is a float."""
-    params = {f.name: _state_array(obj[f.name], f"{name}.{f.name}", shape).tolist() for f in fields(cls)}
+    params = {f.name: _shaped_array(obj[f.name], f"{name}.{f.name}", shape).tolist() for f in fields(cls)}
     try:
         return cls(**params)
     except InvalidArgumentError as exc:
@@ -147,8 +149,8 @@ def _posterior(cls, name, obj, shape):
 def _state_from_obj(obj, n, c, d):
     """The state of a file whose data and kernels give N = n observations, C = c components and D = d outputs."""
     return VariationalState(
-        R=_state_array(obj["R"], "R", (n, c)),
-        **{name: _state_array(obj[name], name, (c, d, n)) for name in ("t", "Q", "B")},
+        R=_shaped_array(obj["R"], "R", (n, c)),
+        **{name: _shaped_array(obj[name], name, (c, d, n)) for name in ("t", "Q", "B")},
         sticks=_posterior(StickPosterior, "sticks", obj["sticks"], (c - 1,)),
         innovation=_posterior(InnovationPosterior, "innovation", obj["innovation"], ()),
     )
@@ -164,15 +166,30 @@ def _copula_to_obj(pair, pairmodel):
     }
 
 
-def _copula_from_obj(obj):
-    pair = tuple(int(i) for i in obj["pair"])
-    model = PairwiseCopulaModel(
-        family=family_from_name(obj["family"]),
-        basis_points=np.asarray(obj["basis_points"]),
-        w=np.asarray(obj["w"]),
-        lengthscale=obj["lengthscale"],
-    )
-    return pair, model
+def _copula_from_obj(obj, k, p, d):
+    """Entry k of the file's pairwise copulas, for a model of p input columns and d outputs."""
+    name = f"pairwise_copulas[{k}]"
+    pair = obj["pair"]
+    # a saved file holds JSON integers here; a bool or a float is no index
+    if not (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(type(i) is int and 0 <= i < d for i in pair)
+        and pair[0] != pair[1]
+    ):
+        raise FormatError(f"field '{name}.pair' must hold two distinct output indices in [0, {d}), got {pair!r}")
+    try:
+        family = family_from_name(obj["family"])
+    except InvalidArgumentError as exc:
+        raise FormatError(f"field '{name}.family': {exc}") from exc
+    basis = _finite_array(obj["basis_points"], f"{name}.basis_points")
+    if basis.ndim != 2 or basis.shape[0] < 1 or basis.shape[1] != p:
+        raise FormatError(f"field '{name}.basis_points' has shape {basis.shape}, expected (I, {p}) with I >= 1")
+    w = _shaped_array(obj["w"], f"{name}.w", basis.shape[:1])
+    lengthscale = float(_shaped_array(obj["lengthscale"], f"{name}.lengthscale", ()))
+    if not lengthscale > 0.0:
+        raise FormatError(f"field '{name}.lengthscale' must be positive, got {lengthscale}")
+    return tuple(pair), PairwiseCopulaModel(family=family, basis_points=basis, w=w, lengthscale=lengthscale)
 
 
 def _unfitted_model(payload):
@@ -232,11 +249,11 @@ def load_model(path):
         )
     try:
         model = _unfitted_model(payload)
-        n, d = model.Y.shape
+        (n, p), d = model.X.shape, model.Y.shape[1]
         model.state = _state_from_obj(payload["state"], n, model.config.pyp.truncation, d)
         model.free_energy_trace = list(payload["free_energy_trace"])
         model.trace_labels = list(payload["trace_labels"])
-        pairwise = dict(_copula_from_obj(obj) for obj in payload["pairwise_copulas"])
+        pairwise = dict(_copula_from_obj(obj, k, p, d) for k, obj in enumerate(payload["pairwise_copulas"]))
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from exc
     return model, pairwise

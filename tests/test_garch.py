@@ -220,18 +220,20 @@ class TestFit:
         assert_allclose([params.omega, params.a], [0.5771, 0.8285], atol=1e-4)
         assert garch_log_likelihood(params, r) > garch_log_likelihood(GarchParams(float(np.var(r)), 0.0, 0.0), r)
 
-    @pytest.mark.parametrize("exponent", [-8, 0, 150])
+    @pytest.mark.parametrize("exponent", [-12, -10, -9, -8, 0, 150])
     def test_fits_are_scale_free_with_every_floating_point_error_raised(self, exponent):
-        r = simulate_garch(GarchParams(omega=1e-5, a=0.35, b=0.6), 120, seed=0)
-        r /= np.std(r)
-        reference = garch_fit(r)
+        # below 1e-8, an absolute tolerance on the constancy check rejected both series as constant
+        dynamic = simulate_garch(GarchParams(omega=1e-5, a=0.35, b=0.6), 120, seed=0)
+        dynamic /= np.std(dynamic)
         scale = 10.0**exponent
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            params = garch_fit(scale * r)
-        assert_allclose(
-            [params.omega / scale**2, params.a, params.b], [reference.omega, reference.a, reference.b], rtol=1e-9
-        )
+        for r in (dynamic, np.random.default_rng(0).standard_normal(120)):
+            reference = garch_fit(r)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                params = garch_fit(scale * r)
+            assert_allclose(
+                [params.omega / scale**2, params.a, params.b], [reference.omega, reference.a, reference.b], rtol=1e-12
+            )
 
     def test_the_exact_gradient_at_least_halves_the_filter_passes(self, monkeypatch):
         # on this window, the fit with difference gradients ran the filter 538 times
@@ -248,8 +250,10 @@ class TestFit:
         assert params.a > 0.0 and garch_log_likelihood(params, r) >= 393.93121703729986 - 1e-6
 
     def test_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            garch_fit(np.ones(50))
+        # np.var of 120 copies of 0.1 is 1.9e-34, not 0: only exact equality sees them as constant
+        for constant in (np.ones(50), np.full(120, 0.1), np.full(120, 1e-12)):
+            with pytest.raises(InvalidArgumentError, match="constant returns"):
+                garch_fit(constant)
         with pytest.raises(InvalidArgumentError):
             garch_fit(0.01 * np.arange(29))  # below the fitting minimum
         with pytest.raises(InvalidArgumentError):

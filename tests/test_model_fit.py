@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mgpch.errors import DivergedFitError, IllConditionedError, InvalidArgumentError
-from mgpch.kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix
+from mgpch.kernels import Ar1Kernel, ar1_jitter, design_matrix
 import mgpch.model as model_module
 from mgpch.model import (
     MgpchConfig,
@@ -542,6 +542,12 @@ def exact_conditional(kernel, mean, x, history):
         return mean + (weights.T * centered)[0], s - (weights.T * k_star)[0]
 
 
+AR1_MEAN = MgpchConfig(
+    pyp=PypConfig(truncation=2), mean_kernels=(Ar1Kernel(phi=0.7, sigma0_sq=0.3),) * 2, m_tilde=np.log(1e-2)
+)
+ZERO_MEAN = MgpchConfig(pyp=PypConfig(truncation=3), m_tilde=np.log(1e-4))
+
+
 class TestSimulate:
     @settings(max_examples=100, deadline=None)
     @given(ou_histories())
@@ -582,12 +588,6 @@ class TestSimulate:
                         assert abs(path.cond_means[d] - mean) <= 1e-10 * (abs(m) + np.max(np.abs(centered)))
                 drawn[x] = [path.sample(d, rng) for d in range(len(means))]
 
-    def test_scalar_zero_kernel_path_draws_zeros_without_random_calls(self):
-        path = _OuPath(ZeroKernel(), [0.0])
-        for x in (0.5, -0.1, 0.5):
-            path.condition(np.array([x]))
-            assert path.sample(0, _FixedNormals([])) == 0.0
-
     def test_scalar_draws_keep_no_quadratic_buffer_and_take_linear_time(self):
         simulate(MgpchConfig(), 100, 1, seed=0)  # the first call pays one-time costs
         tracemalloc.start()
@@ -612,17 +612,25 @@ class TestSimulate:
         assert seconds[2000] < 10.0 * seconds[400]
         assert seconds[10_000] < 10.0 * seconds[2000]
 
-    def test_multi_column_draws_keep_their_bits(self):
-        # recorded from the dense sampler before scalar inputs got their own path
-        config = MgpchConfig(
-            pyp=PypConfig(truncation=2), mean_kernels=(Ar1Kernel(phi=0.7, sigma0_sq=0.3),) * 2, m_tilde=np.log(1e-2)
-        )
-        draw = simulate(config, 40, 2, seed=5)
-        assert np.bincount(draw.assignments).tolist() == [15, 25]
+    @pytest.mark.parametrize(
+        "config, n_points, n_dims, seed, counts, expected",
+        [
+            # recorded from the dense sampler before scalar inputs got their own path
+            (AR1_MEAN, 40, 2, 5, [15, 25], "517e65c90e151cd5442637ebeb105ea1ae0297838eee4b7ec5632271e4d4537c"),
+            # recorded while a zero mean kernel still had a path object, so these hold
+            # only if a zero mean still draws zeros and takes no random numbers
+            (ZERO_MEAN, 300, 1, 0, [239, 0, 61], "9f362574aa0c38bdf857f37fa5439b2a9343df15a8a674971004407a0d1854d6"),
+            (ZERO_MEAN, 200, 2, 1, [132, 8, 60], "3616e93de9def40576c5d84cd07037c0dcbb14cde37bf6b2b393815e2afb39af"),
+        ],
+        ids=["ar1-mean-2-columns", "zero-mean-1-column", "zero-mean-2-columns"],
+    )
+    def test_draws_keep_their_bits(self, config, n_points, n_dims, seed, counts, expected):
+        draw = simulate(config, n_points, n_dims, seed=seed)
+        assert np.bincount(draw.assignments, minlength=config.pyp.truncation).tolist() == counts
         digest = hashlib.sha256()
         for a in (draw.X, draw.Y, draw.variances):
             digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        assert digest.hexdigest() == "517e65c90e151cd5442637ebeb105ea1ae0297838eee4b7ec5632271e4d4537c"
+        assert digest.hexdigest() == expected
 
     def test_path_draws_are_the_dense_gp_conditional_on_their_history(self):
         kernel = Ar1Kernel(phi=0.6, sigma0_sq=0.5)

@@ -320,15 +320,60 @@ class TestSchema:
         with pytest.raises(FormatError, match=f"^{name} must be an integer >= 0"):
             load_model(path)
 
-    @pytest.mark.parametrize("lengthscale", [0.0, -1.0, float("nan")])
-    def test_non_positive_copula_lengthscale_is_rejected(self, fitted, tmp_path, lengthscale):
+    @pytest.mark.parametrize(
+        "lengthscale, message",
+        [(0.0, "must be positive"), (-1.0, "must be positive"), (float("nan"), "holds non-finite values")],
+        ids=["0.0", "-1.0", "nan"],
+    )
+    def test_non_positive_copula_lengthscale_is_rejected(self, fitted, tmp_path, lengthscale, message):
         model, copulas = fitted
         path = tmp_path / "x.json"
         save_model(path, model, pairwise=copulas)
         payload = json.loads(path.read_text())
         payload["pairwise_copulas"][0]["lengthscale"] = lengthscale
         path.write_text(json.dumps(payload))
-        with pytest.raises(InvalidArgumentError, match="lengthscale must be positive"):
+        with pytest.raises(FormatError, match=re.escape(f"field 'pairwise_copulas[0].lengthscale' ") + message):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda entry: entry.__setitem__("lengthscale", "2.0"), "'pairwise_copulas[0].lengthscale' is not a numeric array"),
+            (lambda entry: entry.__setitem__("lengthscale", None), "'pairwise_copulas[0].lengthscale' is not a numeric array"),
+            (lambda entry: entry["w"].__setitem__(0, "1.0"), "'pairwise_copulas[0].w' is not a numeric array"),
+            (lambda entry: entry["w"].pop(), "'pairwise_copulas[0].w' has shape"),
+            (lambda entry: entry.__setitem__("pair", ["x", 1]), "'pairwise_copulas[0].pair' must hold two distinct output indices in [0, 2)"),
+            (lambda entry: entry.__setitem__("pair", [0, 5]), "'pairwise_copulas[0].pair' must hold two distinct output indices in [0, 2)"),
+            (lambda entry: entry.__setitem__("pair", [1, 1]), "'pairwise_copulas[0].pair' must hold two distinct"),
+            (lambda entry: entry.__setitem__("pair", [0, True]), "'pairwise_copulas[0].pair' must hold two distinct"),
+            (lambda entry: entry.__setitem__("pair", [0]), "'pairwise_copulas[0].pair' must hold two distinct"),
+            (lambda entry: [point.append(0.0) for point in entry["basis_points"]], "'pairwise_copulas[0].basis_points' has shape"),
+            (lambda entry: entry.__setitem__("basis_points", []), "'pairwise_copulas[0].basis_points' has shape (0,)"),
+            (lambda entry: entry.__setitem__("family", "normal"), "'pairwise_copulas[0].family': unknown copula family"),
+        ],
+        ids=[
+            "string-lengthscale",
+            "null-lengthscale",
+            "string-w",
+            "w-one-entry-short",
+            "string-in-pair",
+            "pair-out-of-range",
+            "pair-not-distinct",
+            "bool-in-pair",
+            "pair-one-index",
+            "basis-points-one-column-long",
+            "no-basis-points",
+            "unknown-family",
+        ],
+    )
+    def test_copula_of_the_wrong_form_is_a_format_error_naming_the_field(self, fitted, tmp_path, corrupt, message):
+        model, copulas = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model, pairwise=copulas)
+        payload = json.loads(path.read_text())
+        corrupt(payload["pairwise_copulas"][0])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
 
     def test_missing_field_is_a_format_error(self, fitted, tmp_path):
