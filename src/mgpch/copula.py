@@ -9,6 +9,9 @@ under the fitted predictive marginals.  Predictive covariance follows
 from integrating C(F_i, F_j) - F_i F_j over the two marginals by
 Gauss-Legendre quadrature; the parts of each rule that do not depend on
 the copula parameter are built once per process and shared read-only.
+Each forecast evaluates the cdf from the node cdfs as two vectors: the
+terms of one argument are taken once per node, and only the terms that
+combine two nodes once per point of the grid.
 """
 
 import functools
@@ -154,9 +157,12 @@ def _frank_log_terms(th, log_g1, u, v):
     ``1 + r`` cancels for large positive th, where r tends to -1.  So r is
     taken through ``log|r|``, a sum of :func:`_log_abs_expm1` terms grouped
     so that both parts are <= 0 for th > 0; there ``1 + r = 1 - e^log|r|``,
-    and for th < 0, where r > 0, ``1 + r = 1 + e^log|r|``.
+    and for th < 0, where r > 0, ``1 + r = 1 + e^log|r|``.  A single th
+    takes one of the two for every point, with no masks.
     """
     log_r = (_log_abs_expm1(-th * u) - log_g1) + _log_abs_expm1(-th * v)
+    if np.ndim(th) == 0:
+        return _log1mexp(log_r) if th > 0.0 else np.logaddexp(0.0, log_r)
     pos = np.broadcast_to(th > 0.0, log_r.shape)
     log1p_r = np.empty_like(log_r)
     log1p_r[pos] = _log1mexp(log_r[pos])
@@ -164,32 +170,56 @@ def _frank_log_terms(th, log_g1, u, v):
     return log1p_r
 
 
-def _interior_cdf(family, theta, U, V):
-    """Family cdf on strictly interior arguments; theta may be an array."""
+def _interior_cdf(family, theta, u, v):
+    """Family cdf on strictly interior arguments; theta broadcasts into the shape of u and v.
+
+    Each term of one argument (``log u``, ``-theta log u``, Frank's
+    ``log|e^-theta u - 1|``) is taken on that argument's own shape, and
+    the two broadcast only where they combine.  So node vectors
+    ``u = F[:, None]`` and ``v = F[None, :]`` cost those terms once per
+    node, and only the combining terms once per grid point.  Clayton and
+    Gumbel use their exchangeable form: with a and b the two arguments'
+    terms and ``M = max(a, b)``, the term of the larger argument in the
+    usual rearrangement is exactly ``exp(0) = 1`` or ``1.0**theta = 1``,
+    so leaving it out changes no bit.  Dividing by ``-theta`` in place
+    gives the bits of negating first, since rounding is sign-symmetric.
+    """
+    theta = np.asarray(theta, dtype=float)
     if isinstance(family, Frank):
-        # on theta's own shape, so one theta for every node (predictive_covariance) costs one log|e^-th - 1|
-        theta = np.asarray(theta, dtype=float)
         live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
         th = np.where(live, theta, FRANK_INDEPENDENCE_BAND)
-        return np.where(live, -_frank_log_terms(th, _log_abs_expm1(-th), U, V) / th, U * V)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), U.shape)
+        c = _frank_log_terms(th, _log_abs_expm1(-th), u, v)
+        c /= -th
+        # inside the band the copula is independence
+        return c if np.all(live) else np.where(live, c, u * v)
     if isinstance(family, Clayton):
-        a = -theta * np.log(U)
-        b = -theta * np.log(V)
+        a = -theta * np.log(u)
+        b = -theta * np.log(v)
         M = np.maximum(a, b)
-        inner = np.exp(a - M) + np.exp(b - M) - np.exp(-M)
-        return np.exp(-(M + np.log(inner)) / theta)
-    tu = -np.log(U)
-    tv = -np.log(V)
-    out = U * V
-    live = theta > 1.0
-    if np.any(live):
-        th = theta[live]
-        a, b = tu[live], tv[live]
-        M = np.maximum(a, b)
-        inner = (a / M) ** th + (b / M) ** th
-        out[live] = np.exp(-M * inner ** (1.0 / th))
-    return out
+        # exp(a - M) + exp(b - M) - exp(-M), one of whose first two terms is exp(0)
+        inner = np.exp(np.minimum(a, b) - M)
+        inner += 1.0
+        inner -= np.exp(-M)
+        log_c = np.log(inner, out=inner)
+        log_c += M
+        log_c /= -theta
+        return np.exp(log_c, out=log_c)
+    a = -np.log(u)
+    b = -np.log(v)
+    M = np.maximum(a, b)
+    # (a / M)**theta + (b / M)**theta, one of whose terms is 1.0**theta.
+    # The exponents take the grid's full shape: given one exponent of 2,
+    # 0.5 or -1, numpy's power swaps in square, sqrt or reciprocal, whose
+    # bits differ from pow's
+    inner = np.minimum(a, b)
+    inner /= M
+    np.power(inner, np.full(M.shape, theta), out=inner)
+    inner += 1.0
+    A = np.power(inner, np.full(M.shape, 1.0 / theta), out=inner)
+    A *= M
+    c = np.exp(np.negative(A, out=A), out=A)
+    # theta = 1 is independence, where uv is the exact value
+    return c if np.all(theta > 1.0) else np.where(theta > 1.0, c, u * v)
 
 
 def _cdf_arrays(family, theta, U, V):
@@ -386,18 +416,17 @@ def train_pairwise(pair, mgpch, data, family):
 
 @functools.cache
 def _quadrature_rule(nodes):
-    """Weights, grids ``U[k, l] = F[k]`` and ``V[k, l] = F[l]`` of the node cdfs ``F = ndtr(8 t)`` in (0, 1), and ``U V``.
+    """Weights, node cdfs ``F = ndtr(8 t)`` in (0, 1) as an (n,) vector, and the grid ``UV[k, l] = F[k] F[l]``.
 
     Built on the first call for each node count, contiguous and read-only,
     since every caller in the process shares the same arrays.
     """
     t, wq = np.polynomial.legendre.leggauss(nodes)
     F = ndtr(QUADRATURE_SPAN * t)
-    U, V = (np.ascontiguousarray(g) for g in np.broadcast_arrays(F[:, None], F[None, :]))
-    UV = U * V
-    for a in (wq, U, V, UV):
+    UV = F[:, None] * F[None, :]
+    for a in (wq, F, UV):
         a.flags.writeable = False
-    return wq, U, V, UV
+    return wq, F, UV
 
 
 def predictive_covariance(pairmodel, moments, pair, xstar):
@@ -408,8 +437,10 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     count is doubled once as a convergence check and a warning is
     attached when the two estimates disagree.  The rules are built once
     per process, so a call evaluates only the copula cdf at the nodes
-    and the weighted sum.  The result is clipped to the Cauchy-Schwarz
-    bound ``+/- sqrt(v_i v_j)``.
+    and the weighted sum.  The cdf takes its per-node terms (``log F``,
+    ``-theta log F``, Frank's ``log|e^-theta F - 1|``) once per node, and
+    only the terms that combine two nodes once per grid point.  The result
+    is clipped to the Cauchy-Schwarz bound ``+/- sqrt(v_i v_j)``.
     """
     i, j = pair
     mean = np.asarray(moments.mean, dtype=float)
@@ -423,10 +454,11 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     positive = isinstance(pairmodel.family, (Clayton, Gumbel))
 
     def estimate(nodes):
-        wq, U, V, UV = _quadrature_rule(nodes)
-        gap = _interior_cdf(pairmodel.family, theta, U, V) - UV
+        wq, F, UV = _quadrature_rule(nodes)
+        gap = _interior_cdf(pairmodel.family, theta, F[:, None], F[None, :])
+        gap -= UV
         if positive:
-            gap = np.maximum(gap, 0.0)
+            np.maximum(gap, 0.0, out=gap)
         return scale * float(wq @ gap @ wq)
 
     coarse = estimate(QUADRATURE_NODES)

@@ -19,8 +19,9 @@ means m = m_tilde + Lam t and the latent means mu that B fixes included;
 a model holds no N x N posterior covariance.  A FormatError naming the
 field rejects a data or primal array with a non-finite or non-numeric
 entry, a state array whose shape disagrees with the file's N, C and D, a
-non-positive stick or innovation parameter, data, kernels, m_tilde or
-settings that :func:`mgpch.fit` would reject, and a pairwise copula whose
+non-positive stick or innovation parameter, a field of another JSON type
+where an object or an array belongs, data, kernels, m_tilde or settings
+that :func:`mgpch.fit` would reject, and a pairwise copula whose
 pair, family, basis points, weights or lengthscale do not fit the
 model's inputs and outputs, so a loaded model needs no further check
 before its first forecast.  Kernels are zero or autoregressive, fixed
@@ -46,6 +47,8 @@ __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSI
 FORMAT_NAME = "mgpch-model"
 FORMAT_VERSION = 5
 _KERNEL_FIELDS = ("mean_kernels", "noise_kernels")
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "a number",
+               float: "a number", type(None): "null"}
 
 
 def dump_json(obj, path, compact=False):
@@ -68,13 +71,29 @@ def _kernel_to_obj(kernel):
     raise InvalidArgumentError(f"cannot serialize kernel {kernel!r}")
 
 
-def _kernel_from_obj(obj):
-    kind = obj.get("kind")
+def _field(value, name, kind):
+    """The file's field ``name``, which must be a JSON object (``kind`` dict) or array (``kind`` list)."""
+    if not isinstance(value, kind):
+        raise FormatError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {_JSON_TYPES[type(value)]}")
+    return value
+
+
+def _kernel_from_obj(obj, name):
+    kind = _field(obj, name, dict).get("kind")
     if kind == "zero":
         return ZeroKernel()
     if kind == "ar1":
-        return Ar1Kernel(phi=obj["phi"], sigma0_sq=obj["sigma0_sq"])
-    raise FormatError(f"unknown kernel kind {kind!r}")
+        params = {p: float(_shaped_array(obj[p], f"{name}.{p}", ())) for p in ("phi", "sigma0_sq")}
+        try:
+            return Ar1Kernel(**params)
+        except InvalidArgumentError as exc:
+            raise FormatError(f"field {name!r}: {exc}") from exc
+    raise FormatError(f"field '{name}.kind': unknown kernel kind {kind!r}")
+
+
+def _kernels_from_obj(value, name):
+    """The kernel list ``name`` of the file, one kernel per output."""
+    return tuple(_kernel_from_obj(k, f"{name}[{i}]") for i, k in enumerate(_field(value, name, list)))
 
 
 def _config_to_obj(config):
@@ -91,10 +110,11 @@ def _config_to_obj(config):
 
 def _config_from_obj(obj):
     kwargs = {f.name: obj[f.name] for f in fields(MgpchConfig)}
-    kwargs["pyp"] = PypConfig(**obj["pyp"])
+    pyp = _field(obj["pyp"], "config.pyp", dict)
+    kwargs["pyp"] = PypConfig(**{f.name: pyp[f.name] for f in fields(PypConfig)})
     for name in _KERNEL_FIELDS:
         if kwargs[name] is not None:
-            kwargs[name] = tuple(_kernel_from_obj(k) for k in kwargs[name])
+            kwargs[name] = _kernels_from_obj(kwargs[name], f"config.{name}")
     if kwargs["m_tilde"] is not None:
         kwargs["m_tilde"] = np.asarray(kwargs["m_tilde"])
     return MgpchConfig(**kwargs)
@@ -139,6 +159,7 @@ def _shaped_array(value, name, shape):
 
 def _posterior(cls, name, obj, shape):
     """The posterior ``cls`` of the file's field ``name``; its parameters have ``shape`` and, as in a fit, a scalar is a float."""
+    obj = _field(obj, name, dict)
     params = {f.name: _shaped_array(obj[f.name], f"{name}.{f.name}", shape).tolist() for f in fields(cls)}
     try:
         return cls(**params)
@@ -148,6 +169,7 @@ def _posterior(cls, name, obj, shape):
 
 def _state_from_obj(obj, n, c, d):
     """The state of a file whose data and kernels give N = n observations, C = c components and D = d outputs."""
+    obj = _field(obj, "state", dict)
     return VariationalState(
         R=_shaped_array(obj["R"], "R", (n, c)),
         **{name: _shaped_array(obj[name], name, (c, d, n)) for name in ("t", "Q", "B")},
@@ -169,7 +191,7 @@ def _copula_to_obj(pair, pairmodel):
 def _copula_from_obj(obj, k, p, d):
     """Entry k of the file's pairwise copulas, for a model of p input columns and d outputs."""
     name = f"pairwise_copulas[{k}]"
-    pair = obj["pair"]
+    pair = _field(obj, name, dict)["pair"]
     # a saved file holds JSON integers here; a bool or a float is no index
     if not (
         isinstance(pair, list)
@@ -195,9 +217,9 @@ def _copula_from_obj(obj, k, p, d):
 def _unfitted_model(payload):
     """The unfitted model of the file's config, data, kernels and m_tilde, checked as :func:`mgpch.fit` checks them."""
     X, Y, m_tilde = (_finite_array(payload[name], name) for name in ("X", "Y", "m_tilde"))
-    kernels = {name: tuple(_kernel_from_obj(k) for k in payload[name]) for name in _KERNEL_FIELDS}
+    kernels = {name: _kernels_from_obj(payload[name], name) for name in _KERNEL_FIELDS}
     try:
-        config = _config_from_obj(payload["config"])
+        config = _config_from_obj(_field(payload["config"], "config", dict))
         model = _make_context(*_validate_data(X, Y), replace(config, m_tilde=m_tilde, **kernels))
     except InvalidArgumentError as exc:
         raise FormatError(str(exc)) from exc
@@ -251,9 +273,10 @@ def load_model(path):
         model = _unfitted_model(payload)
         (n, p), d = model.X.shape, model.Y.shape[1]
         model.state = _state_from_obj(payload["state"], n, model.config.pyp.truncation, d)
-        model.free_energy_trace = list(payload["free_energy_trace"])
-        model.trace_labels = list(payload["trace_labels"])
-        pairwise = dict(_copula_from_obj(obj, k, p, d) for k, obj in enumerate(payload["pairwise_copulas"]))
+        model.free_energy_trace = list(_field(payload["free_energy_trace"], "free_energy_trace", list))
+        model.trace_labels = list(_field(payload["trace_labels"], "trace_labels", list))
+        copulas = _field(payload["pairwise_copulas"], "pairwise_copulas", list)
+        pairwise = dict(_copula_from_obj(obj, k, p, d) for k, obj in enumerate(copulas))
     except KeyError as exc:
         raise FormatError(f"missing field {exc.args[0]!r}") from exc
     return model, pairwise

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 import mgpch.copula as copula_module
 from mgpch.errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
@@ -25,10 +27,11 @@ from mgpch.copula import (
     predictive_covariance,
     train_pairwise,
 )
-from mgpch.copula import QUADRATURE_NODES, QUADRATURE_SPAN, _cdf_arrays, _log_density_arrays, _quadrature_rule
+from mgpch.copula import QUADRATURE_NODES, _cdf_arrays, _log_density_arrays, _quadrature_rule
 from mgpch.kernels import Ar1Kernel
 from mgpch.model import MgpchConfig, PredictiveMoments, fit
 from mgpch.pyp import PypConfig
+from oracles import grid_cdf, grid_covariance, per_node_frank_cdf
 
 FAMILY_THETAS = [(Clayton(), 0.5), (Clayton(), 3.0), (Frank(), 5.0), (Frank(), -6.0),
                  (Gumbel(), 1.5), (Gumbel(), 4.0)]
@@ -138,22 +141,6 @@ class TestCdf:
 FRANK_GRID = np.array([1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6])
 
 
-def per_node_frank_cdf(theta, U, V):
-    """The Frank cdf with log|e^-theta - 1| taken at every node and both branches of log(1 - e^x) formed."""
-
-    def log1mexp(x):
-        with np.errstate(divide="ignore"):
-            return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
-
-    def log_abs_expm1(y):
-        return np.maximum(y, 0.0) + log1mexp(-np.abs(y))
-
-    th = np.full(U.shape, theta)
-    log_r = (log_abs_expm1(-th * U) - log_abs_expm1(-th)) + log_abs_expm1(-th * V)
-    log1p_r = log1mexp(log_r) if theta > 0.0 else np.logaddexp(0.0, log_r)
-    return -log1p_r / th
-
-
 class TestFrankLargeTheta:
     """The Frank cdf and density stay finite and accurate where the textbook formula overflows or cancels."""
 
@@ -187,9 +174,10 @@ class TestFrankLargeTheta:
 
     @pytest.mark.parametrize("theta", [0.5, -0.5, 20.0, -20.0, 700.0, -700.0])
     def test_one_theta_for_every_node_keeps_the_bits_of_the_per_node_formula(self, theta):
-        _, U, V, _ = _quadrature_rule(2 * QUADRATURE_NODES)
+        _, F, _ = _quadrature_rule(2 * QUADRATURE_NODES)
+        U, V = np.broadcast_arrays(F[:, None], F[None, :])
         assert U.shape == (128, 128)
-        got = copula_module._interior_cdf(Frank(), theta, U, V)
+        got = copula_module._interior_cdf(Frank(), theta, F[:, None], F[None, :])
         assert np.array_equal(got, per_node_frank_cdf(theta, U, V))
 
     @pytest.mark.parametrize("theta", [1e-5, 0.5, 3.0, 8.0, 20.0, -1e-5, -0.5, -3.0, -8.0, -20.0])
@@ -209,6 +197,33 @@ class TestFrankLargeTheta:
                 got = copula_log_density(Frank(), theta, u, v)
                 assert abs(got - log_density) <= 1e-12 * max(1.0, abs(log_density))
         assert checked >= 30
+
+
+EXTREME_THETAS = [(Clayton(), 1e-6), (Clayton(), 1e-3), (Clayton(), 50.0), (Clayton(), 300.0),
+                  (Clayton(), math.exp(6.0)), (Gumbel(), 1.0), (Gumbel(), 1.0 + 1e-12), (Gumbel(), 2.0),
+                  (Gumbel(), 50.0), (Gumbel(), 300.0), (Gumbel(), 700.0)]
+
+
+class TestExchangeableForm:
+    """Clayton and Gumbel leave out the larger argument's term, which is exactly 1, and keep every bit of the full formula."""
+
+    @pytest.mark.parametrize("family,theta", EXTREME_THETAS)
+    def test_symmetric_and_equal_to_the_full_formula(self, family, theta):
+        for u in FRANK_GRID:
+            for v in FRANK_GRID:
+                c = copula_cdf(family, theta, u, v)
+                assert c == copula_cdf(family, theta, v, u), (u, v)
+                assert c == grid_cdf(family, theta, np.array([u]), np.array([v]))[0], (u, v)
+
+    @pytest.mark.parametrize("family,theta", EXTREME_THETAS + [(Frank(), t) for t in (1e-7, 1e-6, -0.5, 40.0, -700.0)])
+    def test_equal_shape_arrays_keep_the_bits_of_the_full_formula(self, family, theta):
+        grid = np.concatenate([[0.0, 1.0], FRANK_GRID])
+        U, V = np.meshgrid(grid, grid)
+        assert np.array_equal(_cdf_arrays(family, theta, U, V), grid_cdf(family, theta, U, V))
+        # one parameter per point, as the training inputs give
+        scale = np.linspace(1.0, 2.0, U.size).reshape(U.shape)
+        thetas = 1.0 + (theta - 1.0) * scale if isinstance(family, Gumbel) else theta * scale
+        assert np.array_equal(_cdf_arrays(family, thetas, U, V), grid_cdf(family, thetas, U, V))
 
 
 def fd_density(family, theta, u, v, h=1e-4):
@@ -464,18 +479,55 @@ class TestPredictiveCovariance:
         pm = single_point_pair_model(family, score)
         mo = gaussian_moments([0.3, -0.2], [2.0, 0.5])
         theta = conditional_theta(pm, np.array([0.0]))
-        positive = not isinstance(family, Frank)
 
         def fresh(nodes):
-            t, wq = np.polynomial.legendre.leggauss(nodes)
-            F = ndtr(QUADRATURE_SPAN * t)
-            gap = _cdf_arrays(family, theta, F[:, None], F[None, :]) - F[:, None] * F[None, :]
-            if positive:
-                gap = np.maximum(gap, 0.0)
-            return QUADRATURE_SPAN**2 * math.sqrt(2.0 * 0.5) * float(wq @ gap @ wq)
+            return grid_covariance(family, theta, 2.0, 0.5, nodes)
 
         for _ in range(2):  # the second call reads the cache
             assert predictive_covariance(pm, mo, (0, 1), np.array([0.0])) == fresh(2 * QUADRATURE_NODES)
+
+    @pytest.mark.filterwarnings("ignore::mgpch.errors.QuadratureWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family_score=st.one_of(
+            # Clayton theta = e^score in [1e-6, e^6], where u^-theta = e^a overflows at the outer nodes
+            st.tuples(st.just(Clayton()), st.floats(math.log(1e-6), 6.0)),
+            # Gumbel theta = 1 + e^score in (1, 700]
+            st.tuples(st.just(Gumbel()), st.floats(math.log(1e-12), math.log(699.0))),
+            # Frank theta = score, with the independence band drawn on its own
+            st.tuples(st.just(Frank()), st.floats(-700.0, 700.0) | st.floats(-2e-6, 2e-6)),
+        ),
+        var_i=st.floats(1e-6, 1e2),
+        var_j=st.floats(1e-6, 1e2),
+    )
+    @example(family_score=(Gumbel(), 0.0), var_i=1.0, var_j=1.0)  # theta = 2, whose power numpy may swap for square
+    @example(family_score=(Gumbel(), math.log(1e-12)), var_i=1.0, var_j=1.0)
+    @example(family_score=(Gumbel(), -60.0), var_i=1.0, var_j=1.0)  # theta rounds to 1, independence
+    @example(family_score=(Clayton(), 6.0), var_i=1e-4, var_j=2.25e-4)
+    @example(family_score=(Frank(), 1e-6), var_i=1.0, var_j=1.0)
+    @example(family_score=(Frank(), -9.9e-7), var_i=1.0, var_j=1.0)
+    @example(family_score=(Frank(), 0.0), var_i=1.0, var_j=1.0)
+    @example(family_score=(Frank(), -700.0), var_i=1.0, var_j=1.0)
+    def test_covariance_and_its_grids_have_the_bits_of_the_grid_oracle(self, family_score, var_i, var_j):
+        family, score = family_score
+        pm = single_point_pair_model(family, score)
+        x = np.array([0.0])
+        theta = conditional_theta(pm, x)
+        # a last-bit change at a few grid points can vanish in the weighted sum, so the grids are compared too
+        for nodes in (QUADRATURE_NODES, 2 * QUADRATURE_NODES):
+            _, F, _ = _quadrature_rule(nodes)
+            U, V = np.broadcast_arrays(F[:, None], F[None, :])
+            got = copula_module._interior_cdf(family, theta, F[:, None], F[None, :])
+            assert np.array_equal(got, grid_cdf(family, theta, U, V))
+        bound = math.sqrt(var_i * var_j)
+        expected = min(max(grid_covariance(family, theta, var_i, var_j, 2 * QUADRATURE_NODES), -bound), bound)
+        assert predictive_covariance(pm, gaussian_moments([0.1, -0.3], [var_i, var_j]), (0, 1), x) == expected
+
+    def test_rules_keep_the_node_cdfs_as_a_vector(self):
+        for nodes in (QUADRATURE_NODES, 2 * QUADRATURE_NODES):
+            wq, F, UV = _quadrature_rule(nodes)
+            assert wq.shape == F.shape == (nodes,)
+            assert np.array_equal(UV, F[:, None] * F[None, :])
 
     def test_cached_rules_are_read_only(self):
         predictive_covariance(single_point_pair_model(Frank(), 1.0), gaussian_moments([0.0, 0.0], [1.0, 1.0]),

@@ -293,6 +293,56 @@ class TestSchema:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
+            (lambda payload: payload["noise_kernels"][0].__setitem__("phi", "0.5"),
+             "field 'noise_kernels[0].phi' is not a numeric array"),
+            (lambda payload: payload["noise_kernels"][0].__setitem__("phi", 2.0),
+             "field 'noise_kernels[0]': phi must lie in (0, 1), got 2.0"),
+            (lambda payload: payload["noise_kernels"][1].__setitem__("kind", "rbf"),
+             "field 'noise_kernels[1].kind': unknown kernel kind 'rbf'"),
+            (lambda payload: payload["config"]["mean_kernels"][1].__setitem__("sigma0_sq", -0.4),
+             "field 'config.mean_kernels[1]': sigma0_sq must be positive, got -0.4"),
+            (lambda payload: payload["mean_kernels"].__setitem__(0, ["ar1", 0.5, 0.4]),
+             "field 'mean_kernels[0]' must be an object, got an array"),
+            (lambda payload: payload.__setitem__("noise_kernels", {"kind": "zero"}),
+             "field 'noise_kernels' must be an array, got an object"),
+            (lambda payload: payload["config"].__setitem__("pyp", [2]), "field 'config.pyp' must be an object, got an array"),
+            (lambda payload: payload.__setitem__("config", None), "field 'config' must be an object, got null"),
+            (lambda payload: payload.__setitem__("state", []), "field 'state' must be an object, got an array"),
+            (lambda payload: payload["state"].__setitem__("innovation", 2.0), "field 'innovation' must be an object, got a number"),
+            (lambda payload: payload.__setitem__("pairwise_copulas", {}), "field 'pairwise_copulas' must be an array, got an object"),
+            (lambda payload: payload["pairwise_copulas"].__setitem__(0, "clayton"),
+             "field 'pairwise_copulas[0]' must be an object, got a string"),
+            (lambda payload: payload.__setitem__("free_energy_trace", 1.5), "field 'free_energy_trace' must be an array, got a number"),
+        ],
+        ids=[
+            "string-phi",
+            "phi-out-of-range",
+            "unknown-kernel-kind",
+            "negative-config-sigma0_sq",
+            "list-for-a-kernel",
+            "object-for-the-kernels",
+            "list-for-pyp",
+            "null-config",
+            "list-for-state",
+            "number-for-innovation",
+            "object-for-the-copulas",
+            "string-for-a-copula",
+            "number-for-the-trace",
+        ],
+    )
+    def test_field_of_the_wrong_form_is_a_format_error_naming_it(self, fitted, tmp_path, corrupt, message):
+        model, copulas = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model, pairwise=copulas)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
             (lambda state: state["sticks"]["beta1"].__setitem__(0, -1.0), "field 'sticks': Beta parameters must be positive"),
             (lambda state: state["innovation"].__setitem__("eta1_hat", "2.0"), "field 'innovation.eta1_hat' is not a numeric array"),
             (lambda state: state["innovation"].__setitem__("eta2_hat", None), "field 'innovation.eta2_hat' is not a numeric array"),
