@@ -157,12 +157,9 @@ def _frank_log_terms(th, log_g1, u, v):
     ``1 + r`` cancels for large positive th, where r tends to -1.  So r is
     taken through ``log|r|``, a sum of :func:`_log_abs_expm1` terms grouped
     so that both parts are <= 0 for th > 0; there ``1 + r = 1 - e^log|r|``,
-    and for th < 0, where r > 0, ``1 + r = 1 + e^log|r|``.  A single th
-    takes one of the two for every point, with no masks.
+    and for th < 0, where r > 0, ``1 + r = 1 + e^log|r|``.
     """
     log_r = (_log_abs_expm1(-th * u) - log_g1) + _log_abs_expm1(-th * v)
-    if np.ndim(th) == 0:
-        return _log1mexp(log_r) if th > 0.0 else np.logaddexp(0.0, log_r)
     pos = np.broadcast_to(th > 0.0, log_r.shape)
     log1p_r = np.empty_like(log_r)
     log1p_r[pos] = _log1mexp(log_r[pos])
@@ -188,10 +185,7 @@ def _interior_cdf(family, theta, u, v):
     if isinstance(family, Frank):
         live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
         th = np.where(live, theta, FRANK_INDEPENDENCE_BAND)
-        c = _frank_log_terms(th, _log_abs_expm1(-th), u, v)
-        c /= -th
-        # inside the band the copula is independence
-        return c if np.all(live) else np.where(live, c, u * v)
+        return np.where(live, -_frank_log_terms(th, _log_abs_expm1(-th), u, v) / th, u * v)
     if isinstance(family, Clayton):
         a = -theta * np.log(u)
         b = -theta * np.log(v)
@@ -219,10 +213,11 @@ def _interior_cdf(family, theta, u, v):
     A *= M
     c = np.exp(np.negative(A, out=A), out=A)
     # theta = 1 is independence, where uv is the exact value
-    return c if np.all(theta > 1.0) else np.where(theta > 1.0, c, u * v)
+    return np.where(theta > 1.0, c, u * v)
 
 
 def _cdf_arrays(family, theta, U, V):
+    """Family cdf with one parameter theta at every point of U and V, on the closed unit square."""
     U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
     out = np.zeros(U.shape)
     at_zero = (U <= 0.0) | (V <= 0.0)
@@ -232,8 +227,7 @@ def _cdf_arrays(family, theta, U, V):
     out[top_v] = U[top_v]
     mid = ~(at_zero | top_u | top_v)
     if np.any(mid):
-        th = np.broadcast_to(np.asarray(theta, dtype=float), U.shape)[mid]
-        out[mid] = _interior_cdf(family, th, U[mid], V[mid])
+        out[mid] = _interior_cdf(family, theta, U[mid], V[mid])
     return out
 
 

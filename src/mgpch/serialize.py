@@ -78,12 +78,20 @@ def _field(value, name, kind):
     return value
 
 
+def _member(obj, key, name):
+    """Member ``key`` of the file's object ``name``, which a saved file always holds."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise FormatError(f"missing field '{name}.{key}'") from None
+
+
 def _kernel_from_obj(obj, name):
     kind = _field(obj, name, dict).get("kind")
     if kind == "zero":
         return ZeroKernel()
     if kind == "ar1":
-        params = {p: float(_shaped_array(obj[p], f"{name}.{p}", ())) for p in ("phi", "sigma0_sq")}
+        params = {p: float(_shaped_array(_member(obj, p, name), f"{name}.{p}", ())) for p in ("phi", "sigma0_sq")}
         try:
             return Ar1Kernel(**params)
         except InvalidArgumentError as exc:
@@ -109,9 +117,9 @@ def _config_to_obj(config):
 
 
 def _config_from_obj(obj):
-    kwargs = {f.name: obj[f.name] for f in fields(MgpchConfig)}
-    pyp = _field(obj["pyp"], "config.pyp", dict)
-    kwargs["pyp"] = PypConfig(**{f.name: pyp[f.name] for f in fields(PypConfig)})
+    kwargs = {f.name: _member(obj, f.name, "config") for f in fields(MgpchConfig)}
+    pyp = _field(kwargs["pyp"], "config.pyp", dict)
+    kwargs["pyp"] = PypConfig(**{f.name: _member(pyp, f.name, "config.pyp") for f in fields(PypConfig)})
     for name in _KERNEL_FIELDS:
         if kwargs[name] is not None:
             kwargs[name] = _kernels_from_obj(kwargs[name], f"config.{name}")
@@ -160,7 +168,7 @@ def _shaped_array(value, name, shape):
 def _posterior(cls, name, obj, shape):
     """The posterior ``cls`` of the file's field ``name``; its parameters have ``shape`` and, as in a fit, a scalar is a float."""
     obj = _field(obj, name, dict)
-    params = {f.name: _shaped_array(obj[f.name], f"{name}.{f.name}", shape).tolist() for f in fields(cls)}
+    params = {f.name: _shaped_array(_member(obj, f.name, name), f"{name}.{f.name}", shape).tolist() for f in fields(cls)}
     try:
         return cls(**params)
     except InvalidArgumentError as exc:
@@ -191,7 +199,7 @@ def _copula_to_obj(pair, pairmodel):
 def _copula_from_obj(obj, k, p, d):
     """Entry k of the file's pairwise copulas, for a model of p input columns and d outputs."""
     name = f"pairwise_copulas[{k}]"
-    pair = _field(obj, name, dict)["pair"]
+    pair = _member(_field(obj, name, dict), "pair", name)
     # a saved file holds JSON integers here; a bool or a float is no index
     if not (
         isinstance(pair, list)
@@ -201,14 +209,14 @@ def _copula_from_obj(obj, k, p, d):
     ):
         raise FormatError(f"field '{name}.pair' must hold two distinct output indices in [0, {d}), got {pair!r}")
     try:
-        family = family_from_name(obj["family"])
+        family = family_from_name(_member(obj, "family", name))
     except InvalidArgumentError as exc:
         raise FormatError(f"field '{name}.family': {exc}") from exc
-    basis = _finite_array(obj["basis_points"], f"{name}.basis_points")
+    basis = _finite_array(_member(obj, "basis_points", name), f"{name}.basis_points")
     if basis.ndim != 2 or basis.shape[0] < 1 or basis.shape[1] != p:
         raise FormatError(f"field '{name}.basis_points' has shape {basis.shape}, expected (I, {p}) with I >= 1")
-    w = _shaped_array(obj["w"], f"{name}.w", basis.shape[:1])
-    lengthscale = float(_shaped_array(obj["lengthscale"], f"{name}.lengthscale", ()))
+    w = _shaped_array(_member(obj, "w", name), f"{name}.w", basis.shape[:1])
+    lengthscale = float(_shaped_array(_member(obj, "lengthscale", name), f"{name}.lengthscale", ()))
     if not lengthscale > 0.0:
         raise FormatError(f"field '{name}.lengthscale' must be positive, got {lengthscale}")
     return tuple(pair), PairwiseCopulaModel(family=family, basis_points=basis, w=w, lengthscale=lengthscale)

@@ -297,6 +297,10 @@ class TestSchema:
              "field 'noise_kernels[0].phi' is not a numeric array"),
             (lambda payload: payload["noise_kernels"][0].__setitem__("phi", 2.0),
              "field 'noise_kernels[0]': phi must lie in (0, 1), got 2.0"),
+            (lambda payload: payload["noise_kernels"][0].pop("phi"), "missing field 'noise_kernels[0].phi'"),
+            (lambda payload: payload["config"]["pyp"].pop("delta"), "missing field 'config.pyp.delta'"),
+            (lambda payload: payload["state"]["sticks"].pop("beta2"), "missing field 'sticks.beta2'"),
+            (lambda payload: payload["pairwise_copulas"][0].pop("w"), "missing field 'pairwise_copulas[0].w'"),
             (lambda payload: payload["noise_kernels"][1].__setitem__("kind", "rbf"),
              "field 'noise_kernels[1].kind': unknown kernel kind 'rbf'"),
             (lambda payload: payload["config"]["mean_kernels"][1].__setitem__("sigma0_sq", -0.4),
@@ -317,6 +321,10 @@ class TestSchema:
         ids=[
             "string-phi",
             "phi-out-of-range",
+            "missing-phi",
+            "missing-pyp-delta",
+            "missing-beta2",
+            "missing-copula-weights",
             "unknown-kernel-kind",
             "negative-config-sigma0_sq",
             "list-for-a-kernel",
