@@ -7,11 +7,11 @@ over radial basis features of the input, trained by maximizing the
 copula log likelihood of the pair's probability-integral transforms
 under the fitted predictive marginals.  Predictive covariance follows
 from integrating C(F_i, F_j) - F_i F_j over the two marginals by
-Gauss-Legendre quadrature; the parts of each rule that do not depend on
-the copula parameter are built once per process and shared read-only.
-Each forecast evaluates the cdf from the node cdfs as two vectors: the
-terms of one argument are taken once per node, and only the terms that
-combine two nodes once per point of the grid.
+Gauss-Legendre quadrature on rules built once per process.  Each
+family's formula is written once, as one term that its cdf, its log
+density and so the quadrature all read: Clayton's
+``log(u^-theta + v^-theta - 1)``, Gumbel's
+``((-log u)^theta + (-log v)^theta)^(1/theta)`` and Frank's ``log(1 + r)``.
 """
 
 import functools
@@ -83,9 +83,7 @@ FAMILIES = {"clayton": Clayton, "frank": Frank, "gumbel": Gumbel}
 
 def family_from_name(name):
     if not isinstance(name, str) or name.lower() not in FAMILIES:
-        raise InvalidArgumentError(
-            f"unknown copula family name {name!r}, expected one of {sorted(FAMILIES)}"
-        )
+        raise InvalidArgumentError(f"unknown copula family name {name!r}, expected one of {sorted(FAMILIES)}")
     return FAMILIES[name.lower()]()
 
 
@@ -148,142 +146,125 @@ def _log_abs_expm1(y):
     return np.maximum(y, 0.0) + _log1mexp(-np.abs(y))
 
 
-def _frank_log_terms(th, log_g1, u, v):
-    """``log(1 + r)`` of the Frank ratio ``r = (e^-th u - 1)(e^-th v - 1) / (e^-th - 1)``.
+def _frank_log_terms(theta, u, v):
+    """Frank's one term ``log(1 + r)``, of the ratio ``r = (e^-th u - 1)(e^-th v - 1) / (e^-th - 1)``.
 
-    ``log_g1`` is ``log|e^-th - 1|``, taken on th's own shape, so a single
-    th costs it once; th broadcasts against u and v.  The cdf is ``-log(1
-    + r) / th``.  Forming r overflows once th u is past about -709, and
-    ``1 + r`` cancels for large positive th, where r tends to -1.  So r is
-    taken through ``log|r|``, a sum of :func:`_log_abs_expm1` terms grouped
-    so that both parts are <= 0 for th > 0; there ``1 + r = 1 - e^log|r|``,
+    Returns the mask of theta outside the independence band, th (theta
+    with the band set to its edge), ``log|e^-th - 1|`` and ``log(1 + r)``;
+    the first three keep theta's shape, so a single theta costs them
+    once.  Forming r overflows once th u is past about -709, and ``1 + r``
+    cancels for large positive th, where r tends to -1.  So r is taken
+    through ``log|r|``, a sum of :func:`_log_abs_expm1` terms grouped so
+    that both parts are <= 0 for th > 0; there ``1 + r = 1 - e^log|r|``,
     and for th < 0, where r > 0, ``1 + r = 1 + e^log|r|``.
     """
+    live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
+    th = np.where(live, theta, FRANK_INDEPENDENCE_BAND)
+    log_g1 = _log_abs_expm1(-th)
     log_r = (_log_abs_expm1(-th * u) - log_g1) + _log_abs_expm1(-th * v)
     pos = np.broadcast_to(th > 0.0, log_r.shape)
     log1p_r = np.empty_like(log_r)
     log1p_r[pos] = _log1mexp(log_r[pos])
     log1p_r[~pos] = np.logaddexp(0.0, log_r[~pos])
-    return log1p_r
+    return live, th, log_g1, log1p_r
+
+
+def _clayton_term(theta, lu, lv):
+    """Clayton's one term ``L = log(u^-theta + v^-theta - 1)``, from ``lu = log u`` and ``lv = log v``.
+
+    With ``a = -theta lu``, ``b = -theta lv`` and ``M = max(a, b)``, L is
+    ``M + log(1 + e^(min(a, b) - M) - e^-M)``, which overflows nowhere;
+    the larger argument's term is exactly ``e^0 = 1``.
+    """
+    a = -theta * lu
+    b = -theta * lv
+    M = np.maximum(a, b)
+    inner = np.exp(np.minimum(a, b) - M)
+    inner += 1.0
+    inner -= np.exp(-M)
+    L = np.log(inner, out=inner)
+    L += M
+    return L
+
+
+def _gumbel_term(theta, tu, tv):
+    """Gumbel's one term ``A = (tu^theta + tv^theta)^(1/theta)``, from ``tu = -log u`` and ``tv = -log v``.
+
+    With ``M = max(tu, tv)``, A is ``M (1 + (min(tu, tv) / M)^theta)^(1/theta)``,
+    the larger argument's term being exactly ``1.0**theta``.  Each power
+    takes full-shape exponents and writes a new array: given one exponent
+    of 2, 0.5 or -1, or one point in place, numpy's power swaps in square,
+    sqrt or reciprocal, whose bits differ from pow's at a grid's points.
+    """
+    M = np.maximum(tu, tv)
+    inner = np.minimum(tu, tv)
+    inner /= M
+    inner = np.power(inner, np.full(M.shape, theta))
+    inner += 1.0
+    A = np.power(inner, np.full(M.shape, 1.0 / theta))
+    A *= M
+    return A
 
 
 def _interior_cdf(family, theta, u, v):
     """Family cdf on strictly interior arguments; theta broadcasts into the shape of u and v.
 
-    Each term of one argument (``log u``, ``-theta log u``, Frank's
-    ``log|e^-theta u - 1|``) is taken on that argument's own shape, and
-    the two broadcast only where they combine.  So node vectors
-    ``u = F[:, None]`` and ``v = F[None, :]`` cost those terms once per
-    node, and only the combining terms once per grid point.  Clayton and
-    Gumbel use their exchangeable form: with a and b the two arguments'
-    terms and ``M = max(a, b)``, the term of the larger argument in the
-    usual rearrangement is exactly ``exp(0) = 1`` or ``1.0**theta = 1``,
-    so leaving it out changes no bit.  Dividing by ``-theta`` in place
-    gives the bits of negating first, since rounding is sign-symmetric.
+    The cdf maps the family's one term to ``exp(-L / theta)`` (Clayton),
+    ``exp(-A)`` (Gumbel) or ``-log(1 + r) / theta`` (Frank), and is uv at
+    Gumbel's theta = 1 and inside Frank's band.  Each term of one argument
+    is taken on that argument's own shape, so node vectors
+    ``u = F[:, None]`` and ``v = F[None, :]`` cost them once per node and
+    only the combining terms once per grid point.  Dividing by ``-theta``
+    in place has the bits of negating first: rounding is sign-symmetric.
     """
     theta = np.asarray(theta, dtype=float)
     if isinstance(family, Frank):
-        live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
-        th = np.where(live, theta, FRANK_INDEPENDENCE_BAND)
-        return np.where(live, -_frank_log_terms(th, _log_abs_expm1(-th), u, v) / th, u * v)
+        live, th, _, log1p_r = _frank_log_terms(theta, u, v)
+        return np.where(live, -log1p_r / th, u * v)
     if isinstance(family, Clayton):
-        a = -theta * np.log(u)
-        b = -theta * np.log(v)
-        M = np.maximum(a, b)
-        # exp(a - M) + exp(b - M) - exp(-M), one of whose first two terms is exp(0)
-        inner = np.exp(np.minimum(a, b) - M)
-        inner += 1.0
-        inner -= np.exp(-M)
-        log_c = np.log(inner, out=inner)
-        log_c += M
-        log_c /= -theta
-        return np.exp(log_c, out=log_c)
-    a = -np.log(u)
-    b = -np.log(v)
-    M = np.maximum(a, b)
-    # (a / M)**theta + (b / M)**theta, one of whose terms is 1.0**theta.
-    # The exponents take the grid's full shape: given one exponent of 2,
-    # 0.5 or -1, numpy's power swaps in square, sqrt or reciprocal, whose
-    # bits differ from pow's
-    inner = np.minimum(a, b)
-    inner /= M
-    np.power(inner, np.full(M.shape, theta), out=inner)
-    inner += 1.0
-    A = np.power(inner, np.full(M.shape, 1.0 / theta), out=inner)
-    A *= M
-    c = np.exp(np.negative(A, out=A), out=A)
-    # theta = 1 is independence, where uv is the exact value
-    return np.where(theta > 1.0, c, u * v)
-
-
-def _cdf_arrays(family, theta, U, V):
-    """Family cdf with one parameter theta at every point of U and V, on the closed unit square."""
-    U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-    out = np.zeros(U.shape)
-    at_zero = (U <= 0.0) | (V <= 0.0)
-    top_u = ~at_zero & (U >= 1.0)
-    top_v = ~at_zero & ~top_u & (V >= 1.0)
-    out[top_u] = V[top_u]
-    out[top_v] = U[top_v]
-    mid = ~(at_zero | top_u | top_v)
-    if np.any(mid):
-        out[mid] = _interior_cdf(family, theta, U[mid], V[mid])
-    return out
+        c = _clayton_term(theta, np.log(u), np.log(v))
+        c /= -theta
+        return np.exp(c, out=c)
+    A = _gumbel_term(theta, -np.log(u), -np.log(v))
+    return np.where(theta > 1.0, np.exp(np.negative(A, out=A), out=A), u * v)
 
 
 def _log_density_arrays(family, theta, U, V):
-    """Family log density on strictly interior arguments; theta may be an array."""
+    """Family log density on strictly interior arguments; theta may be an array.
+
+    Each family adds only the density's own terms to the one term its
+    cdf reads: Clayton's L, Gumbel's A and Frank's ``log(1 + r)``.  The
+    density is 0 inside Frank's band and at Gumbel's theta = 1.
+    """
     U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
     theta = np.broadcast_to(np.asarray(theta, dtype=float), U.shape)
-    lu = np.log(U)
-    lv = np.log(V)
     if isinstance(family, Clayton):
-        a = -theta * lu
-        b = -theta * lv
-        M = np.maximum(a, b)
-        logsum = M + np.log(np.exp(a - M) + np.exp(b - M) - np.exp(-M))
-        return np.log1p(theta) - (theta + 1.0) * (lu + lv) - (2.0 + 1.0 / theta) * logsum
+        lu, lv = np.log(U), np.log(V)
+        return np.log1p(theta) - (theta + 1.0) * (lu + lv) - (2.0 + 1.0 / theta) * _clayton_term(theta, lu, lv)
     if isinstance(family, Frank):
-        out = np.zeros(U.shape)
-        live = np.abs(theta) >= FRANK_INDEPENDENCE_BAND
-        if np.any(live):
-            th, u, v = theta[live], U[live], V[live]
-            # the density's denominator is (e^-th - 1)(1 + r)
-            log_g1 = _log_abs_expm1(-th)
-            log1p_r = _frank_log_terms(th, log_g1, u, v)
-            out[live] = np.log(np.abs(th)) - log_g1 - th * (u + v) - 2.0 * log1p_r
-        return out
-    out = np.zeros(U.shape)
-    live = theta > 1.0
-    if np.any(live):
-        th = theta[live]
-        tu, tv = -lu[live], -lv[live]
-        M = np.maximum(tu, tv)
-        inner = (tu / M) ** th + (tv / M) ** th
-        A = M * inner ** (1.0 / th)
-        out[live] = (
-            -A
-            - lu[live]
-            - lv[live]
-            + (1.0 - 2.0 * th) * np.log(A)
-            + (th - 1.0) * (np.log(tu) + np.log(tv))
-            + np.log(A + th - 1.0)
-        )
-    return out
+        live, th, log_g1, log1p_r = _frank_log_terms(theta, U, V)
+        # the density's denominator is (e^-th - 1)(1 + r)
+        return np.where(live, np.log(np.abs(th)) - log_g1 - th * (U + V) - 2.0 * log1p_r, 0.0)
+    tu, tv = -np.log(U), -np.log(V)
+    A = _gumbel_term(theta, tu, tv)
+    log_c = -A + tu + tv + (1.0 - 2.0 * theta) * np.log(A) + (theta - 1.0) * (np.log(tu) + np.log(tv))
+    return np.where(theta > 1.0, log_c + np.log(A + theta - 1.0), 0.0)
 
 
 def copula_cdf(family, theta, u, v):
     """Copula value C(u, v) under the given family and parameter.
 
-    Boundary conventions C(u, 0) = 0 and C(u, 1) = u are returned
-    exactly; interior values use overflow-safe rearrangements of the
-    standard Clayton, Frank and Gumbel formulas.
+    The boundary values C(u, 0) = C(0, v) = 0, C(1, v) = v and
+    C(u, 1) = u are exact; interior values use overflow-safe
+    rearrangements of the standard Clayton, Frank and Gumbel formulas.
     """
     theta = _check_theta(family, theta)
     u, v = float(u), float(v)
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise InvalidArgumentError(f"u and v must lie in [0, 1], got ({u}, {v})")
-    return float(_cdf_arrays(family, theta, u, v))
+    if 0.0 < u < 1.0 and 0.0 < v < 1.0:
+        return float(_interior_cdf(family, theta, np.array([u]), np.array([v]))[0])
+    return 0.0 if u == 0.0 or v == 0.0 else min(u, v)
 
 
 def copula_log_density(family, theta, u, v):
@@ -292,7 +273,7 @@ def copula_log_density(family, theta, u, v):
     u, v = float(u), float(v)
     if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
         raise InvalidArgumentError(f"u and v must lie strictly inside (0, 1), got ({u}, {v})")
-    return float(_log_density_arrays(family, theta, u, v))
+    return float(_log_density_arrays(family, theta, np.array([u]), np.array([v]))[0])
 
 
 def marginal_cdf(moments, d, y):
@@ -398,12 +379,7 @@ def train_pairwise(pair, mgpch, data, family):
         )
     # the Frank link passes through the independence band at w = 0, where
     # the objective is locally flat; a wide difference step sees past it
-    result = minimize(
-        negative_likelihood,
-        w0,
-        method="L-BFGS-B",
-        options={"maxiter": 200, "eps": 1e-4},
-    )
+    result = minimize(negative_likelihood, w0, method="L-BFGS-B", options={"maxiter": 200, "eps": 1e-4})
     w = result.x if negative_likelihood(result.x) <= base else w0
     return PairwiseCopulaModel(family=family, basis_points=basis, w=w, lengthscale=lengthscale)
 
@@ -430,11 +406,10 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     by Gauss-Legendre quadrature spanning mean +/- 8 std each; the node
     count is doubled once as a convergence check and a warning is
     attached when the two estimates disagree.  The rules are built once
-    per process, so a call evaluates only the copula cdf at the nodes
-    and the weighted sum.  The cdf takes its per-node terms (``log F``,
-    ``-theta log F``, Frank's ``log|e^-theta F - 1|``) once per node, and
-    only the terms that combine two nodes once per grid point.  The result
-    is clipped to the Cauchy-Schwarz bound ``+/- sqrt(v_i v_j)``.
+    per process, so a call evaluates only the copula cdf at the node
+    vectors and the weighted sum.  A parameter whose covariance is not
+    finite raises; the result is clipped to the Cauchy-Schwarz bound
+    ``+/- sqrt(v_i v_j)``.
     """
     i, j = pair
     mean = np.asarray(moments.mean, dtype=float)
@@ -444,7 +419,8 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     if not (var[i] > 0.0 and var[j] > 0.0):
         raise InvalidArgumentError("predictive variances must be positive")
     theta = conditional_theta(pairmodel, xstar)
-    scale = QUADRATURE_SPAN**2 * math.sqrt(var[i] * var[j])
+    bound = math.sqrt(var[i] * var[j])  # Cauchy-Schwarz: the largest covariance the marginals allow
+    scale = QUADRATURE_SPAN**2 * bound
     positive = isinstance(pairmodel.family, (Clayton, Gumbel))
 
     def estimate(nodes):
@@ -455,16 +431,15 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
             np.maximum(gap, 0.0, out=gap)
         return scale * float(wq @ gap @ wq)
 
-    coarse = estimate(QUADRATURE_NODES)
-    fine = estimate(2 * QUADRATURE_NODES)
-    bound = math.sqrt(var[i] * var[j])  # Cauchy-Schwarz: the largest covariance the marginals allow
+    # Clayton's terms are NaN once -theta log F overflows or the link underflows to theta = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = estimate(QUADRATURE_NODES)
+        fine = estimate(2 * QUADRATURE_NODES)
+    if not math.isfinite(coarse + fine):
+        raise InvalidArgumentError(f"{family_name(pairmodel.family)} parameter {theta} gives a non-finite covariance")
     # stable message so repeated triggers from one call site are deduplicated
     if abs(fine - coarse) > 1e-6 * bound:
-        warnings.warn(
-            "covariance quadrature still moving after doubling nodes",
-            QuadratureWarning,
-            stacklevel=2,
-        )
+        warnings.warn("covariance quadrature still moving after doubling nodes", QuadratureWarning, stacklevel=2)
     # near the comonotone limit the integrand has a kink on the diagonal that
     # the rule overshoots by a fraction of a percent
     return min(max(fine, -bound), bound)

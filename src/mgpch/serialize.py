@@ -39,7 +39,7 @@ import numpy as np
 from .copula import PairwiseCopulaModel, family_from_name, family_name
 from .errors import FormatError, InvalidArgumentError
 from .kernels import Ar1Kernel, ZeroKernel
-from .model import MgpchConfig, VariationalState, _make_context, _validate_data
+from .model import MgpchConfig, VariationalState, _make_context, _resolve_m_tilde, _validate_data
 from .pyp import InnovationPosterior, PypConfig, StickPosterior
 
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]
@@ -124,7 +124,7 @@ def _config_from_obj(obj):
         if kwargs[name] is not None:
             kwargs[name] = _kernels_from_obj(kwargs[name], f"config.{name}")
     if kwargs["m_tilde"] is not None:
-        kwargs["m_tilde"] = np.asarray(kwargs["m_tilde"])
+        kwargs["m_tilde"] = _finite_array(kwargs["m_tilde"], "config.m_tilde")
     return MgpchConfig(**kwargs)
 
 
@@ -231,6 +231,12 @@ def _unfitted_model(payload):
         model = _make_context(*_validate_data(X, Y), replace(config, m_tilde=m_tilde, **kernels))
     except InvalidArgumentError as exc:
         raise FormatError(str(exc)) from exc
+    if config.m_tilde is not None:
+        # the file's model holds the resolved m_tilde; the config's own is what a refit resolves
+        try:
+            _resolve_m_tilde(config.m_tilde, model.Y, config.pyp.truncation)
+        except InvalidArgumentError as exc:
+            raise FormatError(f"field 'config.m_tilde': {exc}") from exc
     model.config = config
     return model
 

@@ -5,11 +5,12 @@ arrays and the diagonals it needs.  Each posterior function builds the
 full Gaussian posterior of one (component, output) block from the same
 factor helpers the fit uses, so a test can compare the two.
 
-The covariance quadrature takes the copula's per-argument terms once per
-node and the exchangeable form of Clayton and Gumbel.  The grid oracle
-takes every term at every point of the full node grid, in the usual
-rearrangement of each family's cdf, so a test can check that the two
-agree bit for bit.
+The copula reads one term per family for its cdf and its log density,
+in the exchangeable form of Clayton and Gumbel, and the covariance
+quadrature takes the per-argument terms once per node.  The grid
+oracles take every term at every point, in the usual rearrangement of
+each family's cdf and density, so a test can check that the two agree
+bit for bit.
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from mgpch.copula import FRANK_INDEPENDENCE_BAND, QUADRATURE_SPAN, Clayton, Frank
+from mgpch.copula import FRANK_INDEPENDENCE_BAND, QUADRATURE_SPAN, Clayton, Frank, Gumbel
 from mgpch.model import _diag_precision_posterior, _latent_candidate, _posterior_cov
 
 
@@ -77,20 +78,28 @@ def latent_function_posterior(K, B, y):
     return mu, _posterior_cov(K, W, diag)
 
 
+def _log1mexp(x):
+    """``log(1 - e^x)`` for x <= 0 with both branches formed at every point."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+
+
+def _log_abs_expm1(y):
+    return np.maximum(y, 0.0) + _log1mexp(-np.abs(y))
+
+
+def _frank_log1p_r(th, U, V):
+    """Frank's ``log(1 + r)`` and ``log|e^-th - 1|`` with th, U and V of one shape, every term at every point."""
+    log_g1 = _log_abs_expm1(-th)
+    log_r = (_log_abs_expm1(-th * U) - log_g1) + _log_abs_expm1(-th * V)
+    with np.errstate(invalid="ignore"):  # the branch of the other sign of th
+        return np.where(th > 0.0, _log1mexp(log_r), np.logaddexp(0.0, log_r)), log_g1
+
+
 def per_node_frank_cdf(theta, U, V):
     """The Frank cdf with log|e^-theta - 1| taken at every node and both branches of log(1 - e^x) formed."""
-
-    def log1mexp(x):
-        with np.errstate(divide="ignore"):
-            return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
-
-    def log_abs_expm1(y):
-        return np.maximum(y, 0.0) + log1mexp(-np.abs(y))
-
     th = np.full(U.shape, theta)
-    log_r = (log_abs_expm1(-th * U) - log_abs_expm1(-th)) + log_abs_expm1(-th * V)
-    log1p_r = log1mexp(log_r) if theta > 0.0 else np.logaddexp(0.0, log_r)
-    return -log1p_r / th
+    return -_frank_log1p_r(th, U, V)[0] / th
 
 
 def grid_cdf(family, theta, U, V):
@@ -133,6 +142,37 @@ def grid_cdf(family, theta, U, V):
         M = np.maximum(a, b)
         c = np.exp(-M * ((a / M) ** th + (b / M) ** th) ** (1.0 / th))
         out[mid] = np.where(th > 1.0, c, u * v)
+    return out
+
+
+def grid_log_density(family, theta, U, V):
+    """Copula log density at strictly interior equal-shape arguments, theta an array of their shape.
+
+    Every family's term is taken in the usual rearrangement at the points
+    where the density is not 0: Clayton's
+    ``M + log(e^(a-M) + e^(b-M) - e^-M)`` with ``a = -theta log u``,
+    ``b = -theta log v`` and ``M = max(a, b)``; Gumbel's
+    ``M ((a/M)^theta + (b/M)^theta)^(1/theta)`` with ``a = -log u`` and
+    ``b = -log v`` where theta > 1; Frank's ``log(1 + r)`` outside its
+    independence band.
+    """
+    lu, lv = np.log(U), np.log(V)
+    if isinstance(family, Clayton):
+        a, b = -theta * lu, -theta * lv
+        M = np.maximum(a, b)
+        L = M + np.log(np.exp(a - M) + np.exp(b - M) - np.exp(-M))
+        return np.log1p(theta) - (theta + 1.0) * (lu + lv) - (2.0 + 1.0 / theta) * L
+    out = np.zeros(U.shape)
+    live = (theta > 1.0) if isinstance(family, Gumbel) else (np.abs(theta) >= FRANK_INDEPENDENCE_BAND)
+    th, u, v, lu, lv = theta[live], U[live], V[live], lu[live], lv[live]
+    if isinstance(family, Gumbel):
+        a, b = -lu, -lv
+        M = np.maximum(a, b)
+        A = M * ((a / M) ** th + (b / M) ** th) ** (1.0 / th)
+        out[live] = -A - lu - lv + (1.0 - 2.0 * th) * np.log(A) + (th - 1.0) * (np.log(a) + np.log(b)) + np.log(A + th - 1.0)
+    else:
+        log1p_r, log_g1 = _frank_log1p_r(th, u, v)
+        out[live] = np.log(np.abs(th)) - log_g1 - th * (u + v) - 2.0 * log1p_r
     return out
 
 

@@ -27,11 +27,11 @@ from mgpch.copula import (
     predictive_covariance,
     train_pairwise,
 )
-from mgpch.copula import QUADRATURE_NODES, _cdf_arrays, _log_density_arrays, _quadrature_rule
+from mgpch.copula import FAMILIES, QUADRATURE_NODES, _log_density_arrays, _quadrature_rule
 from mgpch.kernels import Ar1Kernel
 from mgpch.model import MgpchConfig, PredictiveMoments, fit
 from mgpch.pyp import PypConfig
-from oracles import grid_cdf, grid_covariance, per_node_frank_cdf
+from oracles import grid_cdf, grid_covariance, grid_log_density, per_node_frank_cdf
 
 FAMILY_THETAS = [(Clayton(), 0.5), (Clayton(), 3.0), (Frank(), 5.0), (Frank(), -6.0),
                  (Gumbel(), 1.5), (Gumbel(), 4.0)]
@@ -215,11 +215,21 @@ class TestExchangeableForm:
                 assert c == copula_cdf(family, theta, v, u), (u, v)
                 assert c == grid_cdf(family, theta, np.array([u]), np.array([v]))[0], (u, v)
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), family_theta=st.sampled_from(EXTREME_THETAS + [(Frank(), 5.0), (Frank(), -0.5)]))
+    @example(seed=0, family_theta=(Gumbel(), 2.0))  # one point in place would take numpy's square for pow
+    def test_a_point_alone_has_the_bits_it_has_in_a_grid(self, seed, family_theta):
+        family, theta = family_theta
+        U, V = np.random.default_rng(seed).uniform(1e-9, 1.0, size=(2, 200))
+        grid = copula_module._interior_cdf(family, theta, U, V)
+        assert [copula_cdf(family, theta, u, v) for u, v in zip(U, V)] == grid.tolist()
+
     @pytest.mark.parametrize("family,theta", EXTREME_THETAS + [(Frank(), t) for t in (1e-7, 1e-6, -0.5, 40.0, -700.0)])
-    def test_equal_shape_arrays_keep_the_bits_of_the_full_formula(self, family, theta):
+    def test_points_of_a_grid_with_its_boundaries_keep_the_bits_of_the_full_formula(self, family, theta):
         grid = np.concatenate([[0.0, 1.0], FRANK_GRID])
         U, V = np.meshgrid(grid, grid)
-        assert np.array_equal(_cdf_arrays(family, theta, U, V), grid_cdf(family, theta, U, V))
+        got = np.array([[copula_cdf(family, theta, u, v) for u, v in zip(row_u, row_v)] for row_u, row_v in zip(U, V)])
+        assert np.array_equal(got, grid_cdf(family, theta, U, V))
 
 
 def fd_density(family, theta, u, v, h=1e-4):
@@ -253,6 +263,33 @@ class TestLogDensity:
         wx = 0.5 * w
         dens = np.exp(_log_density_arrays(family, theta, x[:, None], x[None, :]))
         assert_allclose(wx @ dens @ wx, 1.0, atol=1e-3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(FAMILIES)),
+        seed=st.integers(0, 2**32 - 1),
+        reach=st.floats(0.0, 1.0),
+        constant=st.sampled_from([None, 1.0, 2.0, 700.0]),
+    )
+    @example(name="gumbel", seed=0, reach=0.0, constant=2.0)  # the w = 0 start, whose power numpy may swap for square
+    @example(name="gumbel", seed=1, reach=0.0, constant=1.0)
+    @example(name="clayton", seed=2, reach=0.0, constant=1.0)
+    @example(name="clayton", seed=3, reach=1.0, constant=None)
+    @example(name="frank", seed=4, reach=1.0, constant=None)
+    @example(name="frank", seed=5, reach=1e-9, constant=None)  # every theta inside the independence band
+    def test_per_point_thetas_keep_the_bits_of_the_usual_rearrangement(self, name, seed, reach, constant):
+        # one theta per point, as train_pairwise passes them: Clayton and Gumbel through their
+        # links of scores up to log 699, Frank anywhere in [-700, 700]
+        family = family_from_name(name)
+        rng = np.random.default_rng(seed)
+        n = 119
+        u = np.clip(rng.uniform(size=n) ** rng.choice([1.0, 8.0]), 1e-10, 1.0 - 1e-10)
+        v = np.clip(rng.uniform(size=n), 1e-10, 1.0 - 1e-10)
+        score = reach * rng.uniform(-1.0, 1.0, size=n)
+        theta = 700.0 * score if name == "frank" else link_parameter(family, math.log(699.0) * score)
+        if constant is not None:
+            theta = np.full(n, constant)
+        assert np.array_equal(_log_density_arrays(family, theta, u, v), grid_log_density(family, theta, u, v))
 
     def test_frank_independence_band(self):
         assert copula_log_density(Frank(), 1e-9, 0.3, 0.7) == 0.0
@@ -518,6 +555,18 @@ class TestPredictiveCovariance:
         bound = math.sqrt(var_i * var_j)
         expected = min(max(grid_covariance(family, theta, var_i, var_j, 2 * QUADRATURE_NODES), -bound), bound)
         assert predictive_covariance(pm, gaussian_moments([0.1, -0.3], [var_i, var_j]), (0, 1), x) == expected
+
+    def test_parameter_with_a_non_finite_covariance_raises(self):
+        mo = gaussian_moments([0.0, 0.0], [2.0, 0.5])
+        x = np.array([0.0])
+        # Clayton's theta = e^710 overflows to inf, e^709 leaves -theta log F past the float range
+        # and e^-800 underflows to 0; each would give a NaN covariance
+        for score in (710.0, 709.0, -800.0):
+            with np.errstate(over="ignore"), pytest.raises(InvalidArgumentError, match="non-finite covariance"):
+                predictive_covariance(single_point_pair_model(Clayton(), score), mo, (0, 1), x)
+        # Gumbel's theta = inf is the comonotone limit, which its cdf evaluates exactly
+        with np.errstate(over="ignore"), pytest.warns(QuadratureWarning):
+            assert predictive_covariance(single_point_pair_model(Gumbel(), 710.0), mo, (0, 1), x) == 1.0
 
     def test_rules_keep_the_node_cdfs_as_a_vector(self):
         for nodes in (QUADRATURE_NODES, 2 * QUADRATURE_NODES):

@@ -87,6 +87,20 @@ class TestRoundTrip:
         save_model(third, reloaded, pairwise=pairwise)
         assert third.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("m_tilde", [-7.5, [[-7.0, -7.5], [-8.0, -8.5]]], ids=["scalar", "per-component-and-output"])
+    def test_config_m_tilde_that_a_refit_accepts_loads_and_saves_unchanged(self, fitted, tmp_path, m_tilde):
+        model, _ = fitted
+        path = tmp_path / "x.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["config"]["m_tilde"] = m_tilde
+        path.write_text(json.dumps(payload, separators=(",", ":")))
+        loaded, _ = load_model(path)
+        assert np.array_equal(loaded.config.m_tilde, m_tilde)
+        again = tmp_path / "y.json"
+        save_model(again, loaded)
+        assert json.loads(again.read_text()) == payload
+
     def test_unfitted_model_rejected(self, fitted, tmp_path):
         model, _ = fitted
         bare = MgpchModel(
@@ -317,6 +331,10 @@ class TestSchema:
             (lambda payload: payload["pairwise_copulas"].__setitem__(0, "clayton"),
              "field 'pairwise_copulas[0]' must be an object, got a string"),
             (lambda payload: payload.__setitem__("free_energy_trace", 1.5), "field 'free_energy_trace' must be an array, got a number"),
+            (lambda payload: payload["config"].__setitem__("m_tilde", "x"), "field 'config.m_tilde' is not a numeric array"),
+            (lambda payload: payload["config"].__setitem__("m_tilde", [1.0, 2.0, 3.0]),
+             "field 'config.m_tilde': m_tilde must broadcast to (2, 2), got (3,)"),
+            (lambda payload: payload["config"].__setitem__("m_tilde", [float("nan")]), "field 'config.m_tilde' holds non-finite values"),
         ],
         ids=[
             "string-phi",
@@ -336,6 +354,9 @@ class TestSchema:
             "object-for-the-copulas",
             "string-for-a-copula",
             "number-for-the-trace",
+            "string-config-m_tilde",
+            "config-m_tilde-of-the-wrong-shape",
+            "nan-config-m_tilde",
         ],
     )
     def test_field_of_the_wrong_form_is_a_format_error_naming_it(self, fitted, tmp_path, corrupt, message):
