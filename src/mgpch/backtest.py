@@ -5,6 +5,8 @@ of returns; forecasts at the configured horizons are scored against
 realized squared returns, a short historical-volatility series, and,
 for output pairs, realized return products.  Days between retrains
 reuse the latest fitted model, so the MSE denominators are maximal.
+The CLI's ``fit`` and ``predict`` fit and forecast through the same
+mixture forecaster as the backtests.
 """
 
 from dataclasses import dataclass, field, fields
@@ -13,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .copula import family_from_name, predictive_covariance, train_pairwise
+from .copula import FAMILIES, family_from_name, predictive_covariance, train_pairwise
 from .errors import InvalidArgumentError, _check_integer
 from .garch import garch_filter, garch_fit, garch_forecast
 from .model import MgpchConfig, fit, predict
@@ -131,18 +133,17 @@ def historical_volatility(returns, window):
 
 
 class _MgpchForecaster:
-    """One fitted mixture serving all horizons from a single input.
+    """A fitted or loaded mixture, with its pair copulas, serving every horizon.
 
-    Each output pair in ``pairs`` gets a conditional copula trained on
-    the same window; with no pairs none is trained.  The moments at an
-    origin serve every horizon and pair, so they are computed once per
-    input and kept until the next one.
+    ``pair_models`` maps output pairs to their trained copulas.  The
+    mixture forecasts one step ahead, so the moments at an input serve
+    every horizon and pair; they are computed once per input and kept
+    until the next one.
     """
 
-    def __init__(self, window_returns, config, family=None, pairs=()):
-        data = (window_returns[:-1], window_returns[1:])
-        self.model = fit(*data, config)
-        self.pair_models = {pair: train_pairwise(pair, self.model, data, family) for pair in pairs}
+    def __init__(self, model, pair_models):
+        self.model = model
+        self.pair_models = pair_models
         self._origin = None  # (input bytes, moments, {pair: covariance})
 
     def _at(self, x_star):
@@ -151,8 +152,12 @@ class _MgpchForecaster:
             self._origin = (key, predict(self.model, x_star), {})
         return self._origin
 
+    def moments(self, x_star, h):
+        """The one-step PredictiveMoments at ``x_star``, which serve horizon ``h`` as they serve every other."""
+        return self._at(x_star)[1]
+
     def predict_variance(self, x_star, h):
-        return self._at(x_star)[1].variance
+        return self.moments(x_star, h).variance
 
     def predict_covariance(self, x_star, h, pair):
         _, moments, covariances = self._at(x_star)
@@ -162,6 +167,14 @@ class _MgpchForecaster:
 
     def advance(self, r_row):
         pass
+
+
+def _fit_forecaster(window_returns, config, family=None):
+    """Fit the mixture to a (T, D) return window, each row predicting the next, and a ``family`` copula per output pair if given."""
+    data = (window_returns[:-1], window_returns[1:])
+    model = fit(*data, config)
+    pairs = combinations(range(window_returns.shape[1]), 2) if family is not None else ()
+    return _MgpchForecaster(model, {pair: train_pairwise(pair, model, data, family) for pair in pairs})
 
 
 class _GarchForecaster:
@@ -191,10 +204,10 @@ class _GarchForecaster:
             self.sigma2[d] = garch_forecast(p, r_row[d] ** 2, self.sigma2[d], 1)
 
 
-def _default_factory(config, family=None, pairs=()):
+def _default_factory(config, family=None):
     if config.model == GARCH:
         return lambda window_returns, origin: _GarchForecaster(window_returns)
-    return lambda window_returns, origin: _MgpchForecaster(window_returns, config.model, family, pairs)
+    return lambda window_returns, origin: _fit_forecaster(window_returns, config.model, family)
 
 
 def _schedule(T, config):
@@ -321,12 +334,13 @@ def run_covariance_backtest(series, config, family, forecaster_factory=None):
     """Score rolling pairwise covariance forecasts against return products.
 
     Requires at least two assets and an MGPCH model configuration; each
-    refit trains one conditional copula per output pair on the window.
+    refit trains one conditional copula of ``family``, a family or its
+    name, per output pair on the window.
     """
     D = np.asarray(series.returns).shape[1]
     if D < 2:
         raise InvalidArgumentError(f"covariance backtest needs D >= 2 assets, got {D}")
-    if isinstance(family, str):
+    if not isinstance(family, tuple(FAMILIES.values())):
         family = family_from_name(family)
     pairs = list(combinations(range(D), 2))
     if forecaster_factory is None:
@@ -334,7 +348,7 @@ def run_covariance_backtest(series, config, family, forecaster_factory=None):
             raise InvalidArgumentError(
                 "covariance backtest requires the mixture model, not the baseline"
             )
-        forecaster_factory = _default_factory(config, family=family, pairs=pairs)
+        forecaster_factory = _default_factory(config, family=family)
 
     def scorer(r):
         def score(forecaster, fit_day, origin, h):

@@ -4,9 +4,10 @@ Subcommands cover the full pipeline: ``simulate`` writes a synthetic
 price CSV plus a ground-truth file, ``fit`` trains a model on a price
 CSV, ``predict`` writes the mixture's forecast from a model file under
 each requested horizon, and ``backtest``/``cov-backtest`` run the
-rolling evaluation.  The mixture forecasts one step ahead, so every
-horizon carries the same one-step moments; only the GARCH baseline's
-backtest advances its recursion to the horizon.
+rolling evaluation.  ``fit`` and ``predict`` fit and forecast through
+the backtest's mixture forecaster.  The mixture forecasts one step
+ahead, so every horizon carries the same one-step moments; only the
+GARCH baseline's backtest advances its recursion to the horizon.
 
 Values come from an optional JSON run configuration (``--config``);
 command-line flags override it.  Every artifact is JSON with sorted
@@ -19,26 +20,27 @@ import csv
 import json
 import sys
 from dataclasses import fields
-from itertools import combinations
 
 import numpy as np
 
 from .backtest import (
     HIST_VOL_WINDOW,
     BacktestConfig,
+    _fit_forecaster,
+    _MgpchForecaster,
     horizon_set,
     run_covariance_backtest,
     run_volatility_backtest,
 )
-from .copula import FAMILIES, family_from_name, predictive_covariance, train_pairwise
+from .copula import FAMILIES, family_from_name
 from .data_io import (
     load_price_csv,
     prices_from_returns,
     to_log_returns,
     write_price_csv,
 )
-from .errors import FormatError, InvalidArgumentError, MgpchError
-from .model import MgpchConfig, fit, predict, simulate
+from .errors import FormatError, MgpchError
+from .model import MgpchConfig, simulate
 from .pyp import PypConfig
 from .serialize import dump_json, load_model, save_model
 
@@ -249,39 +251,26 @@ def _horizon_key(h):
 def cmd_fit(run):
     out = run.require("out", "fit")
     r = _load_returns(run, "fit").returns
-    if r.shape[0] < 2:
-        raise InvalidArgumentError("need at least 2 returns (3 prices) to form a training pair")
-    data = (r[:-1], r[1:])
-    model = fit(*data, run.mgpch_config())
-    pairwise = {}
     family_name = run.get("family")
-    if family_name and r.shape[1] >= 2:
-        family = family_from_name(family_name)
-        pairs = combinations(range(r.shape[1]), 2)
-        pairwise = {pair: train_pairwise(pair, model, data, family) for pair in pairs}
-    save_model(out, model, pairwise=pairwise)
+    forecaster = _fit_forecaster(r, run.mgpch_config(), family_from_name(family_name) if family_name else None)
+    save_model(out, forecaster.model, pairwise=forecaster.pair_models)
     print(f"wrote model to {out}")
     return 0
 
 
 def cmd_predict(run):
-    horizons = horizon_set(run.get("horizons") or (1, 7, 30))
-    model, pairwise = load_model(run.require("model", "predict"))
+    horizons = horizon_set(run.get("horizons") or BacktestConfig.horizons)
+    forecaster = _MgpchForecaster(*load_model(run.require("model", "predict")))
     returns = _load_returns(run, "predict")
     xstar = returns.returns[-1]
-    moments = predict(model, xstar)
-    # the conditional one-step map is evaluated at the forecast origin;
-    # its moments serve every horizon, as in the rolling evaluation
-    entry = {
-        "mean": [float(v) for v in moments.mean],
-        "variance": [float(v) for v in moments.variance],
-    }
-    if pairwise:
-        entry["covariance"] = {
-            f"{i}-{j}": float(predictive_covariance(pm, moments, (i, j), xstar))
-            for (i, j), pm in sorted(pairwise.items())
-        }
-    per_horizon = {_horizon_key(h): entry for h in horizons}
+    per_horizon = {}
+    for h in horizons:
+        moments = forecaster.moments(xstar, h)
+        entry = {"mean": moments.mean.tolist(), "variance": moments.variance.tolist()}
+        if forecaster.pair_models:
+            pairs = sorted(forecaster.pair_models)
+            entry["covariance"] = {f"{i}-{j}": float(forecaster.predict_covariance(xstar, h, (i, j))) for i, j in pairs}
+        per_horizon[_horizon_key(h)] = entry
     out = run.require("out", "predict")
     dump_json(
         {

@@ -27,6 +27,27 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _checked_matrix(series, name, row_word, must="finite"):
+    """Store ``series.<name>`` as a finite float (T, D) array, with one timestamp per row and one asset name per column.
+
+    A non-finite entry's message says the values must be ``must``.
+    """
+    values = np.asarray(getattr(series, name), dtype=float)
+    object.__setattr__(series, name, values)
+    object.__setattr__(series, "timestamps", tuple(series.timestamps))
+    object.__setattr__(series, "asset_names", tuple(series.asset_names))
+    if values.ndim != 2:
+        raise InvalidArgumentError(f"{name} must be a (T, D) matrix")
+    T, D = values.shape
+    if len(series.timestamps) != T:
+        raise InvalidArgumentError(f"got {len(series.timestamps)} timestamps for {T} {row_word} rows")
+    if len(series.asset_names) != D:
+        raise InvalidArgumentError(f"got {len(series.asset_names)} asset names for {D} {row_word} columns")
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError(f"{name} must be {must}")
+    return values
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily closing prices for D assets on strictly increasing dates."""
@@ -36,22 +57,8 @@ class PriceSeries:
     asset_names: tuple
 
     def __post_init__(self):
-        prices = np.asarray(self.prices, dtype=float)
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        object.__setattr__(self, "asset_names", tuple(self.asset_names))
-        if prices.ndim != 2:
-            raise InvalidArgumentError("prices must be a (T, D) matrix")
-        T, D = prices.shape
-        if len(self.timestamps) != T:
-            raise InvalidArgumentError(
-                f"got {len(self.timestamps)} timestamps for {T} price rows"
-            )
-        if len(self.asset_names) != D:
-            raise InvalidArgumentError(
-                f"got {len(self.asset_names)} asset names for {D} price columns"
-            )
-        if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
+        prices = _checked_matrix(self, "prices", "price", must="finite and positive")
+        if np.any(prices <= 0.0):
             raise InvalidArgumentError("prices must be finite and positive")
         if any(b <= a for a, b in zip(self.timestamps, self.timestamps[1:])):
             raise InvalidArgumentError("timestamps must be strictly increasing")
@@ -66,22 +73,7 @@ class ReturnSeries:
     asset_names: tuple
 
     def __post_init__(self):
-        returns = np.asarray(self.returns, dtype=float)
-        object.__setattr__(self, "returns", returns)
-        object.__setattr__(self, "timestamps", tuple(self.timestamps))
-        object.__setattr__(self, "asset_names", tuple(self.asset_names))
-        if returns.ndim != 2:
-            raise InvalidArgumentError("returns must be a (T, D) matrix")
-        if len(self.timestamps) != returns.shape[0]:
-            raise InvalidArgumentError(
-                f"got {len(self.timestamps)} timestamps for {returns.shape[0]} return rows"
-            )
-        if len(self.asset_names) != returns.shape[1]:
-            raise InvalidArgumentError(
-                f"got {len(self.asset_names)} asset names for {returns.shape[1]} return columns"
-            )
-        if not np.all(np.isfinite(returns)):
-            raise InvalidArgumentError("returns must be finite")
+        _checked_matrix(self, "returns", "return")
 
 
 def load_price_csv(path):

@@ -50,10 +50,6 @@ class GarchParams:
                 f"stationarity requires a + b < 1, got {self.a + self.b}"
             )
 
-    @property
-    def unconditional_variance(self):
-        return self.omega / (1.0 - self.a - self.b)
-
 
 def _validate_returns(returns):
     r = np.asarray(returns, dtype=float)

@@ -19,12 +19,13 @@ means m = m_tilde + Lam t and the latent means mu that B fixes included;
 a model holds no N x N posterior covariance.  A FormatError naming the
 field rejects a data or primal array with a non-finite or non-numeric
 entry, a state array whose shape disagrees with the file's N, C and D, a
-non-positive stick or innovation parameter, a field of another JSON type
-where an object or an array belongs, data, kernels, m_tilde or settings
-that :func:`mgpch.fit` would reject, and a pairwise copula whose
-pair, family, basis points, weights or lengthscale do not fit the
-model's inputs and outputs, so a loaded model needs no further check
-before its first forecast.  Kernels are zero or autoregressive, fixed
+non-positive stick or innovation parameter, a free-energy trace of other
+than finite numbers or not labelled one string per entry, a field of
+another JSON type where an object or an array belongs, data, kernels,
+m_tilde or settings that :func:`mgpch.fit` would reject, and a pairwise
+copula whose pair, family, basis points, weights or lengthscale do not
+fit the model's inputs and outputs, so a loaded model needs no further
+check before its first forecast.  Kernels are zero or autoregressive, fixed
 for the whole fit.  Version 4 files differ only in also storing mu,
 which a load ignores.  Earlier versions (1 stored S and Sigma, 2 a
 hyperparameter-step cadence, 3 the means m) are not read; refit the
@@ -287,8 +288,11 @@ def load_model(path):
         model = _unfitted_model(payload)
         (n, p), d = model.X.shape, model.Y.shape[1]
         model.state = _state_from_obj(payload["state"], n, model.config.pyp.truncation, d)
-        model.free_energy_trace = list(_field(payload["free_energy_trace"], "free_energy_trace", list))
+        trace = _field(payload["free_energy_trace"], "free_energy_trace", list)
+        model.free_energy_trace = _shaped_array(trace, "free_energy_trace", (len(trace),)).tolist()
         model.trace_labels = list(_field(payload["trace_labels"], "trace_labels", list))
+        if len(model.trace_labels) != len(trace) or not all(type(s) is str for s in model.trace_labels):
+            raise FormatError("field 'trace_labels' must hold one string per free_energy_trace entry")
         copulas = _field(payload["pairwise_copulas"], "pairwise_copulas", list)
         pairwise = dict(_copula_from_obj(obj, k, p, d) for k, obj in enumerate(copulas))
     except KeyError as exc:

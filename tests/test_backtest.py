@@ -430,3 +430,5 @@ class TestCovarianceBacktest:
         garch_config = BacktestConfig(window=60, horizons=(1,), model="garch")
         with pytest.raises(InvalidArgumentError):
             run_covariance_backtest(self.series, garch_config, "frank")
+        with pytest.raises(InvalidArgumentError, match="unknown copula family name None"):
+            run_covariance_backtest(self.series, self.config, None)

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from mgpch import cli
+from mgpch import backtest, cli
 from mgpch.cli import run_command
+from mgpch.copula import Clayton
+from mgpch.serialize import save_model
 
 ALL_FLAGS = (
     "--config",
@@ -60,7 +62,7 @@ class TestUsage:
         def refit(*args, **kwargs):
             raise AssertionError("the model was fitted before --out was checked")
 
-        monkeypatch.setattr(cli, "fit", refit)
+        monkeypatch.setattr(backtest, "fit", refit)
         data = simulate(tmp_path, seed=3)
         assert run_command(["fit", "--data", str(data), "--truncation", "2"]) == 2
         assert run_command(["fit", "--data", str(tmp_path / "absent.csv")]) == 2
@@ -71,7 +73,7 @@ class TestUsage:
         def refit(*args, **kwargs):
             raise AssertionError("the model was fitted without --out")
 
-        monkeypatch.setattr(cli, "fit", refit)
+        monkeypatch.setattr(backtest, "fit", refit)
         data = simulate(tmp_path, seed=3)
         assert run_command(["fit", "--data", str(data), "--model", str(tmp_path / "m.json")]) == 2
         assert "usage error: fit requires --out\n" in capsys.readouterr().err
@@ -171,6 +173,27 @@ class TestPipeline:
         assert run_command(self.fit_args(prices, first)) == 0
         assert run_command(self.fit_args(prices, second)) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_fit_saves_through_the_cli_save_model(self, tmp_path, monkeypatch):
+        # a caller that swaps mgpch.cli.save_model sees every model fit writes
+        saved = []
+
+        def record(path, model, pairwise=None):
+            saved.append((model, pairwise))
+            return save_model(path, model, pairwise=pairwise)
+
+        monkeypatch.setattr(cli, "save_model", record)
+        data = simulate(tmp_path, seed=5, n_points=40, n_dims=2, name="pair.csv")
+        config = write_config(tmp_path, {"mgpch": {"max_iters": 4}}, name="fit.json")
+        out = tmp_path / "model.json"
+        argv = ["fit", "--config", config, "--data", str(data), "--out", str(out), "--truncation", "1", "--family", "clayton"]
+        assert run_command(argv) == 0
+        [(model, pairwise)] = saved
+        assert model.state is not None and model.X.shape == (39, 2)
+        assert list(pairwise) == [(0, 1)] and isinstance(pairwise[0, 1].family, Clayton)
+        again = tmp_path / "again.json"
+        save_model(again, model, pairwise=pairwise)
+        assert again.read_bytes() == out.read_bytes()
 
     def test_console_script_matches_in_process_output(self, prices, tmp_path):
         _, csv_path = prices
@@ -350,6 +373,28 @@ class TestRunConfig:
         out = tmp_path / "m.json"
         assert run_command(["fit", "--data", str(data), "--out", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err.strip() == "error: seed must be an integer >= 0, got -1"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_dims", [1, 2])
+    def test_unknown_config_family_is_an_error_for_any_number_of_assets(self, tmp_path, monkeypatch, capsys, n_dims):
+        def refit(*args, **kwargs):
+            raise AssertionError("the model was fitted before the family was checked")
+
+        monkeypatch.setattr(backtest, "fit", refit)
+        data = simulate(tmp_path, seed=3, n_dims=n_dims)
+        out = tmp_path / "m.json"
+        config = write_config(tmp_path, {"family": "bogus"}, name="family.json")
+        assert run_command(["fit", "--config", config, "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown copula family name 'bogus'")
+        assert not out.exists()
+
+    def test_three_prices_are_too_few_to_fit(self, tmp_path, capsys):
+        # three prices give two returns, so one (x, y) training pair; a fit needs two
+        data = tmp_path / "short.csv"
+        data.write_text("date,a\n2024-01-02,100.0\n2024-01-03,101.0\n2024-01-04,99.5\n")
+        out = tmp_path / "m.json"
+        assert run_command(["fit", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == "error: at least 2 observations are required"
         assert not out.exists()
 
     def test_missing_data_file_is_a_data_error(self, tmp_path, capsys):

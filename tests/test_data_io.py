@@ -1,6 +1,7 @@
 """CSV ingestion and log-return construction."""
 
 import logging
+import re
 from datetime import date
 
 import numpy as np
@@ -16,6 +17,8 @@ from mgpch.data_io import (
     write_price_csv,
 )
 from mgpch.errors import FormatError, InsufficientDataError, InvalidArgumentError
+
+DAYS = (date(2024, 1, 2), date(2024, 1, 3))
 
 WELL_FORMED = """date,spx,bond
 2024-01-02,100.0,50.0
@@ -115,6 +118,32 @@ class TestSeriesTypes:
             ReturnSeries((date(2024, 1, 3),), np.array([[np.inf]]), ("a",))
         with pytest.raises(InvalidArgumentError):
             ReturnSeries((date(2024, 1, 3),), np.ones((2, 1)), ("a",))
+
+    @pytest.mark.parametrize(
+        "cls, args, message",
+        [
+            (PriceSeries, (DAYS, np.ones(2), ("a",)), "prices must be a (T, D) matrix"),
+            (PriceSeries, (DAYS[:1], np.ones((2, 1)), ("a",)), "got 1 timestamps for 2 price rows"),
+            (PriceSeries, (DAYS, np.ones((2, 1)), ("a", "b")), "got 2 asset names for 1 price columns"),
+            (PriceSeries, (DAYS, np.array([[1.0], [np.nan]]), ("a",)), "prices must be finite and positive"),
+            (PriceSeries, (DAYS, np.array([[1.0], [0.0]]), ("a",)), "prices must be finite and positive"),
+            (PriceSeries, (DAYS[::-1], np.ones((2, 1)), ("a",)), "timestamps must be strictly increasing"),
+            (ReturnSeries, (DAYS, np.ones(2), ("a",)), "returns must be a (T, D) matrix"),
+            (ReturnSeries, (DAYS[:1], np.ones((2, 1)), ("a",)), "got 1 timestamps for 2 return rows"),
+            (ReturnSeries, (DAYS, np.ones((2, 1)), ("a", "b")), "got 2 asset names for 1 return columns"),
+            (ReturnSeries, (DAYS, np.array([[1.0], [-np.inf]]), ("a",)), "returns must be finite"),
+        ],
+    )
+    def test_each_fault_has_its_own_message(self, cls, args, message):
+        with pytest.raises(InvalidArgumentError, match=f"^{re.escape(message)}$"):
+            cls(*args)
+
+    def test_fields_are_stored_as_a_float_array_and_tuples(self):
+        for cls in (PriceSeries, ReturnSeries):
+            series = cls(list(DAYS), [[1], [2]], ["a"])
+            values = series.prices if cls is PriceSeries else series.returns
+            assert values.dtype == float and values.shape == (2, 1)
+            assert series.timestamps == DAYS and series.asset_names == ("a",)
 
 
 class TestLogReturns:

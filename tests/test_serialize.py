@@ -331,6 +331,13 @@ class TestSchema:
             (lambda payload: payload["pairwise_copulas"].__setitem__(0, "clayton"),
              "field 'pairwise_copulas[0]' must be an object, got a string"),
             (lambda payload: payload.__setitem__("free_energy_trace", 1.5), "field 'free_energy_trace' must be an array, got a number"),
+            (lambda payload: payload["free_energy_trace"].__setitem__(0, "x"), "field 'free_energy_trace' is not a numeric array"),
+            (lambda payload: payload["free_energy_trace"].__setitem__(0, None), "field 'free_energy_trace' is not a numeric array"),
+            (lambda payload: payload["free_energy_trace"].__setitem__(0, float("nan")), "field 'free_energy_trace' holds non-finite values"),
+            (lambda payload: payload.__setitem__("free_energy_trace", [[1.0, 2.0]]), "field 'free_energy_trace' has shape (1, 2), expected (1,)"),
+            (lambda payload: payload.__setitem__("trace_labels", [1, 2]), "field 'trace_labels' must hold one string per free_energy_trace entry"),
+            (lambda payload: payload["trace_labels"].pop(), "field 'trace_labels' must hold one string per free_energy_trace entry"),
+            (lambda payload: payload.__setitem__("trace_labels", "noise"), "field 'trace_labels' must be an array, got a string"),
             (lambda payload: payload["config"].__setitem__("m_tilde", "x"), "field 'config.m_tilde' is not a numeric array"),
             (lambda payload: payload["config"].__setitem__("m_tilde", [1.0, 2.0, 3.0]),
              "field 'config.m_tilde': m_tilde must broadcast to (2, 2), got (3,)"),
@@ -354,6 +361,13 @@ class TestSchema:
             "object-for-the-copulas",
             "string-for-a-copula",
             "number-for-the-trace",
+            "string-in-the-trace",
+            "null-in-the-trace",
+            "nan-in-the-trace",
+            "nested-trace",
+            "numbers-for-the-trace-labels",
+            "one-trace-label-short",
+            "string-for-the-trace-labels",
             "string-config-m_tilde",
             "config-m_tilde-of-the-wrong-shape",
             "nan-config-m_tilde",
