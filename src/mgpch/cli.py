@@ -137,8 +137,6 @@ def _parse_horizons(text):
         horizons = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"horizons must be comma-separated integers, got {text!r}")
-    if not horizons:
-        raise argparse.ArgumentTypeError("horizons must be non-empty")
     return horizons
 
 

@@ -17,6 +17,10 @@ argument handling, a large share of the cost at the block sizes of a fit.
 packed storage, row k at offset k(k+1)/2, so the leading k rows are a
 contiguous prefix and the new row is solved in place; BLAS ``dtpsv`` reads
 that prefix directly, with no copy of a k x k block.
+
+:func:`_log1p_excess` is the one helper that factors nothing: the KL cores
+of the dense bound factors (:mod:`mgpch.model`) and of the scalar scan
+(:mod:`mgpch.ou`) both sum it near the prior.
 """
 
 import numpy as np
@@ -94,3 +98,21 @@ def _checked(result, what):
 def logdet_from_factor(L):
     """Log determinant of A from its lower Cholesky factor."""
     return 2.0 * float(np.sum(np.log(np.diag(L))))
+
+
+def _log1p_excess(x):
+    """``f(x) = log1p(x) - x / (1 + x) >= 0`` for x >= 0, to full relative accuracy.
+
+    Below 0.01, where the difference cancels, f is summed from its series
+    ``sum_{k>=2} (-1)^k (k - 1) / k x^k``, truncated past x^10 (2e-18 of f).
+    """
+    out = np.log1p(x) - x / (1.0 + x)
+    small = x < 0.01
+    xs = x[small]
+    acc = np.full_like(xs, 0.9)  # the x^10 coefficient
+    for k in range(9, 1, -1):
+        acc *= xs
+        acc += (-1) ** k * (k - 1) / k
+    acc *= xs * xs
+    out[small] = acc
+    return out

@@ -179,11 +179,12 @@ def _posterior(cls, name, obj, shape):
 def _state_from_obj(obj, n, c, d):
     """The state of a file whose data and kernels give N = n observations, C = c components and D = d outputs."""
     obj = _field(obj, "state", dict)
+    value = {name: _member(obj, name, "state") for name in ("R", "t", "Q", "B", "sticks", "innovation")}
     return VariationalState(
-        R=_shaped_array(obj["R"], "R", (n, c)),
-        **{name: _shaped_array(obj[name], name, (c, d, n)) for name in ("t", "Q", "B")},
-        sticks=_posterior(StickPosterior, "sticks", obj["sticks"], (c - 1,)),
-        innovation=_posterior(InnovationPosterior, "innovation", obj["innovation"], ()),
+        R=_shaped_array(value["R"], "state.R", (n, c)),
+        **{name: _shaped_array(value[name], f"state.{name}", (c, d, n)) for name in ("t", "Q", "B")},
+        sticks=_posterior(StickPosterior, "state.sticks", value["sticks"], (c - 1,)),
+        innovation=_posterior(InnovationPosterior, "state.innovation", value["innovation"], ()),
     )
 
 

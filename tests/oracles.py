@@ -19,12 +19,18 @@ import numpy as np
 from scipy.special import ndtr
 
 from mgpch.copula import FRANK_INDEPENDENCE_BAND, QUADRATURE_SPAN, Clayton, Frank, Gumbel
+from mgpch.kernels import ar1_jitter, design_matrix
 from mgpch.model import _diag_precision_posterior, _latent_candidate, _posterior_cov
 
 
 def expected_noise_variance(m, s_diag):
     """Expected noise variance ``exp(m_n - S_nn / 2)`` from ``s_diag = diag(S)``, the reciprocal precision up to rounding."""
     return np.exp(m - 0.5 * s_diag)
+
+
+def dense_noise_prior(kernel, X):
+    """The jittered noise prior Lam of ``kernel`` at inputs X, the matrix the dense path factors."""
+    return design_matrix(kernel, X) + ar1_jitter(kernel) * np.eye(X.shape[0])
 
 
 def noise_posterior_given_q(lam, Q, qz, m_tilde):

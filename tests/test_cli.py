@@ -55,6 +55,10 @@ class TestUsage:
         assert run_command(["fit", "--bogus"]) == 2
         assert run_command([]) == 2
         assert run_command(["fit", "--horizons", "1,x"]) == 2
+        # an empty horizon list fails as any other non-integer part does
+        for text in ("", ",", "1,,2"):
+            assert run_command(["fit", "--horizons", text]) == 2
+            assert f"horizons must be comma-separated integers, got {text!r}" in capsys.readouterr().err
         # backtests run one refit at a time; there is no worker count to set
         assert run_command(["backtest", "--threads", "2"]) == 2
 

@@ -5,14 +5,10 @@ import hashlib
 import math
 import time
 import tracemalloc
-import warnings
 from dataclasses import replace
 
-import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mgpch.errors import DivergedFitError, IllConditionedError, InvalidArgumentError
@@ -25,7 +21,6 @@ from mgpch.model import (
     _init_state,
     _LazyGpPath,
     _make_context,
-    _OuPath,
     _primal_coordinates,
     _sweep,
     fit,
@@ -510,38 +505,6 @@ def dense_reference_draw(config, n_points, n_dims, seed):
     return SimulationDraw(X, Y, variances, assignments, weights)
 
 
-@st.composite
-def ou_histories(draw):
-    """A kernel, two prior means, a seed, and 1-40 scalar inputs at one scale in random order, some repeated."""
-    phi = draw(st.floats(1e-6, 1.0 - 1e-6))
-    s = draw(st.floats(1e-3, 10.0))
-    kernel = Ar1Kernel(phi=phi, sigma0_sq=s * (1.0 - phi**2))
-    means = draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
-    scale = 10.0 ** draw(st.floats(-9.0, 0.0))
-    units = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=35))
-    repeats = draw(st.lists(st.sampled_from(units), max_size=5))
-    inputs = draw(st.permutations([scale * u for u in units + repeats]))
-    return kernel, means, inputs, draw(st.integers(0, 2**32 - 1))
-
-
-def exact_conditional(kernel, mean, x, history):
-    """Mean and variance at x of the GP given (input, value) pairs, in mpmath with digits for the closest pair."""
-    if not history:
-        return mp.mpf(mean), mp.mpf(kernel.marginal_variance)
-    gap = min(abs(mp.mpf(x) - mp.mpf(u)) for u, _ in history) * -mp.log(kernel.phi)
-    with mp.workdps(30 + max(0, int(-mp.log10(gap)))):
-        s, phi = mp.mpf(kernel.marginal_variance), mp.mpf(kernel.phi)
-
-        def cov(u, v):
-            return s * phi ** abs(mp.mpf(u) - mp.mpf(v))
-
-        K = mp.matrix([[cov(u, v) for v, _ in history] for u, _ in history])
-        k_star = mp.matrix([cov(u, x) for u, _ in history])
-        centered = mp.matrix([mp.mpf(h) - mean for _, h in history])
-        weights = mp.lu_solve(K, k_star)
-        return mean + (weights.T * centered)[0], s - (weights.T * k_star)[0]
-
-
 AR1_MEAN = MgpchConfig(
     pyp=PypConfig(truncation=2), mean_kernels=(Ar1Kernel(phi=0.7, sigma0_sq=0.3),) * 2, m_tilde=np.log(1e-2)
 )
@@ -549,45 +512,6 @@ ZERO_MEAN = MgpchConfig(pyp=PypConfig(truncation=3), m_tilde=np.log(1e-4))
 
 
 class TestSimulate:
-    @settings(max_examples=100, deadline=None)
-    @given(ou_histories())
-    def test_scalar_path_draws_the_exact_gp_conditional_on_its_history(self, case):
-        kernel, means, inputs, seed = case
-        s, rng = kernel.marginal_variance, np.random.default_rng(seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            path = _OuPath(kernel, means)
-            drawn = {}  # input -> its values, one per output
-            for x in inputs:
-                path.condition(np.array([x]))
-                if x in drawn:
-                    # a tie copies the values bit for bit
-                    assert path.sd == 0.0
-                    assert [path.sample(d, rng) for d in range(len(means))] == drawn[x]
-                    continue
-                history = sorted(drawn)
-                # the exact conditional given the nearest drawn input on each side ...
-                left, right = [u for u in history if u < x][-1:], [u for u in history if u > x][:1]
-                for d, m in enumerate(means):
-                    mean, var = exact_conditional(kernel, m, x, [(u, drawn[u][d]) for u in left + right])
-                    spread = max((abs(drawn[u][d] - m) for u in history), default=0.0)
-                    assert abs(path.cond_means[d] - float(mean)) <= 1e-10 * (abs(m) + spread)
-                    assert abs(path.sd**2 - float(var)) <= 1e-10 * float(var) + 1e-300 * s
-                # ... is the dense one given the whole history, the kernel's own, without jitter,
-                # wherever the inputs are far enough apart for that solve to be exact in float64
-                points = np.sort(np.array(history + [x]))
-                if history and np.min(-np.expm1(2.0 * np.diff(points) * math.log(kernel.phi))) >= 1e-3:
-                    H = np.array(history)[:, None]
-                    K = design_matrix(kernel, H)
-                    k_star = design_matrix(kernel, H, np.array([[x]]))[:, 0]
-                    var = s - k_star @ np.linalg.solve(K, k_star)
-                    assert abs(path.sd**2 - var) <= 1e-10 * var
-                    for d, m in enumerate(means):
-                        centered = np.array([drawn[u][d] for u in history]) - m
-                        mean = m + k_star @ np.linalg.solve(K, centered)
-                        assert abs(path.cond_means[d] - mean) <= 1e-10 * (abs(m) + np.max(np.abs(centered)))
-                drawn[x] = [path.sample(d, rng) for d in range(len(means))]
-
     def test_scalar_draws_keep_no_quadratic_buffer_and_take_linear_time(self):
         simulate(MgpchConfig(), 100, 1, seed=0)  # the first call pays one-time costs
         tracemalloc.start()

@@ -261,7 +261,7 @@ class TestSchema:
         payload = json.loads(path.read_text())
         payload["state"][name][0][0][1] = float("nan")
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match=f"'{name}'"):
+        with pytest.raises(FormatError, match=f"'state.{name}'"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -287,10 +287,10 @@ class TestSchema:
     @pytest.mark.parametrize(
         "corrupt, field",
         [
-            (lambda state: state["R"].pop(), "'R' has shape (23, 2), expected (24, 2)"),
-            (lambda state: state["Q"].pop(), "'Q' has shape (1, 2, 24), expected (2, 2, 24)"),
-            (lambda state: [block.pop() for block in state["B"]], "'B' has shape (2, 1, 24), expected (2, 2, 24)"),
-            (lambda state: state["sticks"]["beta1"].append(1.0), "'sticks.beta1' has shape (2,), expected (1,)"),
+            (lambda state: state["R"].pop(), "'state.R' has shape (23, 2), expected (24, 2)"),
+            (lambda state: state["Q"].pop(), "'state.Q' has shape (1, 2, 24), expected (2, 2, 24)"),
+            (lambda state: [block.pop() for block in state["B"]], "'state.B' has shape (2, 1, 24), expected (2, 2, 24)"),
+            (lambda state: state["sticks"]["beta1"].append(1.0), "'state.sticks.beta1' has shape (2,), expected (1,)"),
         ],
         ids=["R-one-row-short", "Q-one-component-short", "B-one-output-short", "beta1-one-entry-long"],
     )
@@ -313,7 +313,8 @@ class TestSchema:
              "field 'noise_kernels[0]': phi must lie in (0, 1), got 2.0"),
             (lambda payload: payload["noise_kernels"][0].pop("phi"), "missing field 'noise_kernels[0].phi'"),
             (lambda payload: payload["config"]["pyp"].pop("delta"), "missing field 'config.pyp.delta'"),
-            (lambda payload: payload["state"]["sticks"].pop("beta2"), "missing field 'sticks.beta2'"),
+            (lambda payload: payload["state"]["sticks"].pop("beta2"), "missing field 'state.sticks.beta2'"),
+            (lambda payload: payload["state"].pop("t"), "missing field 'state.t'"),
             (lambda payload: payload["pairwise_copulas"][0].pop("w"), "missing field 'pairwise_copulas[0].w'"),
             (lambda payload: payload["noise_kernels"][1].__setitem__("kind", "rbf"),
              "field 'noise_kernels[1].kind': unknown kernel kind 'rbf'"),
@@ -326,7 +327,7 @@ class TestSchema:
             (lambda payload: payload["config"].__setitem__("pyp", [2]), "field 'config.pyp' must be an object, got an array"),
             (lambda payload: payload.__setitem__("config", None), "field 'config' must be an object, got null"),
             (lambda payload: payload.__setitem__("state", []), "field 'state' must be an object, got an array"),
-            (lambda payload: payload["state"].__setitem__("innovation", 2.0), "field 'innovation' must be an object, got a number"),
+            (lambda payload: payload["state"].__setitem__("innovation", 2.0), "field 'state.innovation' must be an object, got a number"),
             (lambda payload: payload.__setitem__("pairwise_copulas", {}), "field 'pairwise_copulas' must be an array, got an object"),
             (lambda payload: payload["pairwise_copulas"].__setitem__(0, "clayton"),
              "field 'pairwise_copulas[0]' must be an object, got a string"),
@@ -349,6 +350,7 @@ class TestSchema:
             "missing-phi",
             "missing-pyp-delta",
             "missing-beta2",
+            "missing-state-t",
             "missing-copula-weights",
             "unknown-kernel-kind",
             "negative-config-sigma0_sq",
@@ -386,9 +388,9 @@ class TestSchema:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            (lambda state: state["sticks"]["beta1"].__setitem__(0, -1.0), "field 'sticks': Beta parameters must be positive"),
-            (lambda state: state["innovation"].__setitem__("eta1_hat", "2.0"), "field 'innovation.eta1_hat' is not a numeric array"),
-            (lambda state: state["innovation"].__setitem__("eta2_hat", None), "field 'innovation.eta2_hat' is not a numeric array"),
+            (lambda state: state["sticks"]["beta1"].__setitem__(0, -1.0), "field 'state.sticks': Beta parameters must be positive"),
+            (lambda state: state["innovation"].__setitem__("eta1_hat", "2.0"), "field 'state.innovation.eta1_hat' is not a numeric array"),
+            (lambda state: state["innovation"].__setitem__("eta2_hat", None), "field 'state.innovation.eta2_hat' is not a numeric array"),
         ],
         ids=["negative-beta1", "string-eta1_hat", "null-eta2_hat"],
     )
