@@ -15,7 +15,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .copula import FAMILIES, family_from_name, predictive_covariance, train_pairwise
+from .copula import family_from_name, predictive_covariance, train_pairwise
 from .errors import InvalidArgumentError, _check_integer
 from .garch import garch_filter, garch_fit, garch_forecast
 from .model import MgpchConfig, fit, predict
@@ -340,8 +340,7 @@ def run_covariance_backtest(series, config, family, forecaster_factory=None):
     D = np.asarray(series.returns).shape[1]
     if D < 2:
         raise InvalidArgumentError(f"covariance backtest needs D >= 2 assets, got {D}")
-    if not isinstance(family, tuple(FAMILIES.values())):
-        family = family_from_name(family)
+    family = family_from_name(getattr(family, "name", family))
     pairs = list(combinations(range(D), 2))
     if forecaster_factory is None:
         if not isinstance(config.model, MgpchConfig):

@@ -7,11 +7,17 @@ over radial basis features of the input, trained by maximizing the
 copula log likelihood of the pair's probability-integral transforms
 under the fitted predictive marginals.  Predictive covariance follows
 from integrating C(F_i, F_j) - F_i F_j over the two marginals by
-Gauss-Legendre quadrature on rules built once per process.  Each
-family's formula is written once, as one term that its cdf, its log
-density and so the quadrature all read: Clayton's
-``log(u^-theta + v^-theta - 1)``, Gumbel's
-``((-log u)^theta + (-log v)^theta)^(1/theta)`` and Frank's ``log(1 + r)``.
+Gauss-Legendre quadrature on rules built once per process.
+
+Each family is one class holding its ``name``, its parameter ``domain``
+(lower end, and whether it is included), the sign of its dependence, and
+its ``link``, ``cdf`` and ``log_density``; a new family formula, such as a
+closed-form theta-derivative, is one more method there.  Each formula
+reads one term of its family: Clayton's ``log(u^-theta + v^-theta - 1)``,
+Gumbel's ``((-log u)^theta + (-log v)^theta)^(1/theta)`` and Frank's
+``log(1 + r)``.  Theta broadcasts into the shape of u and v, and a term
+of one argument is taken on that argument's shape, so node vectors cost
+it once per node.
 """
 
 import functools
@@ -35,8 +41,6 @@ __all__ = [
     "PairwiseCopulaModel",
     "FAMILIES",
     "family_from_name",
-    "family_name",
-    "link_parameter",
     "copula_cdf",
     "copula_log_density",
     "marginal_cdf",
@@ -60,70 +64,6 @@ WEIGHT_PENALTY = 30.0
 
 # share of the training inputs taken as basis points
 BASIS_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class Clayton:
-    """Lower-tail-dependent family, parameter domain theta > 0."""
-
-
-@dataclass(frozen=True)
-class Frank:
-    """Radially symmetric family, any real theta; 0 is independence."""
-
-
-@dataclass(frozen=True)
-class Gumbel:
-    """Upper-tail-dependent family, parameter domain theta >= 1."""
-
-
-# the one registry of family names: the CLI's --family choices and the model file read it
-FAMILIES = {"clayton": Clayton, "frank": Frank, "gumbel": Gumbel}
-
-
-def family_from_name(name):
-    if not isinstance(name, str) or name.lower() not in FAMILIES:
-        raise InvalidArgumentError(f"unknown copula family name {name!r}, expected one of {sorted(FAMILIES)}")
-    return FAMILIES[name.lower()]()
-
-
-def family_name(family):
-    """The registry name of a family instance, the inverse of :func:`family_from_name`."""
-    for name, kind in FAMILIES.items():
-        if type(family) is kind:
-            return name
-    raise InvalidArgumentError(f"unknown copula family {family!r}")
-
-
-def link_parameter(family, gamma):
-    """Map an unconstrained score into the family's parameter domain.
-
-    Clayton uses exp, Frank the identity (its domain is the whole line
-    up to the independence band) and Gumbel 1 + exp.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    if isinstance(family, Clayton):
-        out = np.exp(gamma)
-    elif isinstance(family, Frank):
-        out = gamma + 0.0
-    elif isinstance(family, Gumbel):
-        out = 1.0 + np.exp(gamma)
-    else:
-        raise InvalidArgumentError(f"unknown copula family {family!r}")
-    return float(out) if out.ndim == 0 else out
-
-
-def _check_theta(family, theta):
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InvalidArgumentError(f"theta must be finite, got {theta}")
-    if isinstance(family, Clayton) and theta <= 0.0:
-        raise InvalidArgumentError(f"Clayton requires theta > 0, got {theta}")
-    if isinstance(family, Gumbel) and theta < 1.0:
-        raise InvalidArgumentError(f"Gumbel requires theta >= 1, got {theta}")
-    if not isinstance(family, (Clayton, Frank, Gumbel)):
-        raise InvalidArgumentError(f"unknown copula family {family!r}")
-    return theta
 
 
 def _log1mexp(x):
@@ -172,17 +112,19 @@ def _frank_log_terms(theta, u, v):
 def _clayton_term(theta, lu, lv):
     """Clayton's one term ``L = log(u^-theta + v^-theta - 1)``, from ``lu = log u`` and ``lv = log v``.
 
-    With ``a = -theta lu``, ``b = -theta lv`` and ``M = max(a, b)``, L is
-    ``M + log(1 + e^(min(a, b) - M) - e^-M)``, which overflows nowhere;
-    the larger argument's term is exactly ``e^0 = 1``.
+    With ``a = -theta lu``, ``b = -theta lv``, ``M = max(a, b)`` and
+    ``m = min(a, b)``, L is ``M + log1p(e^(m - M) (1 - e^-m))``, which
+    overflows nowhere and keeps its digits as theta -> 0, where
+    ``log(1 + e^(m - M) - e^-M)`` cancels; the larger argument's term is
+    exactly ``e^0 = 1``.  ``1 - e^-m`` is the smaller of the arguments'
+    own ``-expm1(-a)`` and ``-expm1(-b)``, since that term increases.
     """
     a = -theta * lu
     b = -theta * lv
     M = np.maximum(a, b)
     inner = np.exp(np.minimum(a, b) - M)
-    inner += 1.0
-    inner -= np.exp(-M)
-    L = np.log(inner, out=inner)
+    inner *= np.minimum(-np.expm1(-a), -np.expm1(-b))
+    L = np.log1p(inner, out=inner)
     L += M
     return L
 
@@ -206,49 +148,108 @@ def _gumbel_term(theta, tu, tv):
     return A
 
 
-def _interior_cdf(family, theta, u, v):
-    """Family cdf on strictly interior arguments; theta broadcasts into the shape of u and v.
+@dataclass(frozen=True)
+class Clayton:
+    """Lower-tail-dependent family: theta > 0, the exp of the score.
 
-    The cdf maps the family's one term to ``exp(-L / theta)`` (Clayton),
-    ``exp(-A)`` (Gumbel) or ``-log(1 + r) / theta`` (Frank), and is uv at
-    Gumbel's theta = 1 and inside Frank's band.  Each term of one argument
-    is taken on that argument's own shape, so node vectors
-    ``u = F[:, None]`` and ``v = F[None, :]`` cost them once per node and
-    only the combining terms once per grid point.  Dividing by ``-theta``
-    in place has the bits of negating first: rounding is sign-symmetric.
+    Its cdf is ``exp(-L / theta)`` and its log density
+    ``log(1 + theta) - (theta + 1)(log u + log v) - (2 + 1/theta) L``, of
+    the term L of :func:`_clayton_term`; dividing L by ``-theta`` in place
+    has the bits of negating first, as rounding is sign-symmetric.
     """
-    theta = np.asarray(theta, dtype=float)
-    if isinstance(family, Frank):
-        live, th, _, log1p_r = _frank_log_terms(theta, u, v)
-        return np.where(live, -log1p_r / th, u * v)
-    if isinstance(family, Clayton):
+
+    name = "clayton"
+    domain = (0.0, False)
+    nonnegative = True
+
+    def link(self, gamma):
+        return np.exp(gamma)
+
+    def cdf(self, theta, u, v):
         c = _clayton_term(theta, np.log(u), np.log(v))
         c /= -theta
         return np.exp(c, out=c)
-    A = _gumbel_term(theta, -np.log(u), -np.log(v))
-    return np.where(theta > 1.0, np.exp(np.negative(A, out=A), out=A), u * v)
 
-
-def _log_density_arrays(family, theta, U, V):
-    """Family log density on strictly interior arguments; theta may be an array.
-
-    Each family adds only the density's own terms to the one term its
-    cdf reads: Clayton's L, Gumbel's A and Frank's ``log(1 + r)``.  The
-    density is 0 inside Frank's band and at Gumbel's theta = 1.
-    """
-    U, V = np.broadcast_arrays(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), U.shape)
-    if isinstance(family, Clayton):
-        lu, lv = np.log(U), np.log(V)
+    def log_density(self, theta, u, v):
+        lu, lv = np.log(u), np.log(v)
         return np.log1p(theta) - (theta + 1.0) * (lu + lv) - (2.0 + 1.0 / theta) * _clayton_term(theta, lu, lv)
-    if isinstance(family, Frank):
-        live, th, log_g1, log1p_r = _frank_log_terms(theta, U, V)
-        # the density's denominator is (e^-th - 1)(1 + r)
-        return np.where(live, np.log(np.abs(th)) - log_g1 - th * (U + V) - 2.0 * log1p_r, 0.0)
-    tu, tv = -np.log(U), -np.log(V)
-    A = _gumbel_term(theta, tu, tv)
-    log_c = -A + tu + tv + (1.0 - 2.0 * theta) * np.log(A) + (theta - 1.0) * (np.log(tu) + np.log(tv))
-    return np.where(theta > 1.0, log_c + np.log(A + theta - 1.0), 0.0)
+
+
+@dataclass(frozen=True)
+class Frank:
+    """Radially symmetric family: theta is the score itself, and 0 is independence.
+
+    Its cdf is ``-log(1 + r) / theta`` of the term of :func:`_frank_log_terms`,
+    and its density divides by ``(e^-theta - 1)(1 + r)``.  Inside the
+    independence band the cdf is uv and the log density 0.
+    """
+
+    name = "frank"
+    domain = (-math.inf, False)
+    nonnegative = False
+
+    def link(self, gamma):
+        return np.add(gamma, 0.0)  # the identity, as floats
+
+    def cdf(self, theta, u, v):
+        live, th, _, log1p_r = _frank_log_terms(theta, u, v)
+        return np.where(live, -log1p_r / th, u * v)
+
+    def log_density(self, theta, u, v):
+        live, th, log_g1, log1p_r = _frank_log_terms(theta, u, v)
+        return np.where(live, np.log(np.abs(th)) - log_g1 - th * (u + v) - 2.0 * log1p_r, 0.0)
+
+
+@dataclass(frozen=True)
+class Gumbel:
+    """Upper-tail-dependent family: theta >= 1, one plus the exp of the score.
+
+    Its cdf is ``exp(-A)`` of the term A of :func:`_gumbel_term`; at
+    theta = 1 the cdf is uv and the log density 0.
+    """
+
+    name = "gumbel"
+    domain = (1.0, True)
+    nonnegative = True
+
+    def link(self, gamma):
+        return 1.0 + np.exp(gamma)
+
+    def cdf(self, theta, u, v):
+        A = _gumbel_term(theta, -np.log(u), -np.log(v))
+        return np.where(theta > 1.0, np.exp(np.negative(A, out=A), out=A), u * v)
+
+    def log_density(self, theta, u, v):
+        tu, tv = -np.log(u), -np.log(v)
+        A = _gumbel_term(theta, tu, tv)
+        log_c = -A + tu + tv + (1.0 - 2.0 * theta) * np.log(A) + (theta - 1.0) * (np.log(tu) + np.log(tv))
+        return np.where(theta > 1.0, log_c + np.log(A + theta - 1.0), 0.0)
+
+
+# the one registry of family names: the CLI's --family choices and the model file read it
+FAMILIES = {kind.name: kind for kind in (Clayton, Frank, Gumbel)}
+
+
+def family_from_name(name):
+    if not isinstance(name, str) or name.lower() not in FAMILIES:
+        raise InvalidArgumentError(f"unknown copula family name {name!r}, expected one of {sorted(FAMILIES)}")
+    return FAMILIES[name.lower()]()
+
+
+def _check_family(family):
+    if not isinstance(family, tuple(FAMILIES.values())):
+        raise InvalidArgumentError(f"unknown copula family {family!r}")
+
+
+def _check_theta(family, theta):
+    _check_family(family)
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise InvalidArgumentError(f"theta must be finite, got {theta}")
+    low, closed = family.domain
+    if not (theta >= low if closed else theta > low):
+        raise InvalidArgumentError(f"{type(family).__name__} requires theta {'>=' if closed else '>'} {low:g}, got {theta}")
+    return theta
 
 
 def copula_cdf(family, theta, u, v):
@@ -263,7 +264,7 @@ def copula_cdf(family, theta, u, v):
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise InvalidArgumentError(f"u and v must lie in [0, 1], got ({u}, {v})")
     if 0.0 < u < 1.0 and 0.0 < v < 1.0:
-        return float(_interior_cdf(family, theta, np.array([u]), np.array([v]))[0])
+        return float(family.cdf(theta, np.array([u]), np.array([v]))[0])
     return 0.0 if u == 0.0 or v == 0.0 else min(u, v)
 
 
@@ -273,7 +274,7 @@ def copula_log_density(family, theta, u, v):
     u, v = float(u), float(v)
     if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
         raise InvalidArgumentError(f"u and v must lie strictly inside (0, 1), got ({u}, {v})")
-    return float(_log_density_arrays(family, theta, np.array([u]), np.array([v]))[0])
+    return float(family.log_density(theta, np.array([u]), np.array([v]))[0])
 
 
 def marginal_cdf(moments, d, y):
@@ -299,6 +300,7 @@ class PairwiseCopulaModel:
     lengthscale: float
 
     def __post_init__(self):
+        _check_family(self.family)
         if not self.lengthscale > 0.0:
             raise InvalidArgumentError(f"lengthscale must be positive, got {self.lengthscale}")
         if self.basis_points.ndim != 2 or self.basis_points.shape[0] < 1:
@@ -323,7 +325,7 @@ def basis_features(pairmodel, x):
 
 def conditional_theta(pairmodel, x):
     """Copula parameter at one input, through the family link."""
-    return float(link_parameter(pairmodel.family, pairmodel.w @ basis_features(pairmodel, x)))
+    return float(pairmodel.family.link(pairmodel.w @ basis_features(pairmodel, x)))
 
 
 def train_pairwise(pair, mgpch, data, family):
@@ -343,7 +345,7 @@ def train_pairwise(pair, mgpch, data, family):
         raise InvalidArgumentError("data must be matching (X, Y) matrices")
     if not 0 <= i < Y.shape[1] or not 0 <= j < Y.shape[1] or i == j:
         raise InvalidArgumentError(f"pair {pair!r} is not a distinct output pair")
-    _check_theta(family, link_parameter(family, 0.0))
+    _check_family(family)
 
     N = X.shape[0]
     n_basis = math.ceil(BASIS_FRACTION * N)
@@ -365,8 +367,7 @@ def train_pairwise(pair, mgpch, data, family):
     v = np.clip(v, MARGINAL_CLIP, 1.0 - MARGINAL_CLIP)
 
     def negative_likelihood(w):
-        theta = link_parameter(family, H @ w)
-        val = -float(np.sum(_log_density_arrays(family, theta, u, v)))
+        val = -float(np.sum(family.log_density(family.link(H @ w), u, v)))
         val += 0.5 * WEIGHT_PENALTY * float(w @ w)
         return val if math.isfinite(val) else 1e300
 
@@ -421,13 +422,12 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
     theta = conditional_theta(pairmodel, xstar)
     bound = math.sqrt(var[i] * var[j])  # Cauchy-Schwarz: the largest covariance the marginals allow
     scale = QUADRATURE_SPAN**2 * bound
-    positive = isinstance(pairmodel.family, (Clayton, Gumbel))
 
     def estimate(nodes):
         wq, F, UV = _quadrature_rule(nodes)
-        gap = _interior_cdf(pairmodel.family, theta, F[:, None], F[None, :])
+        gap = pairmodel.family.cdf(theta, F[:, None], F[None, :])
         gap -= UV
-        if positive:
+        if pairmodel.family.nonnegative:
             np.maximum(gap, 0.0, out=gap)
         return scale * float(wq @ gap @ wq)
 
@@ -436,7 +436,7 @@ def predictive_covariance(pairmodel, moments, pair, xstar):
         coarse = estimate(QUADRATURE_NODES)
         fine = estimate(2 * QUADRATURE_NODES)
     if not math.isfinite(coarse + fine):
-        raise InvalidArgumentError(f"{family_name(pairmodel.family)} parameter {theta} gives a non-finite covariance")
+        raise InvalidArgumentError(f"{pairmodel.family.name} parameter {theta} gives a non-finite covariance")
     # stable message so repeated triggers from one call site are deduplicated
     if abs(fine - coarse) > 1e-6 * bound:
         warnings.warn("covariance quadrature still moving after doubling nodes", QuadratureWarning, stacklevel=2)

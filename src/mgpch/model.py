@@ -728,6 +728,14 @@ def _alpha_term(innovation, eta1, eta2):
 
 
 def _stick_term(sticks, innovation, delta):
+    """Expected log stick prior plus the sticks' Beta entropy.
+
+    The prior ``v_c ~ Beta(1 - delta, alpha + c delta)`` has log normaliser
+    ``-log B(1 - delta, alpha + c delta)``; its expectation is taken as
+    ``E[log alpha]``, the value at delta = 0, whatever delta is.  So at
+    delta > 0 this term, and with it the free energy, is a
+    Dirichlet-process surrogate, not a bound on the Pitman-Yor evidence.
+    """
     elogv, elog1mv = stick_log_moments(sticks)
     b1, b2 = sticks.beta1, sticks.beta2
     entropy = (
@@ -777,6 +785,11 @@ def free_energy(state, model):
     entropy, and the expected log likelihood.  A state without caches, as
     a loaded model's, gets them from :func:`refresh_caches` first, so
     ``free_energy(model.state, model)`` scores a fitted or loaded model.
+
+    At a Pitman-Yor discount delta > 0 (the default is 0.25) this is no
+    bound on the model's evidence: :func:`_stick_term` takes each stick
+    prior's log normaliser at its delta = 0 value ``log alpha``, and
+    ``update_innovation_posterior`` is the Dirichlet-process update.
     """
     if state.g_kl is None:
         refresh_caches(state, model)

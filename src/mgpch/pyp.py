@@ -10,6 +10,14 @@ truncated at level C by pinning the final fraction to one.  With
 innovation parameter alpha carries a Gamma(eta1, eta2) prior.  The
 variational posterior keeps independent Beta factors for the C - 1
 free sticks and a Gamma factor for alpha.
+
+At delta > 0 the bound is a Dirichlet-process surrogate: the free energy
+takes each stick prior's log normaliser ``-log B(1 - delta, alpha + c delta)``
+as its delta = 0 value ``log alpha``, and :func:`update_innovation_posterior`
+is the Dirichlet-process update of q(alpha).  So at the default
+delta = 0.25 the free energy is no bound on the Pitman-Yor evidence, and
+q(alpha) is not its coordinate optimum.  The stick update is exact, since
+the rest of the prior's log density is linear in alpha.
 """
 
 from dataclasses import dataclass
@@ -161,6 +169,9 @@ def update_innovation_posterior(sticks, eta1, eta2):
     The shape grows by one per free stick; the rate subtracts the
     expected log survivals ``E[log(1 - v_c)]``, each of which is
     non-positive, so the posterior rate always exceeds the prior rate.
+    This is the Dirichlet-process update, exact at delta = 0 only: it
+    takes each stick's log normaliser as ``log alpha`` whatever the
+    discount.
     """
     if eta1 <= 0.0 or eta2 <= 0.0:
         raise InvalidArgumentError("prior parameters must be positive")

@@ -37,7 +37,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .copula import PairwiseCopulaModel, family_from_name, family_name
+from .copula import PairwiseCopulaModel, family_from_name
 from .errors import FormatError, InvalidArgumentError
 from .kernels import Ar1Kernel, ZeroKernel
 from .model import MgpchConfig, VariationalState, _make_context, _resolve_m_tilde, _validate_data
@@ -191,7 +191,7 @@ def _state_from_obj(obj, n, c, d):
 def _copula_to_obj(pair, pairmodel):
     return {
         "pair": list(pair),
-        "family": family_name(pairmodel.family),
+        "family": pairmodel.family.name,
         "basis_points": _array(pairmodel.basis_points),
         "w": _array(pairmodel.w),
         "lengthscale": pairmodel.lengthscale,

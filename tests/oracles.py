@@ -113,8 +113,9 @@ def grid_cdf(family, theta, U, V):
 
     C(u, 0) = C(0, v) = 0, C(1, v) = v and C(u, 1) = u are exact.
     Interior points use the usual rearrangements: Clayton's
-    ``exp(-(M + log(e^(a-M) + e^(b-M) - e^-M)) / theta)`` with
-    ``a = -theta log u``, ``b = -theta log v`` and ``M = max(a, b)``;
+    ``exp(-(M + log1p(e^(m-M) (1 - e^-m))) / theta)`` with
+    ``a = -theta log u``, ``b = -theta log v``, ``M = max(a, b)`` and
+    ``m = min(a, b)``, ``1 - e^-m`` taken as ``-expm1(-m)``;
     Gumbel's ``exp(-M ((a/M)^theta + (b/M)^theta)^(1/theta))`` with
     ``a = -log u`` and ``b = -log v`` for theta > 1 and uv at theta = 1;
     :func:`per_node_frank_cdf` outside Frank's independence band and uv
@@ -133,9 +134,8 @@ def grid_cdf(family, theta, U, V):
     if isinstance(family, Clayton):
         a = -th * np.log(u)
         b = -th * np.log(v)
-        M = np.maximum(a, b)
-        inner = np.exp(a - M) + np.exp(b - M) - np.exp(-M)
-        out[mid] = np.exp(-(M + np.log(inner)) / th)
+        M, m = np.maximum(a, b), np.minimum(a, b)
+        out[mid] = np.exp(-(M + np.log1p(np.exp(m - M) * -np.expm1(-m))) / th)
     elif isinstance(family, Frank):
         live = np.abs(th) >= FRANK_INDEPENDENCE_BAND
         c = u * v
@@ -156,8 +156,9 @@ def grid_log_density(family, theta, U, V):
 
     Every family's term is taken in the usual rearrangement at the points
     where the density is not 0: Clayton's
-    ``M + log(e^(a-M) + e^(b-M) - e^-M)`` with ``a = -theta log u``,
-    ``b = -theta log v`` and ``M = max(a, b)``; Gumbel's
+    ``M + log1p(e^(m-M) (1 - e^-m))`` with ``a = -theta log u``,
+    ``b = -theta log v``, ``M = max(a, b)`` and ``m = min(a, b)``,
+    ``1 - e^-m`` taken as ``-expm1(-m)``; Gumbel's
     ``M ((a/M)^theta + (b/M)^theta)^(1/theta)`` with ``a = -log u`` and
     ``b = -log v`` where theta > 1; Frank's ``log(1 + r)`` outside its
     independence band.
@@ -165,8 +166,8 @@ def grid_log_density(family, theta, U, V):
     lu, lv = np.log(U), np.log(V)
     if isinstance(family, Clayton):
         a, b = -theta * lu, -theta * lv
-        M = np.maximum(a, b)
-        L = M + np.log(np.exp(a - M) + np.exp(b - M) - np.exp(-M))
+        M, m = np.maximum(a, b), np.minimum(a, b)
+        L = M + np.log1p(np.exp(m - M) * -np.expm1(-m))
         return np.log1p(theta) - (theta + 1.0) * (lu + lv) - (2.0 + 1.0 / theta) * L
     out = np.zeros(U.shape)
     live = (theta > 1.0) if isinstance(family, Gumbel) else (np.abs(theta) >= FRANK_INDEPENDENCE_BAND)

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,12 +23,11 @@ from mgpch.copula import (
     copula_cdf,
     copula_log_density,
     family_from_name,
-    link_parameter,
     marginal_cdf,
     predictive_covariance,
     train_pairwise,
 )
-from mgpch.copula import FAMILIES, QUADRATURE_NODES, _log_density_arrays, _quadrature_rule
+from mgpch.copula import FAMILIES, QUADRATURE_NODES, _quadrature_rule
 from mgpch.kernels import Ar1Kernel
 from mgpch.model import MgpchConfig, PredictiveMoments, fit
 from mgpch.pyp import PypConfig
@@ -177,7 +177,7 @@ class TestFrankLargeTheta:
         _, F, _ = _quadrature_rule(2 * QUADRATURE_NODES)
         U, V = np.broadcast_arrays(F[:, None], F[None, :])
         assert U.shape == (128, 128)
-        got = copula_module._interior_cdf(Frank(), theta, F[:, None], F[None, :])
+        got = Frank().cdf(theta, F[:, None], F[None, :])
         assert np.array_equal(got, per_node_frank_cdf(theta, U, V))
 
     @pytest.mark.parametrize("theta", [1e-5, 0.5, 3.0, 8.0, 20.0, -1e-5, -0.5, -3.0, -8.0, -20.0])
@@ -221,7 +221,7 @@ class TestExchangeableForm:
     def test_a_point_alone_has_the_bits_it_has_in_a_grid(self, seed, family_theta):
         family, theta = family_theta
         U, V = np.random.default_rng(seed).uniform(1e-9, 1.0, size=(2, 200))
-        grid = copula_module._interior_cdf(family, theta, U, V)
+        grid = family.cdf(theta, U, V)
         assert [copula_cdf(family, theta, u, v) for u, v in zip(U, V)] == grid.tolist()
 
     @pytest.mark.parametrize("family,theta", EXTREME_THETAS + [(Frank(), t) for t in (1e-7, 1e-6, -0.5, 40.0, -700.0)])
@@ -261,7 +261,7 @@ class TestLogDensity:
         t, w = np.polynomial.legendre.leggauss(256)
         x = 0.5 * (t + 1.0)
         wx = 0.5 * w
-        dens = np.exp(_log_density_arrays(family, theta, x[:, None], x[None, :]))
+        dens = np.exp(family.log_density(theta, x[:, None], x[None, :]))
         assert_allclose(wx @ dens @ wx, 1.0, atol=1e-3)
 
     @settings(max_examples=100, deadline=None)
@@ -286,10 +286,10 @@ class TestLogDensity:
         u = np.clip(rng.uniform(size=n) ** rng.choice([1.0, 8.0]), 1e-10, 1.0 - 1e-10)
         v = np.clip(rng.uniform(size=n), 1e-10, 1.0 - 1e-10)
         score = reach * rng.uniform(-1.0, 1.0, size=n)
-        theta = 700.0 * score if name == "frank" else link_parameter(family, math.log(699.0) * score)
+        theta = 700.0 * score if name == "frank" else family.link(math.log(699.0) * score)
         if constant is not None:
             theta = np.full(n, constant)
-        assert np.array_equal(_log_density_arrays(family, theta, u, v), grid_log_density(family, theta, u, v))
+        assert np.array_equal(family.log_density(theta, u, v), grid_log_density(family, theta, u, v))
 
     def test_frank_independence_band(self):
         assert copula_log_density(Frank(), 1e-9, 0.3, 0.7) == 0.0
@@ -304,14 +304,14 @@ class TestLogDensity:
 
 class TestLink:
     def test_forms(self):
-        assert link_parameter(Clayton(), 2.0) == pytest.approx(math.exp(2.0))
-        assert link_parameter(Frank(), -3.5) == -3.5
-        assert link_parameter(Gumbel(), 0.0) == 2.0
+        assert Clayton().link(2.0) == pytest.approx(math.exp(2.0))
+        assert Frank().link(-3.5) == -3.5
+        assert Gumbel().link(0.0) == 2.0
 
     @pytest.mark.parametrize("family", [Clayton(), Frank(), Gumbel()])
     def test_total_over_wide_score_range(self, family):
         for gamma in np.linspace(-50.0, 50.0, 21):
-            theta = link_parameter(family, gamma)
+            theta = family.link(gamma)
             assert math.isfinite(theta)
             # in-domain values pass the cdf's own validation
             copula_cdf(family, theta, 0.4, 0.6)
@@ -327,6 +327,68 @@ class TestLink:
     def test_non_string_family_name_rejected(self, name):
         with pytest.raises(InvalidArgumentError, match="unknown copula family name"):
             family_from_name(name)
+
+
+UNKNOWN_FAMILIES = ["clayton", None, Clayton, object()]
+
+
+class TestUnknownFamily:
+    """Anything but an instance of a registered family class is rejected where it enters."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((10, 1))
+        Y = rng.standard_normal((10, 2))
+        return fit(X, Y, MgpchConfig(pyp=PypConfig(truncation=1), max_iters=0)), (X, Y)
+
+    @pytest.mark.parametrize("family", UNKNOWN_FAMILIES, ids=["name", "none", "class", "object"])
+    @pytest.mark.parametrize("entry", ["pair_model", "train_pairwise", "copula_cdf", "copula_log_density"])
+    def test_rejected_at_each_entry_point(self, fitted, entry, family):
+        model, data = fitted
+        calls = {
+            "pair_model": lambda: single_point_pair_model(family, 0.0),
+            "train_pairwise": lambda: train_pairwise((0, 1), model, data, family),
+            "copula_cdf": lambda: copula_cdf(family, 2.0, 0.4, 0.6),
+            "copula_log_density": lambda: copula_log_density(family, 2.0, 0.4, 0.6),
+        }
+        with pytest.raises(InvalidArgumentError, match="unknown copula family"):
+            calls[entry]()
+
+
+CLAYTON_POINTS = [1e-12, 1e-6, 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0 - 1e-12]
+
+
+def clayton_reference(theta, u, v):
+    """Clayton's cdf and log density at the doubles theta, u and v, in 50-digit mpmath, rounded to doubles."""
+    with mp.workdps(50):
+        theta, u, v = mp.mpf(theta), mp.mpf(u), mp.mpf(v)
+        s = u**-theta + v**-theta - 1
+        log_density = mp.log1p(theta) - (theta + 1) * (mp.log(u) + mp.log(v)) - (2 + 1 / theta) * mp.log(s)
+        return float(s ** (-1 / theta)), float(log_density)
+
+
+class TestClaytonNearIndependence:
+    """Clayton keeps its digits as theta -> 0, where ``u^-theta + v^-theta - 1`` sits just above 1."""
+
+    @pytest.mark.parametrize("theta", [1e-14, 1e-10, 1e-6, 0.01, 1.0, 5.0, 50.0, 700.0])
+    def test_cdf_and_log_density_agree_with_mpmath(self, theta):
+        for u in CLAYTON_POINTS:
+            for v in CLAYTON_POINTS:
+                cdf, log_density = clayton_reference(theta, u, v)
+                assert abs(copula_cdf(Clayton(), theta, u, v) - cdf) <= 1e-14 * cdf, (u, v)
+                # at large theta on the diagonal the density's terms, each about (theta + 1)|log uv|,
+                # cancel to a far smaller sum, so its rounding is judged on their scale
+                scale = max(abs(log_density), (theta + 1.0) * abs(math.log(u) + math.log(v)))
+                assert abs(copula_log_density(Clayton(), theta, u, v) - log_density) <= 1e-14 * scale, (u, v)
+
+    def test_covariance_vanishes_with_theta(self):
+        mo = gaussian_moments([0.0, 0.0], [1.0, 1.0])
+        x = np.array([0.0])
+        weak = predictive_covariance(single_point_pair_model(Clayton(), math.log(1e-8)), mo, (0, 1), x)
+        assert weak == pytest.approx(8.158e-9, rel=1e-3)
+        vanishing = predictive_covariance(single_point_pair_model(Clayton(), math.log(1e-17)), mo, (0, 1), x)
+        assert abs(vanishing) < 1e-14
 
 
 class TestMarginalCdf:
@@ -550,7 +612,7 @@ class TestPredictiveCovariance:
         for nodes in (QUADRATURE_NODES, 2 * QUADRATURE_NODES):
             _, F, _ = _quadrature_rule(nodes)
             U, V = np.broadcast_arrays(F[:, None], F[None, :])
-            got = copula_module._interior_cdf(family, theta, F[:, None], F[None, :])
+            got = family.cdf(theta, F[:, None], F[None, :])
             assert np.array_equal(got, grid_cdf(family, theta, U, V))
         bound = math.sqrt(var_i * var_j)
         expected = min(max(grid_covariance(family, theta, var_i, var_j, 2 * QUADRATURE_NODES), -bound), bound)
