@@ -45,15 +45,14 @@ from .model import (
     MgpchConfig,
     MgpchModel,
     PredictiveMoments,
-    SimulationDraw,
     fit,
     free_energy,
     predict,
     predict_batch,
-    simulate,
 )
 from .pyp import InnovationPosterior, PypConfig, StickPosterior
 from .serialize import load_model, save_model
+from .simulation import SimulationDraw, simulate
 
 __version__ = "0.1.0"
 

@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 
 from .copula import family_from_name, predictive_covariance, train_pairwise
-from .errors import InvalidArgumentError, _check_integer
+from .errors import InvalidArgumentError, _as_real_array, _check_integer
 from .garch import garch_filter, garch_fit, garch_forecast
 from .model import MgpchConfig, fit, predict
 
@@ -119,7 +119,7 @@ def historical_volatility(returns, window):
     Element t is the population variance of returns[t .. t+window-1];
     the output has length T - window + 1.
     """
-    r = np.asarray(returns, dtype=float)
+    r = _as_real_array("returns", returns)
     if r.ndim != 1:
         raise InvalidArgumentError("returns must be one-dimensional")
     if not np.all(np.isfinite(r)):
@@ -152,12 +152,12 @@ class _MgpchForecaster:
             self._origin = (key, predict(self.model, x_star), {})
         return self._origin
 
-    def moments(self, x_star, h):
-        """The one-step PredictiveMoments at ``x_star``, which serve horizon ``h`` as they serve every other."""
+    def moments(self, x_star):
+        """The one-step PredictiveMoments at ``x_star``, which serve every horizon."""
         return self._at(x_star)[1]
 
     def predict_variance(self, x_star, h):
-        return self.moments(x_star, h).variance
+        return self.moments(x_star).variance
 
     def predict_covariance(self, x_star, h, pair):
         _, moments, covariances = self._at(x_star)

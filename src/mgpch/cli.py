@@ -40,9 +40,10 @@ from .data_io import (
     write_price_csv,
 )
 from .errors import FormatError, MgpchError
-from .model import MgpchConfig, simulate
+from .model import MgpchConfig
 from .pyp import PypConfig
 from .serialize import dump_json, load_model, save_model
+from .simulation import simulate
 
 __all__ = ["main", "run_command"]
 
@@ -261,14 +262,13 @@ def cmd_predict(run):
     forecaster = _MgpchForecaster(*load_model(run.require("model", "predict")))
     returns = _load_returns(run, "predict")
     xstar = returns.returns[-1]
-    per_horizon = {}
-    for h in horizons:
-        moments = forecaster.moments(xstar, h)
-        entry = {"mean": moments.mean.tolist(), "variance": moments.variance.tolist()}
-        if forecaster.pair_models:
-            pairs = sorted(forecaster.pair_models)
-            entry["covariance"] = {f"{i}-{j}": float(forecaster.predict_covariance(xstar, h, (i, j))) for i, j in pairs}
-        per_horizon[_horizon_key(h)] = entry
+    # the mixture forecasts one step ahead: one entry serves every horizon
+    moments = forecaster.moments(xstar)
+    entry = {"mean": moments.mean.tolist(), "variance": moments.variance.tolist()}
+    if forecaster.pair_models:
+        pairs = sorted(forecaster.pair_models)
+        entry["covariance"] = {f"{i}-{j}": float(forecaster.predict_covariance(xstar, 1, (i, j))) for i, j in pairs}
+    per_horizon = {_horizon_key(h): entry for h in horizons}
     out = run.require("out", "predict")
     dump_json(
         {

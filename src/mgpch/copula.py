@@ -24,13 +24,14 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning
+from .errors import DegenerateMarginalsError, InvalidArgumentError, QuadratureWarning, _check_real
 from .kernels import median_distance
 from .model import predict_batch
 
@@ -301,8 +302,10 @@ class PairwiseCopulaModel:
 
     def __post_init__(self):
         _check_family(self.family)
-        if not self.lengthscale > 0.0:
+        # positivity first, so that NaN reads as not positive
+        if not (isinstance(self.lengthscale, Real) and self.lengthscale > 0.0):
             raise InvalidArgumentError(f"lengthscale must be positive, got {self.lengthscale}")
+        _check_real("lengthscale", self.lengthscale)
         if self.basis_points.ndim != 2 or self.basis_points.shape[0] < 1:
             raise InvalidArgumentError("at least one basis point is required")
         if self.w.shape != (self.basis_points.shape[0],) or not np.all(np.isfinite(self.w)):

@@ -3,6 +3,8 @@
 import math
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class MgpchError(Exception):
     """Base class for all package-specific errors."""
@@ -78,3 +80,14 @@ def _check_real(name, value):
     """Raise InvalidArgumentError naming ``name`` unless ``value`` is a finite real number; a bool is no number."""
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+
+
+def _as_real_array(name, value):
+    """``value`` as a float array; raise InvalidArgumentError naming ``name`` unless it is a regular array of integers or floats."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged nesting, say
+        raise InvalidArgumentError(f"{name} must be a regular array of numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must hold real numbers, got {value!r:.80}")
+    return arr.astype(float, copy=False)

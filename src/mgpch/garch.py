@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InvalidArgumentError, _check_integer, _check_real
+from .errors import InvalidArgumentError, _as_real_array, _check_integer, _check_real
 
 __all__ = ["GarchParams", "garch_fit", "garch_filter", "garch_forecast", "garch_log_likelihood"]
 
@@ -41,7 +41,9 @@ class GarchParams:
     b: float
 
     def __post_init__(self):
-        if not (self.omega > 0.0 and np.isfinite(self.omega)):
+        for name in ("omega", "a", "b"):
+            _check_real(name, getattr(self, name))
+        if not self.omega > 0.0:
             raise InvalidArgumentError(f"omega must be positive, got {self.omega}")
         if self.a < 0.0 or self.b < 0.0:
             raise InvalidArgumentError("a and b must be non-negative")
@@ -52,7 +54,7 @@ class GarchParams:
 
 
 def _validate_returns(returns):
-    r = np.asarray(returns, dtype=float)
+    r = _as_real_array("returns", returns)
     if r.ndim != 1:
         raise InvalidArgumentError("returns must be a one-dimensional array")
     if r.size < MIN_FIT_LENGTH:

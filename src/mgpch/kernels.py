@@ -8,6 +8,12 @@ first-order autoregressive kernel
 
 whose marginal variance sigma0_sq / (1 - phi**2) is attained at
 ``x == x'`` and decays geometrically with Euclidean distance.
+
+The module also holds the log-variance prior's data-driven defaults: the
+noise kernel a fit uses when none is given (:func:`_default_noise_kernel`,
+correlation 1/2 at the median input distance and unit marginal variance)
+and the prior mean m_tilde, the log of each output's variance unless given
+(:func:`_resolve_m_tilde`).
 """
 
 from dataclasses import dataclass
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _as_real_array, _check_real
 
 __all__ = [
     "ZeroKernel",
@@ -41,6 +47,8 @@ class Ar1Kernel:
     sigma0_sq: float
 
     def __post_init__(self):
+        _check_real("phi", self.phi)
+        _check_real("sigma0_sq", self.sigma0_sq)
         if not (0.0 < self.phi < 1.0):
             raise InvalidArgumentError(f"phi must lie in (0, 1), got {self.phi}")
         if not self.sigma0_sq > 0.0:
@@ -97,3 +105,34 @@ def median_distance(X):
     dists = pdist(X)
     positive = dists[dists > 0.0]
     return float(np.median(positive)) if positive.size else None
+
+
+def _default_noise_kernel(X):
+    """The noise kernel of inputs X when none is given: correlation 1/2 at the median distance, unit marginal variance."""
+    med = median_distance(X)
+    if med is None:
+        phi = 0.5
+    else:
+        # correlation 1/2 at the median distance while that is at least
+        # log 0.5 / log 1e-280 = 1.075e-3; below it the clip holds phi at
+        # 1e-280 and the correlation there exceeds 1/2 (ROADMAP item 13)
+        phi = float(np.clip(np.exp(np.log(0.5) / med), 1e-280, 1.0 - 1e-12))
+    return Ar1Kernel(phi=phi, sigma0_sq=1.0 - phi**2)
+
+
+def _resolve_m_tilde(m_tilde, Y, C):
+    """m_tilde as a (C, D) array: ``m_tilde`` broadcast, or the log of each output's variance in Y if None."""
+    D = Y.shape[1]
+    if m_tilde is None:
+        var = np.var(Y, axis=0)
+        if np.any(var <= 0.0):
+            raise InvalidArgumentError("outputs with zero variance need an explicit m_tilde")
+        return np.tile(np.log(var), (C, 1))
+    arr = _as_real_array("m_tilde", m_tilde)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError(f"m_tilde must be finite, got {arr.tolist()}")
+    if arr.ndim == 0:
+        return np.full((C, D), float(arr))
+    if arr.shape != (C, D):
+        raise InvalidArgumentError(f"m_tilde must broadcast to ({C}, {D}), got {arr.shape}")
+    return arr.copy()

@@ -84,7 +84,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import betaln, digamma, gammaln
 
 from .errors import (
     DivergedFitError,
@@ -92,31 +91,32 @@ from .errors import (
     InvalidArgumentError,
     ModelStateError,
     NumericalDomainError,
+    _as_real_array,
     _check_integer,
     _check_real,
 )
-from .kernels import Ar1Kernel, ZeroKernel, ar1_jitter, design_matrix, median_distance
+from .kernels import Ar1Kernel, ZeroKernel, _default_noise_kernel, _resolve_m_tilde, ar1_jitter, design_matrix
 from .linalg import (
     _log1p_excess,
     cholesky_factor,
     cholesky_solve,
     logdet_from_factor,
     solve_lower,
-    solve_lower_packed,
     solve_lower_transpose,
 )
-from .ou import _ou_moments, _ou_transitions, _OuPath
+from .ou import _ou_moments, _ou_transitions
 from .pyp import (
     InnovationPosterior,
     PypConfig,
     StickPosterior,
+    _mixture_terms,
     expected_log_weights,
     expected_weights,
-    stick_log_moments,
-    stick_weights,
     update_innovation_posterior,
     update_stick_posteriors,
 )
+# re-exported: callers import the sampler from here as from the package
+from .simulation import SimulationDraw, simulate
 
 __all__ = [
     "MgpchConfig",
@@ -332,17 +332,6 @@ class PredictiveMoments:
     component_noise_vars: np.ndarray  # (C, D) predictive mean of exp(g)
 
 
-@dataclass(frozen=True)
-class SimulationDraw:
-    """Forward draw from the generative model with feedback inputs."""
-
-    X: np.ndarray  # (N, D) inputs; row n + 1 repeats output row n
-    Y: np.ndarray  # (N, D) outputs
-    variances: np.ndarray  # (N, D) realized noise variances
-    assignments: np.ndarray  # (N,) component of each observation
-    weights: np.ndarray  # (C,) sampled stick weights
-
-
 def expected_noise_precision(m, s_diag):
     """Expected noise precision ``E[exp(-g_n)] = exp(S_nn / 2 - m_n)`` from ``s_diag = diag(S)``."""
     return np.exp(0.5 * s_diag - m)
@@ -429,8 +418,8 @@ def _latent_candidate(K, B, y):
 
 
 def _validate_data(X, Y, min_points=1):
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X = _as_real_array("X", X)
+    Y = _as_real_array("Y", Y)
     if X.ndim == 1:
         X = X[:, None]
     if Y.ndim == 1:
@@ -446,35 +435,6 @@ def _validate_data(X, Y, min_points=1):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise InvalidArgumentError("inputs must be finite")
     return X, Y
-
-
-def _default_noise_kernel(X):
-    med = median_distance(X)
-    if med is None:
-        phi = 0.5
-    else:
-        # correlation 1/2 at the median distance while that is at least
-        # log 0.5 / log 1e-280 = 1.075e-3; below it the clip holds phi at
-        # 1e-280 and the correlation there exceeds 1/2 (ROADMAP item 13)
-        phi = float(np.clip(np.exp(np.log(0.5) / med), 1e-280, 1.0 - 1e-12))
-    return Ar1Kernel(phi=phi, sigma0_sq=1.0 - phi**2)
-
-
-def _resolve_m_tilde(m_tilde, Y, C):
-    D = Y.shape[1]
-    if m_tilde is None:
-        var = np.var(Y, axis=0)
-        if np.any(var <= 0.0):
-            raise InvalidArgumentError("outputs with zero variance need an explicit m_tilde")
-        return np.tile(np.log(var), (C, 1))
-    arr = np.asarray(m_tilde, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"m_tilde must be finite, got {arr.tolist()}")
-    if arr.ndim == 0:
-        return np.full((C, D), float(arr))
-    if arr.shape != (C, D):
-        raise InvalidArgumentError(f"m_tilde must broadcast to ({C}, {D}), got {arr.shape}")
-    return arr.copy()
 
 
 def _make_context(X, Y, config):
@@ -569,7 +529,7 @@ def refresh_caches(state, model):
     for c, d in np.ndindex(C, D):
         if model.K[c] is not None:
             _mean_block(state, model, c, d)
-    state.mixture_terms = _mixture_terms(state, model.config.pyp)
+    state.mixture_terms = _mixture_terms(state.sticks, state.innovation, model.config.pyp)
 
 
 def _block_rows(C, D):
@@ -711,54 +671,11 @@ def update_mixture_posteriors(state, model):
         state.R, config.delta, state.innovation.mean, config.truncation
     )
     state.innovation = update_innovation_posterior(state.sticks, config.eta1, config.eta2)
-    state.mixture_terms = _mixture_terms(state, config)
+    state.mixture_terms = _mixture_terms(state.sticks, state.innovation, config)
 
 
 # ---------------------------------------------------------------------------
 # free energy
-
-
-def _alpha_term(innovation, eta1, eta2):
-    a, b = innovation.eta1_hat, innovation.eta2_hat
-    elog = innovation.log_mean
-    emean = innovation.mean
-    elogp = eta1 * np.log(eta2) - gammaln(eta1) + (eta1 - 1.0) * elog - eta2 * emean
-    entropy = a - np.log(b) + gammaln(a) + (1.0 - a) * digamma(a)
-    return float(elogp + entropy)
-
-
-def _stick_term(sticks, innovation, delta):
-    """Expected log stick prior plus the sticks' Beta entropy.
-
-    The prior ``v_c ~ Beta(1 - delta, alpha + c delta)`` has log normaliser
-    ``-log B(1 - delta, alpha + c delta)``; its expectation is taken as
-    ``E[log alpha]``, the value at delta = 0, whatever delta is.  So at
-    delta > 0 this term, and with it the free energy, is a
-    Dirichlet-process surrogate, not a bound on the Pitman-Yor evidence.
-    """
-    elogv, elog1mv = stick_log_moments(sticks)
-    b1, b2 = sticks.beta1, sticks.beta2
-    entropy = (
-        betaln(b1, b2)
-        - (b1 - 1.0) * digamma(b1)
-        - (b2 - 1.0) * digamma(b2)
-        + (b1 + b2 - 2.0) * digamma(b1 + b2)
-    )
-    c = np.arange(1, sticks.beta1.shape[0] + 1, dtype=float)
-    cross = (
-        innovation.log_mean
-        - delta * elogv
-        + (innovation.mean + delta * c - 1.0) * elog1mv
-    )
-    return float(np.sum(cross + entropy))
-
-
-def _mixture_terms(state, config):
-    """Innovation and stick terms of the free energy; only the mixture factors move them."""
-    return (
-        _alpha_term(state.innovation, config.eta1, config.eta2),
-        _stick_term(state.sticks, state.innovation, config.delta),
-    )
 
 
 def _assignment_terms(state, R):
@@ -787,9 +704,8 @@ def free_energy(state, model):
     ``free_energy(model.state, model)`` scores a fitted or loaded model.
 
     At a Pitman-Yor discount delta > 0 (the default is 0.25) this is no
-    bound on the model's evidence: :func:`_stick_term` takes each stick
-    prior's log normaliser at its delta = 0 value ``log alpha``, and
-    ``update_innovation_posterior`` is the Dirichlet-process update.
+    bound on the model's evidence, but its Dirichlet-process surrogate;
+    :mod:`mgpch.pyp` says why.
     """
     if state.g_kl is None:
         refresh_caches(state, model)
@@ -1039,7 +955,7 @@ def predict(model, xstar):
     The M = 1 row of :func:`predict_batch`: fields have the shapes listed
     on :class:`PredictiveMoments`.
     """
-    xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
+    xstar = np.atleast_1d(_as_real_array("xstar", xstar))
     if xstar.ndim != 1:
         raise InvalidArgumentError(f"xstar must be a single input point, got shape {xstar.shape}")
     batch = predict_batch(model, xstar[None, :])
@@ -1067,7 +983,7 @@ def predict_batch(model, Xstar):
     if model.state is None:
         raise ModelStateError("predict requires a fitted model")
     state = model.state
-    Xstar = np.asarray(Xstar, dtype=float)
+    Xstar = _as_real_array("Xstar", Xstar)
     p = model.X.shape[1]
     if Xstar.ndim != 2 or Xstar.shape[0] < 1 or Xstar.shape[1] != p:
         raise InvalidArgumentError(f"inputs must be an (M, {p}) array with M >= 1, got shape {Xstar.shape}")
@@ -1112,132 +1028,3 @@ def predict_batch(model, Xstar):
         noise_log_var=phi_star,
         component_noise_vars=psi,
     )
-
-
-# ---------------------------------------------------------------------------
-# simulation
-
-
-class _LazyGpPath:
-    """Sequentially conditioned draws of the paths of one kernel, one per output, at shared inputs.
-
-    :func:`simulate` uses it for inputs of two or more columns, and
-    :class:`_OuPath` for one column.  The D paths of a (component, kernel
-    role) see the same inputs and the same kernel and differ only in their
-    prior ``means``, so they share one history of at most ``size`` points
-    in ``dim`` dimensions and one lower Cholesky factor L of its jittered
-    kernel matrix.  L is row-packed (row k at offset k(k+1)/2), so it
-    grows in place and its leading rows are a contiguous prefix; the
-    solves u of each output's centered values against L are the rows of a
-    (D, size) array.  A draw is one :meth:`condition` at the input, then
-    one :meth:`sample` per output.  The factor is that of
-    ``K + (ar1_jitter + 1e-12) I``, so the draws carry that diagonal.
-    """
-
-    def __init__(self, kernel, means, size, dim):
-        self.kernel = kernel
-        self.means = means
-        self.jitter = ar1_jitter(kernel) + 1e-12
-        self.k = 0  # points conditioned on so far
-        self.points = np.empty((size, dim))
-        self.packed = np.empty(size * (size + 1) // 2)
-        self.u = np.empty((len(means), size))
-
-    def condition(self, x):
-        """Take input x into the history; each output's next :meth:`sample` draws at x."""
-        k = self.k
-        k_self = self.kernel.marginal_variance + self.jitter
-        # the solve w of the cross-covariances is the factor's new row, written in place
-        offset = k * (k + 1) // 2
-        w = self.packed[offset : offset + k]
-        if k == 0:
-            self.cond_means, var = self.means, k_self
-        else:
-            w[:] = design_matrix(self.kernel, self.points[:k], x[None, :])[:, 0]
-            solve_lower_packed(self.packed, w, k)
-            self.cond_means = self.means + self.u[:, :k] @ w
-            var = max(k_self - float(w @ w), self.jitter)
-        self.pivot = self.packed[offset + k] = math.sqrt(var)
-        self.points[k] = x
-        self.k = k + 1
-
-    def sample(self, d, rng):
-        """Draw output d at the input last conditioned on."""
-        mean = self.cond_means[d]
-        value = mean + self.pivot * rng.standard_normal()
-        # the new solve entry is the conditional residual over the pivot
-        self.u[d, self.k - 1] = (value - mean) / self.pivot
-        return value
-
-
-def simulate(config, n_points, n_dims, seed=0):
-    """Forward draw from the generative model.
-
-    Samples the innovation parameter, the stick weights, i.i.d.
-    component assignments, and per-(component, dimension) paths of the
-    latent mean and log-variance processes; outputs are Gaussian with
-    variance ``exp(g)``.  Inputs feed back: row n + 1 of X equals row n
-    of Y, starting from the origin, which mirrors how return series are
-    paired for fitting.  On one-column inputs each (component, process)
-    path draws from the OU bridge on its two sorted neighbours
-    (:class:`_OuPath`, O(log k) per draw, the kernel's unjittered law);
-    on more columns the D paths of one component and process share their
-    inputs, so they share one growing dense factor (:class:`_LazyGpPath`,
-    O(k^2) per draw, with the factor's diagonal jitter).  A zero mean
-    kernel gets no path: its component's mean is 0 and takes no random
-    numbers.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If ``n_points`` or ``n_dims`` is not a positive integer, or
-        ``seed`` not a non-negative one.
-
-    Returns
-    -------
-    SimulationDraw
-    """
-    for name, value, least in (("n_points", n_points, 1), ("n_dims", n_dims, 1), ("seed", seed, 0)):
-        _check_integer(name, value, least)
-    C = config.pyp.truncation
-    rng = np.random.default_rng(seed)
-    delta = config.pyp.delta
-
-    # tiny shapes can underflow the Gamma draw to exactly zero
-    alpha = max(rng.gamma(config.pyp.eta1, 1.0 / config.pyp.eta2), 1e-300)
-    weights = stick_weights([rng.beta(1.0 - delta, alpha + delta * (c + 1)) for c in range(C - 1)])
-
-    mean_kernels = config.mean_kernels or (ZeroKernel(),) * C
-    noise_kernels = config.noise_kernels or (Ar1Kernel(phi=0.5, sigma0_sq=0.75),) * C
-    # with no outputs to take a variance from, the prior mean defaults to zero
-    m_tilde = _resolve_m_tilde(0.0 if config.m_tilde is None else config.m_tilde, np.empty((0, n_dims)), C)
-
-    assignments = rng.choice(C, size=n_points, p=weights)
-    # a path draws once per observation of its component
-    counts = np.bincount(assignments, minlength=C)
-
-    def new_path(kernel, means, size):
-        if isinstance(kernel, ZeroKernel):
-            return None
-        return _OuPath(kernel, means) if n_dims == 1 else _LazyGpPath(kernel, means, size, n_dims)
-
-    g_paths = [new_path(noise_kernels[c], m_tilde[c], counts[c]) for c in range(C)]
-    f_paths = [new_path(mean_kernels[c], np.zeros(n_dims), counts[c]) for c in range(C)]
-
-    Y = np.empty((n_points, n_dims))
-    variances = np.empty((n_points, n_dims))
-    x = np.zeros(n_dims)
-    for c, var_row, y_row in zip(assignments, variances, Y):
-        g_path, f_path = g_paths[c], f_paths[c]
-        g_path.condition(x)
-        if f_path is not None:
-            f_path.condition(x)
-        for d in range(n_dims):
-            g = g_path.sample(d, rng)
-            f = 0.0 if f_path is None else f_path.sample(d, rng)
-            # np.exp, not math.exp: the two differ in the last bit on a few percent of values
-            var_row[d] = variance = np.exp(g)
-            y_row[d] = f + math.sqrt(variance) * rng.standard_normal()
-        x = y_row
-    X = np.concatenate([np.zeros((1, n_dims)), Y[:-1]])
-    return SimulationDraw(X, Y, variances, assignments.astype(int), weights)

@@ -186,7 +186,7 @@ class _OuPath:
     full relative accuracy, and a tied input copies its neighbour's values
     with variance 0, as does one whose ``dx log phi`` underflows to 0.  It
     factors nothing, so it draws the kernel's own law, without the diagonal
-    jitter that :class:`_LazyGpPath` adds only to stabilize its factor.
+    jitter that :class:`~mgpch.simulation._LazyGpPath` adds only to stabilize its factor.
     """
 
     def __init__(self, kernel, means):

@@ -11,13 +11,17 @@ innovation parameter alpha carries a Gamma(eta1, eta2) prior.  The
 variational posterior keeps independent Beta factors for the C - 1
 free sticks and a Gamma factor for alpha.
 
-At delta > 0 the bound is a Dirichlet-process surrogate: the free energy
-takes each stick prior's log normaliser ``-log B(1 - delta, alpha + c delta)``
-as its delta = 0 value ``log alpha``, and :func:`update_innovation_posterior`
-is the Dirichlet-process update of q(alpha).  So at the default
-delta = 0.25 the free energy is no bound on the Pitman-Yor evidence, and
-q(alpha) is not its coordinate optimum.  The stick update is exact, since
-the rest of the prior's log density is linear in alpha.
+The module holds both halves of the mixture prior's part of the fit: the
+closed-form updates of the sticks and of q(alpha), and their free-energy
+terms (:func:`_mixture_terms`).  At delta > 0 the bound is a
+Dirichlet-process surrogate (Blei and Jordan, Bayesian Analysis 2006): the
+stick term takes each stick prior's log normaliser ``-log B(1 - delta,
+alpha + c delta)`` as its delta = 0 value ``log alpha``, and
+:func:`update_innovation_posterior` is the Dirichlet-process update of
+q(alpha).  So at the default delta = 0.25 the free energy is no bound on
+the Pitman-Yor evidence, and q(alpha) is not its coordinate optimum.  The
+stick update is exact, since the rest of the prior's log density is
+linear in alpha.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InvalidArgumentError, NumericalDomainError, _check_integer, _check_real
+from .errors import InvalidArgumentError, NumericalDomainError, _as_real_array, _check_integer, _check_real
 
 __all__ = [
     "PypConfig",
@@ -81,12 +85,14 @@ class StickPosterior:
     beta2: np.ndarray
 
     def __post_init__(self):
-        beta1 = np.atleast_1d(np.asarray(self.beta1, dtype=float))
-        beta2 = np.atleast_1d(np.asarray(self.beta2, dtype=float))
+        beta1 = np.atleast_1d(_as_real_array("beta1", self.beta1))
+        beta2 = np.atleast_1d(_as_real_array("beta2", self.beta2))
         object.__setattr__(self, "beta1", beta1)
         object.__setattr__(self, "beta2", beta2)
         if beta1.shape != beta2.shape:
             raise InvalidArgumentError("beta1 and beta2 must have equal length")
+        if not (np.all(np.isfinite(beta1)) and np.all(np.isfinite(beta2))):
+            raise InvalidArgumentError("Beta parameters must be finite")
         if np.any(beta1 <= 0.0) or np.any(beta2 <= 0.0):
             raise InvalidArgumentError("Beta parameters must be positive")
 
@@ -99,6 +105,8 @@ class InnovationPosterior:
     eta2_hat: float
 
     def __post_init__(self):
+        _check_real("eta1_hat", self.eta1_hat)
+        _check_real("eta2_hat", self.eta2_hat)
         if self.eta1_hat <= 0.0 or self.eta2_hat <= 0.0:
             raise InvalidArgumentError("Gamma posterior parameters must be positive")
 
@@ -169,17 +177,16 @@ def update_innovation_posterior(sticks, eta1, eta2):
     The shape grows by one per free stick; the rate subtracts the
     expected log survivals ``E[log(1 - v_c)]``, each of which is
     non-positive, so the posterior rate always exceeds the prior rate.
-    This is the Dirichlet-process update, exact at delta = 0 only: it
-    takes each stick's log normaliser as ``log alpha`` whatever the
-    discount.
+    This is the Dirichlet-process update, exact at delta = 0 only (see the
+    module docstring).
     """
     if eta1 <= 0.0 or eta2 <= 0.0:
         raise InvalidArgumentError("prior parameters must be positive")
     eta1_hat = eta1 + sticks.beta1.shape[0]
     _, elog1mv = stick_log_moments(sticks)
     eta2_hat = eta2 - float(np.sum(elog1mv))
-    if eta2_hat <= 0.0:
-        raise NumericalDomainError(f"innovation posterior rate is non-positive: {eta2_hat}")
+    if not 0.0 < eta2_hat < np.inf:
+        raise NumericalDomainError(f"innovation posterior rate is not positive and finite: {eta2_hat}")
     return InnovationPosterior(eta1_hat, eta2_hat)
 
 
@@ -217,3 +224,40 @@ def stick_weights(fractions):
 def expected_weights(sticks):
     """Posterior mean mixture weights; sums to one by construction."""
     return stick_weights(sticks.beta1 / (sticks.beta1 + sticks.beta2))
+
+
+def _alpha_term(innovation, eta1, eta2):
+    """Expected log Gamma(eta1, eta2) prior of alpha plus the entropy of q(alpha)."""
+    a, b = innovation.eta1_hat, innovation.eta2_hat
+    elog = innovation.log_mean
+    emean = innovation.mean
+    elogp = eta1 * np.log(eta2) - special.gammaln(eta1) + (eta1 - 1.0) * elog - eta2 * emean
+    entropy = a - np.log(b) + special.gammaln(a) + (1.0 - a) * special.digamma(a)
+    return float(elogp + entropy)
+
+
+def _stick_term(sticks, innovation, delta):
+    """Expected log stick prior, its log normaliser taken as ``E[log alpha]`` (see the module docstring), plus the sticks' Beta entropy."""
+    elogv, elog1mv = stick_log_moments(sticks)
+    b1, b2 = sticks.beta1, sticks.beta2
+    entropy = (
+        special.betaln(b1, b2)
+        - (b1 - 1.0) * special.digamma(b1)
+        - (b2 - 1.0) * special.digamma(b2)
+        + (b1 + b2 - 2.0) * special.digamma(b1 + b2)
+    )
+    c = np.arange(1, sticks.beta1.shape[0] + 1, dtype=float)
+    cross = (
+        innovation.log_mean
+        - delta * elogv
+        + (innovation.mean + delta * c - 1.0) * elog1mv
+    )
+    return float(np.sum(cross + entropy))
+
+
+def _mixture_terms(sticks, innovation, config):
+    """Innovation and stick terms of the free energy under the prior ``config``; only the mixture factors move them."""
+    return (
+        _alpha_term(innovation, config.eta1, config.eta2),
+        _stick_term(sticks, innovation, config.delta),
+    )

@@ -39,8 +39,8 @@ import numpy as np
 
 from .copula import PairwiseCopulaModel, family_from_name
 from .errors import FormatError, InvalidArgumentError
-from .kernels import Ar1Kernel, ZeroKernel
-from .model import MgpchConfig, VariationalState, _make_context, _resolve_m_tilde, _validate_data
+from .kernels import Ar1Kernel, ZeroKernel, _resolve_m_tilde
+from .model import MgpchConfig, VariationalState, _make_context, _validate_data
 from .pyp import InnovationPosterior, PypConfig, StickPosterior
 
 __all__ = ["save_model", "load_model", "dump_json", "FORMAT_NAME", "FORMAT_VERSION"]

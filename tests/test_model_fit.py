@@ -19,7 +19,6 @@ from mgpch.model import (
     SimulationDraw,
     _extrapolated_sweep,
     _init_state,
-    _LazyGpPath,
     _make_context,
     _primal_coordinates,
     _sweep,
@@ -33,6 +32,7 @@ from mgpch.model import (
     update_responsibilities,
 )
 from mgpch.pyp import PypConfig
+from mgpch.simulation import _LazyGpPath
 
 from oracles import expected_noise_variance
 from test_model_updates import count_sweeps, latent_covariances
